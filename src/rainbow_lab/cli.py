@@ -179,8 +179,17 @@ def _cmd_frac(args) -> int:
     if isinstance(instance, HypergraphFamily):
         raise InputProblem("frac expects a hypergraph or partite instance")
     graph = as_plain_hypergraph(instance)
-    if args.what == "nu-star":
-        value, fm = max_fractional_matching(graph)
+    try:
+        return _frac_verb(args.what, graph, args.timeout)
+    except SolverTimeout:
+        key = {"check-duality": "equal", "pm": "found"}.get(args.what, "value")
+        _emit({key: "unknown"})
+        return EXIT_UNKNOWN
+
+
+def _frac_verb(what: str, graph, timeout: float) -> int:
+    if what == "nu-star":
+        value, fm = max_fractional_matching(graph, timeout=timeout)
         _emit(
             {
                 "value": fraction_to_str(value),
@@ -192,8 +201,8 @@ def _cmd_frac(args) -> int:
             }
         )
         return EXIT_FOUND
-    if args.what == "tau-star":
-        value, fc = min_fractional_cover(graph)
+    if what == "tau-star":
+        value, fc = min_fractional_cover(graph, timeout=timeout)
         _emit(
             {
                 "value": fraction_to_str(value),
@@ -205,11 +214,11 @@ def _cmd_frac(args) -> int:
             }
         )
         return EXIT_FOUND
-    if args.what == "check-duality":
-        ok = verify_duality(graph)
+    if what == "check-duality":
+        ok = verify_duality(graph, timeout=timeout)
         _emit({"equal": ok})
         return EXIT_FOUND if ok else EXIT_NONE
-    found, fm = fractional_perfect_matching(graph)
+    found, fm = fractional_perfect_matching(graph, timeout=timeout)
     payload = {"found": found}
     if found and fm is not None:
         payload["weights"] = [

@@ -11,10 +11,8 @@ determinism digest.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Optional, Sequence
@@ -176,26 +174,6 @@ def _prob_ladder(index: int, total: int, low: float = 0.15, high: float = 0.85) 
     return low + (high - low) * (index / (total - 1))
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("RAINBOW_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_rows(
-    worker: Callable[[int], ExperimentRow], indices: Sequence[int]
-) -> list[ExperimentRow]:
-    workers = _max_workers()
-    if workers == 1:
-        rows = [worker(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(worker, indices))
-    return sorted(rows, key=lambda r: r.index)
-
-
 def _header(cfg: ExperimentConfig, **extra) -> dict:
     head = {
         "rng": RNG_ALGORITHM,
@@ -260,7 +238,7 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
 
         return _timed_row(i, f"n={n} copies={n // 3}", body)
 
-    report.rows = _run_rows(worker, range(len(n_values)))
+    report.rows = [worker(i) for i in range(len(n_values))]
     return report
 
 
@@ -301,7 +279,7 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
 
         return _timed_row(i, f"n={n} trial={t}", body)
 
-    report.rows = _run_rows(worker, range(len(jobs)))
+    report.rows = [worker(i) for i in range(len(jobs))]
     return report
 
 
@@ -315,8 +293,8 @@ def run_duality(cfg: ExperimentConfig) -> ExperimentReport:
             n = rng.randint(4, 10)
             prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
             graph = random_hypergraph(rng, n, prob)
-            nu, fm = max_fractional_matching(graph)
-            tau, fc = min_fractional_cover(graph)
+            nu, fm = max_fractional_matching(graph, timeout=cfg.timeout_seconds)
+            tau, fc = min_fractional_cover(graph, timeout=cfg.timeout_seconds)
             integral = len(max_matching(graph, timeout=cfg.timeout_seconds))
             ok = (
                 nu == tau
@@ -330,7 +308,7 @@ def run_duality(cfg: ExperimentConfig) -> ExperimentReport:
 
         return _timed_row(i, f"trial={i}", body)
 
-    report.rows = _run_rows(worker, range(cfg.trials))
+    report.rows = [worker(i) for i in range(cfg.trials)]
     return report
 
 
@@ -386,9 +364,11 @@ def run_shift_suite(cfg: ExperimentConfig) -> ExperimentReport:
                 )
             preserved = None
             if q_size <= 3 and res.containment_ok:
-                nu_in, _ = max_fractional_matching(graph.as_hypergraph())
+                nu_in, _ = max_fractional_matching(
+                    graph.as_hypergraph(), timeout=cfg.timeout_seconds
+                )
                 nu_out, _ = max_fractional_matching(
-                    res.shifted.graph.as_hypergraph()
+                    res.shifted.graph.as_hypergraph(), timeout=cfg.timeout_seconds
                 )
                 preserved = nu_in == nu_out
                 checks["value_preserved"] = preserved
@@ -416,7 +396,7 @@ def run_shift_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
         return _timed_row(i, f"trial={i}", body)
 
-    report.rows = _run_rows(worker, range(cfg.trials))
+    report.rows = [worker(i) for i in range(cfg.trials)]
     return report
 
 
@@ -495,5 +475,5 @@ def run_absorb_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
         return _timed_row(i, f"trial={i}", body)
 
-    report.rows = _run_rows(worker, range(cfg.trials))
+    report.rows = [worker(i) for i in range(cfg.trials)]
     return report

@@ -1,30 +1,38 @@
-"""Exact-rational fractional matching and vertex cover via simplex.
+"""Exact fractional matching and vertex cover from one simplex solve.
 
-Everything in this module computes with :class:`fractions.Fraction`;
-there is no floating point and no rounding, so optimal values and
-duality checks are bit-exact.  The matching side runs a primal simplex
-(slack basis is feasible), the cover side runs a dual simplex on its
-own tableau (slack basis is dual-feasible), so the two optima are
-produced by genuinely different solves and their equality is a
-meaningful cross-check.
+The matching LP (maximize total edge weight, every vertex load at most
+1) is solved by a primal simplex from the slack basis, which is
+feasible.  The tableau holds Python ints only: every entry is the true
+rational entry times one common denominator ``den``, the pivot element
+of the previous step (1 at the start).  Pivoting is fraction-free in the
+manner of Bareiss (1968), so each update divides exactly and entries
+stay bounded by subdeterminants of the constraint matrix.  There is no
+floating point and no rounding, so optimal values are bit-exact.
 
-Optimal faces are generally not singletons: ties are broken by
-Bland-style smallest-index rules, and callers should assert values and
-certificate feasibility, never specific weights.
+Both certificates come from the final tableau: the basic edge columns
+give the matching, and the negated reduced costs of the vertex slacks
+give the cover (the LP dual).  Their optimality is not taken on trust:
+callers check that the matching and the cover are feasible and that
+their values agree, which by weak duality proves both optimal.
+
+Optimal faces are generally not singletons: ties are broken by Bland's
+smallest-index rule, and callers should assert values and certificate
+feasibility, never specific weights.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .hypergraph import Hypergraph
+from .solvers import DEFAULT_TIMEOUT, SolverTimeout, _deadline
 
 Edge = tuple[int, ...]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -73,160 +81,129 @@ class FractionalCover:
         )
 
 
-class _Tableau:
-    """Dense simplex tableau over Fractions; rhs is the last column."""
+def _solve(
+    graph: Hypergraph, timeout: Optional[float]
+) -> tuple[Fraction, FractionalMatching, FractionalCover]:
+    """Optimal value, matching and cover of the matching LP.
 
-    def __init__(self, rows: list[list[Fraction]], cbar: list[Fraction],
-                 basis: list[int]):
-        self.rows = rows
-        self.cbar = cbar  # reduced costs plus negated objective value
-        self.basis = basis
-
-    def pivot(self, r: int, j: int) -> None:
-        prow = self.rows[r]
-        piv = prow[j]
-        inv = 1 / piv
-        for idx, x in enumerate(prow):
-            if x:
-                prow[idx] = x * inv
-        nonzeros = [(idx, x) for idx, x in enumerate(prow) if x]
-        for i, row in enumerate(self.rows):
-            if i == r:
-                continue
-            f = row[j]
-            if f:
-                for idx, x in nonzeros:
-                    row[idx] -= f * x
-        f = self.cbar[j]
-        if f:
-            for idx, x in nonzeros:
-                self.cbar[idx] -= f * x
-        self.basis[r] = j
-
-    def objective(self) -> Fraction:
-        return -self.cbar[-1]
-
-
-def _primal_simplex(tab: _Tableau) -> None:
-    """Maximize from a primal-feasible basis; Bland's smallest-index rule."""
-    ncols = len(tab.cbar) - 1
+    Columns are the m edges, then the n vertex slacks, then the rhs.
+    Bland's rule picks the entering column; the leaving row minimizes
+    rhs/entry, ties to the smaller basic index.  ``den`` stays positive
+    because every pivot element is, so signs of stored ints are signs of
+    the true entries and ratios compare by cross-multiplication.
+    """
+    deadline = _deadline(timeout)
+    edges = graph.edges
+    m = len(edges)
+    n = graph.n_vertices
+    rows = []
+    for v in range(n):
+        row = [0] * (m + n + 1)
+        for j, e in enumerate(edges):
+            if v in e:
+                row[j] = 1
+        row[m + v] = 1
+        row[-1] = 1
+        rows.append(row)
+    cbar = [1] * m + [0] * (n + 1)  # reduced costs, then -objective
+    basis = [m + v for v in range(n)]
+    den = 1
+    ncols = m + n
     while True:
-        enter = next((j for j in range(ncols) if tab.cbar[j] > 0), None)
+        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
         if enter is None:
-            return
+            break
+        if deadline and time.monotonic() > deadline:
+            raise SolverTimeout("fractional LP exceeded its deadline")
         leave = None
-        best: Optional[Fraction] = None
-        for i, row in enumerate(tab.rows):
+        for i, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (
-                    ratio == best and tab.basis[i] < tab.basis[leave]
-                ):
-                    best = ratio
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = row[-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("LP unbounded; malformed instance")
-        tab.pivot(leave, enter)
+        prow = rows[leave]
+        piv = prow[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = _bareiss(row, prow, piv, den, enter)
+        cbar = _bareiss(cbar, prow, piv, den, enter)
+        basis[leave] = enter
+        den = piv
+
+    weights = {e: ZERO for e in edges}
+    for i, b in enumerate(basis):
+        if b < m:
+            weights[edges[b]] = Fraction(rows[i][-1], den)
+    cover = {v: Fraction(-cbar[m + v], den) for v in range(n)}
+    return (
+        Fraction(-cbar[-1], den),
+        FractionalMatching(weights=weights),
+        FractionalCover(weights=cover),
+    )
 
 
-def _dual_simplex(tab: _Tableau) -> None:
-    """Restore primal feasibility from a dual-feasible basis."""
-    ncols = len(tab.cbar) - 1
-    while True:
-        leave = None
-        for i, row in enumerate(tab.rows):
-            if row[-1] < 0 and (
-                leave is None or tab.basis[i] < tab.basis[leave]
-            ):
-                leave = i
-        if leave is None:
-            return
-        row = tab.rows[leave]
-        enter = None
-        best: Optional[Fraction] = None
-        for j in range(ncols):
-            a = row[j]
-            if a < 0:
-                ratio = tab.cbar[j] / a
-                if best is None or ratio < best:
-                    best = ratio
-                    enter = j
-        if enter is None:
-            raise ArithmeticError("LP infeasible; malformed instance")
-        tab.pivot(leave, enter)
+def _bareiss(
+    row: list[int], prow: list[int], piv: int, den: int, enter: int
+) -> list[int]:
+    """One non-pivot row after pivoting on ``prow[enter] == piv``.
+
+    The divisions are exact (Bareiss): every result is a subdeterminant
+    of the original tableau.
+    """
+    f = row[enter]
+    if f:
+        return [(piv * x - f * p) // den for x, p in zip(row, prow)]
+    if piv == den:
+        return row
+    return [x * piv // den for x in row]
 
 
 def max_fractional_matching(
     graph: Hypergraph,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[Fraction, FractionalMatching]:
-    """Optimal fractional matching: max total weight, loads at most 1."""
-    edges = graph.edges
-    m = len(edges)
-    n = graph.n_vertices
-    if m == 0:
-        return ZERO, FractionalMatching(weights={})
-    rows = []
-    for v in range(n):
-        row = [ZERO] * (m + n + 1)
-        for j, e in enumerate(edges):
-            if v in e:
-                row[j] = ONE
-        row[m + v] = ONE
-        row[-1] = ONE
-        rows.append(row)
-    cbar = [ONE] * m + [ZERO] * n + [ZERO]
-    tab = _Tableau(rows, cbar, basis=[m + v for v in range(n)])
-    _primal_simplex(tab)
-    weights = {e: ZERO for e in edges}
-    for i, b in enumerate(tab.basis):
-        if b < m:
-            weights[edges[b]] = tab.rows[i][-1]
-    return tab.objective(), FractionalMatching(weights=weights)
+    """Optimal fractional matching: max total weight, loads at most 1.
+
+    Raises :class:`SolverTimeout` when the solve outlasts ``timeout``.
+    """
+    value, matching, _ = _solve(graph, timeout)
+    return value, matching
 
 
 def min_fractional_cover(
     graph: Hypergraph,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[Fraction, FractionalCover]:
-    """Optimal fractional vertex cover: min total weight, edges covered."""
-    edges = graph.edges
-    m = len(edges)
-    n = graph.n_vertices
-    weights = {v: ZERO for v in range(n)}
-    if m == 0:
-        return ZERO, FractionalCover(weights=weights)
-    # max -sum(p) subject to -sum_{v in e} p_v <= -1: slack basis is
-    # dual-feasible, then dual simplex restores primal feasibility.
-    rows = []
-    for i, e in enumerate(edges):
-        row = [ZERO] * (n + m + 1)
-        for v in e:
-            row[v] = -ONE
-        row[n + i] = ONE
-        row[-1] = -ONE
-        rows.append(row)
-    cbar = [-ONE] * n + [ZERO] * m + [ZERO]
-    tab = _Tableau(rows, cbar, basis=[n + i for i in range(m)])
-    _dual_simplex(tab)
-    for i, b in enumerate(tab.basis):
-        if b < n:
-            weights[b] = tab.rows[i][-1]
-    return -tab.objective(), FractionalCover(weights=weights)
+    """Optimal fractional vertex cover: min total weight, edges covered.
+
+    Raises :class:`SolverTimeout` when the solve outlasts ``timeout``.
+    """
+    value, _, cover = _solve(graph, timeout)
+    return value, cover
 
 
-def verify_duality(graph: Hypergraph) -> bool:
-    """Exact equality of the two optima, with both certificates feasible."""
-    nu, matching = max_fractional_matching(graph)
-    tau, cover = min_fractional_cover(graph)
+def verify_duality(
+    graph: Hypergraph, timeout: Optional[float] = DEFAULT_TIMEOUT
+) -> bool:
+    """Both certificates feasible, with equal values: both are optimal."""
+    value, matching, cover = _solve(graph, timeout)
     return (
-        nu == tau
-        and matching.is_feasible(graph)
+        matching.is_feasible(graph)
         and cover.is_feasible(graph)
+        and matching.value() == cover.value() == value
     )
 
 
 def fractional_perfect_matching(
     graph: Hypergraph,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[bool, Optional[FractionalMatching]]:
     """Fractional matching saturating every vertex, when one exists.
 
@@ -234,7 +211,7 @@ def fractional_perfect_matching(
     loads of an optimal matching are forced to 1 everywhere; that is
     asserted before returning.
     """
-    value, matching = max_fractional_matching(graph)
+    value, matching = max_fractional_matching(graph, timeout)
     if graph.n_vertices == 0:
         return True, matching
     if value != Fraction(graph.n_vertices, graph.k):

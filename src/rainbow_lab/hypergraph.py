@@ -10,6 +10,7 @@ and safe to share between threads.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
@@ -104,11 +105,9 @@ class Hypergraph:
         return iter(range(self.n_vertices))
 
     def has_edge(self, edge: Iterable[int]) -> bool:
-        return canonical_edge(edge) in self._edge_set()
-
-    def _edge_set(self) -> frozenset[tuple[int, ...]]:
-        # frozenset view is cheap to rebuild relative to edge counts here
-        return frozenset(self.edges)
+        canon = canonical_edge(edge)
+        i = bisect_left(self.edges, canon)
+        return i < len(self.edges) and self.edges[i] == canon
 
     def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
         canon = canonical_edge(vertices)
@@ -130,7 +129,7 @@ class Hypergraph:
         if len(sub) <= min(3, self.k - 1):
             return self._index.get(sub, 0)
         if len(sub) == self.k:
-            return 1 if sub in self._edge_set() else 0
+            return 1 if self.has_edge(sub) else 0
         want = set(sub)
         return sum(1 for e in self.edges if want.issubset(e))
 

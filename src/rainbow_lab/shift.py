@@ -348,7 +348,7 @@ def fractional_pm_pipeline(
         raise ValueError("pipeline needs a balanced partite graph")
     if threshold is None:
         threshold = extremal_adjacent_degree_sum(graph.p_size)
-    _, cover = min_fractional_cover(graph.as_hypergraph())
+    _, cover = min_fractional_cover(graph.as_hypergraph(), timeout=timeout)
     ordered = order_by_cover(graph, cover)
     closure = cover_closure(graph, cover, ordered)
     shifted, trace = stable_shift(closure, threshold)
@@ -367,7 +367,7 @@ def fractional_pm_pipeline(
 
     value_check = None
     if found and containment_ok and check_value:
-        nu, _ = max_fractional_matching(graph.as_hypergraph())
+        nu, _ = max_fractional_matching(graph.as_hypergraph(), timeout=timeout)
         value_check = nu == graph.q_size
     return PipelineResult(
         found=found,

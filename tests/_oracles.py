@@ -103,3 +103,21 @@ def float_lp_matching_value(edges, n_vertices: int) -> float:
     )
     assert res.status == 0
     return -res.fun
+
+
+def float_lp_cover_value(edges, n_vertices: int) -> float:
+    """Floating-point LP oracle for the fractional cover optimum."""
+    from scipy.optimize import linprog
+
+    if not edges:
+        return 0.0
+    a_ub = [[-1.0 if v in e else 0.0 for v in range(n_vertices)] for e in edges]
+    res = linprog(
+        [1.0] * n_vertices,
+        A_ub=a_ub,
+        b_ub=[-1.0] * len(edges),
+        bounds=[(0, None)] * n_vertices,
+        method="highs",
+    )
+    assert res.status == 0
+    return res.fun

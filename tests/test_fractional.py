@@ -23,9 +23,9 @@ from rainbow_lab.fractional import (
     verify_duality,
 )
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph, empty_hypergraph
-from rainbow_lab.solvers import has_perfect_matching, max_matching
+from rainbow_lab.solvers import SolverTimeout, has_perfect_matching, max_matching
 
-from _oracles import float_lp_matching_value
+from _oracles import float_lp_cover_value, float_lp_matching_value
 
 
 def random_3graph(rng, n, prob):
@@ -99,6 +99,11 @@ class TestDuality:
             exact, _ = max_fractional_matching(h)
             approx = float_lp_matching_value(h.edges, h.n_vertices)
             assert abs(float(exact) - approx) < 1e-7
+            tau, fc = min_fractional_cover(h)
+            approx_tau = float_lp_cover_value(h.edges, h.n_vertices)
+            assert abs(float(tau) - approx_tau) < 1e-7
+            assert fc.is_feasible(h)
+            assert abs(float(fc.value()) - approx_tau) < 1e-7
 
     def test_integral_below_fractional(self):
         rng = random.Random(15)
@@ -159,3 +164,23 @@ class TestFractionalPerfectMatching:
             h = random_3graph(rng, 9, rng.uniform(0.1, 0.6))
             if has_perfect_matching(h)[0]:
                 assert fractional_perfect_matching(h)[0]
+
+
+class TestDeadline:
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            max_fractional_matching,
+            min_fractional_cover,
+            verify_duality,
+            fractional_perfect_matching,
+        ],
+    )
+    def test_expired_deadline_raises(self, solve):
+        with pytest.raises(SolverTimeout):
+            solve(complete_hypergraph(3, 6), timeout=1e-9)
+
+    def test_already_optimal_needs_no_clock(self):
+        # no pivot, so no deadline check: an empty graph always answers
+        value, _ = max_fractional_matching(empty_hypergraph(3, 4), timeout=1e-9)
+        assert value == 0

@@ -31,7 +31,11 @@ from rainbow_lab.shift import (
     order_by_cover,
     stable_shift,
 )
-from rainbow_lab.solvers import has_perfect_matching, is_perfect_matching_of
+from rainbow_lab.solvers import (
+    SolverTimeout,
+    has_perfect_matching,
+    is_perfect_matching_of,
+)
 
 from _oracles import all_partite_four_sets, brute_is_stable
 
@@ -250,6 +254,12 @@ class TestPipeline:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             fractional_pm_pipeline(PartiteHypergraph(2, 5, []))
+
+    def test_timeout_bounds_the_lp_stages(self):
+        # the link search is too small to reach its deadline check, so
+        # only a deadline inside the cover LP can stop this run
+        with pytest.raises(SolverTimeout):
+            fractional_pm_pipeline(extremal_partite(9), timeout=1e-9)
 
     def test_value_preserved_when_contained(self):
         rng = random.Random(37)
