@@ -1,10 +1,10 @@
 """Exact desk-scale toolkit for rainbow matchings in 3-uniform hypergraphs.
 
 The package provides canonical hypergraph types, generators for the
-tight extremal instances, exhaustive matching solvers (with a compiled
-search core and a pure-Python fallback), exact-rational fractional
-matching / vertex cover optima, the stability shift pipeline, absorbing
-gadgets, and reproducible experiment suites.
+tight extremal instances, exhaustive matching solvers over one bitmask
+search kernel, exact-rational fractional matching / vertex cover
+optima, the stability shift pipeline, absorbing gadgets, and
+reproducible experiment suites.
 """
 
 from .constructions import (

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Verbs: gen, stats, solve, frac, shift, absorb, exp, bench.  Instances
+Verbs: gen, stats, solve, frac, shift, absorb, exp.  Instances
 travel as JSON on stdin/stdout.  Exit codes: solve-style verbs use
 0 = found, 1 = none, 2 = unknown (timeout); exp uses 0 = all pass,
 1 = any fail, 2 = any unknown; malformed input exits 3.
@@ -13,7 +13,7 @@ import json
 import sys
 from typing import Optional
 
-from . import __version__, bench, kernel
+from . import __version__
 from .absorbing import (
     AbsorptionError,
     build_gadget,
@@ -349,31 +349,6 @@ def _cmd_exp(args) -> int:
     ]
 
 
-def _cmd_bench(args) -> int:
-    results = bench.run_benchmark(quick=args.quick, repeat=args.repeat)
-    if args.json:
-        _emit(
-            [
-                {
-                    "workload": r.name,
-                    "timings_ms": {k: round(v, 3) for k, v in r.timings_ms.items()},
-                    "agree": r.agree,
-                }
-                for r in results
-            ]
-        )
-    else:
-        print(f"backends: {', '.join(kernel.available_backends())}")
-        print(format_results(results))
-    if not all(r.agree for r in results):
-        return EXIT_NONE
-    return EXIT_FOUND
-
-
-def format_results(results) -> str:
-    return bench.format_table(results)
-
-
 def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -452,11 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--trials", type=int, default=1)
     exp.add_argument("--threshold", type=int, default=None)
     exp.set_defaults(func=_cmd_exp)
-
-    bench_p = sub.add_parser("bench", help="compare search backends")
-    bench_p.add_argument("--quick", action="store_true")
-    bench_p.add_argument("--repeat", type=int, default=3)
-    bench_p.set_defaults(func=_cmd_bench)
 
     return parser
 

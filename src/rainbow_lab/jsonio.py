@@ -21,10 +21,6 @@ def fraction_to_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
-
-
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

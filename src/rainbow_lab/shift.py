@@ -22,7 +22,6 @@ from .constructions import (
 )
 from .fractional import (
     FractionalCover,
-    max_fractional_matching,
     min_fractional_cover,
 )
 from .hypergraph import Hypergraph
@@ -342,13 +341,14 @@ def fractional_pm_pipeline(
     perfect matching of the shifted graph has full fractional value, and
     when the original edges survived the shift the fractional matching
     number of the input must equal the class size; ``value_check``
-    records that cross-check against the directly computed optimum.
+    records that cross-check against the optimum of the cover LP, whose
+    value equals the fractional matching number by LP duality.
     """
     if not graph.balanced:
         raise ValueError("pipeline needs a balanced partite graph")
     if threshold is None:
         threshold = extremal_adjacent_degree_sum(graph.p_size)
-    _, cover = min_fractional_cover(graph.as_hypergraph(), timeout=timeout)
+    tau, cover = min_fractional_cover(graph.as_hypergraph(), timeout=timeout)
     ordered = order_by_cover(graph, cover)
     closure = cover_closure(graph, cover, ordered)
     shifted, trace = stable_shift(closure, threshold)
@@ -367,8 +367,7 @@ def fractional_pm_pipeline(
 
     value_check = None
     if found and containment_ok and check_value:
-        nu, _ = max_fractional_matching(graph.as_hypergraph(), timeout=timeout)
-        value_check = nu == graph.q_size
+        value_check = tau == graph.q_size
     return PipelineResult(
         found=found,
         trace=trace,

@@ -162,7 +162,6 @@ def rainbow_matching(
     color_masks = [[edge_mask(e) for e in m.edges] for m in family.members]
     status, picks, _ = kernel.rainbow_search(
         color_masks,
-        n_vertices=family.n_vertices,
         node_budget=node_budget,
         deadline=_deadline(timeout),
     )

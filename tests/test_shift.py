@@ -8,6 +8,7 @@ from itertools import combinations
 
 import pytest
 
+from rainbow_lab import fractional
 from rainbow_lab.constructions import (
     PartiteHypergraph,
     complete_partite,
@@ -260,6 +261,23 @@ class TestPipeline:
         # only a deadline inside the cover LP can stop this run
         with pytest.raises(SolverTimeout):
             fractional_pm_pipeline(extremal_partite(9), timeout=1e-9)
+
+    @pytest.mark.parametrize(
+        "graph", [extremal_partite(9), complete_partite(3, 9)], ids=["tight", "complete"]
+    )
+    def test_one_lp_solve_per_call(self, graph, monkeypatch):
+        # the complete graph reaches the value check, which reuses the cover's value
+        calls = []
+        solve = fractional._solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "_solve", counting_solve)
+        res = fractional_pm_pipeline(graph)
+        assert len(calls) == 1
+        assert res.value_check is (True if res.found else None)
 
     def test_value_preserved_when_contained(self):
         rng = random.Random(37)

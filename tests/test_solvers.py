@@ -188,6 +188,23 @@ class TestPartitePerfectMatching:
             assert (rb is None) == (pm is None)
 
 
+class TestWideInstances:
+    """More than 64 vertices: masks wider than a machine word."""
+
+    def test_rainbow_and_max_matching_past_bit_64(self):
+        h = Hypergraph(3, 70, [(67, 68, 69)])
+        rm = rainbow_matching(HypergraphFamily(70, (h,)))
+        assert rm is not None and rm.pairs == ((0, (67, 68, 69)),)
+        assert max_matching(h).edges == ((67, 68, 69),)
+
+    def test_perfect_matching_past_bit_64(self):
+        triples = [(i, i + 1, i + 2) for i in range(0, 72, 3)]
+        found, pm = has_perfect_matching(Hypergraph(3, 72, triples))
+        assert found and pm.edges == tuple(triples)
+        found, _ = has_perfect_matching(Hypergraph(3, 72, triples[:-1]))
+        assert not found
+
+
 class TestTimeout:
     def test_budget_exhaustion_raises(self):
         h = extremal_graph(12, 4, 2)
