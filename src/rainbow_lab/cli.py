@@ -435,6 +435,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not args.timeout > 0:
+            raise InputProblem(
+                f"--timeout must be a positive number of seconds, got {args.timeout}"
+            )
         return args.func(args)
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)

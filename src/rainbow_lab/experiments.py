@@ -348,7 +348,6 @@ def run_shift_suite(cfg: ExperimentConfig) -> ExperimentReport:
                 graph,
                 threshold=threshold,
                 timeout=cfg.timeout_seconds,
-                check_value=q_size <= 3,
             )
             checks = {
                 "stable": res.trace.stable and is_stable(res.shifted),

@@ -6,6 +6,23 @@ order, pruning rules and node accounting, so the same masks always
 yield the same witness and node count; the solvers, the experiment
 digests and the benchmark's node counts rely on that.
 
+The rainbow and exact-cover searches carry their candidates as bitsets
+over edge indices, also held in Python ints, in the manner of the
+column lists of Knuth's Dancing Links: bit ``i`` of an *alive* set says
+that edge ``i`` is still disjoint from every placed edge.  For each
+vertex ``v`` a search precomputes the set of edges that avoid ``v``, so
+placing an edge intersects the alive sets with one such set per vertex
+of the edge instead of rescanning every edge list.
+
+A node is one candidate scanned at the current level, whether or not it
+is still disjoint.  The rainbow search scans a color's candidates in
+list order and skips the conflicting ones in one step, so it advances
+the count by the gap to each alive candidate and by the rest of the list
+at the end; the count, and an abort on exactly ``node_budget`` nodes,
+stay those of a scan that visits every candidate.  The exact-cover
+search counts only disjoint candidates of its pivot vertex.  A deadline
+is polled whenever the count passes a multiple of ``_DEADLINE_STRIDE``.
+
 Status codes: 0 = search completed (witness present for system/cover
 search, best-so-far is optimal for the max search), 1 = completed with
 no solution, 2 = node budget or deadline exhausted.
@@ -14,6 +31,7 @@ no solution, 2 = node budget or deadline exhausted.
 from __future__ import annotations
 
 import time
+from math import inf
 from typing import Optional, Sequence
 
 FOUND = 0
@@ -24,15 +42,53 @@ _DEADLINE_STRIDE = 4096
 
 
 class _Abort(Exception):
-    pass
+    """Stops a search; ``args[0]`` is the node count to report."""
 
 
-def _expired(nodes: int, node_budget: int, deadline: float) -> bool:
+def _next_check(nodes: int, node_budget: int, deadline: float):
+    """The node count at which the budget or the deadline is next due."""
+    due = inf
+    if deadline:
+        due = (nodes // _DEADLINE_STRIDE + 1) * _DEADLINE_STRIDE
+    if node_budget:
+        due = min(due, node_budget)
+    return due
+
+
+def _checkpoint(nodes: int, node_budget: int, deadline: float):
+    """Raise :class:`_Abort` if the search must stop, else the next check.
+
+    Called once ``nodes`` reaches the value :func:`_next_check` returned.
+    """
     if node_budget and nodes >= node_budget:
-        return True
-    if deadline and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
-        return True
-    return False
+        raise _Abort(node_budget)
+    if deadline and time.monotonic() > deadline:
+        raise _Abort(nodes)
+    return _next_check(nodes, node_budget, deadline)
+
+
+def _vertices(mask: int) -> tuple[int, ...]:
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def _incidence(masks: Sequence[int], n_vertices: int) -> list[int]:
+    """For each vertex, the bitset of indices of the masks that contain it.
+
+    Transposes the masks as one string of fixed-width binary rows, so
+    the work per mask is a single formatting call.
+    """
+    if not masks or not n_vertices:
+        return [0] * n_vertices
+    top = 1 << n_vertices
+    if max(masks) >= top:
+        raise ValueError(f"an edge mask has a vertex outside range({n_vertices})")
+    text = "".join([bin(m | top)[3:] for m in reversed(masks)])
+    return [int(text[n_vertices - 1 - v :: n_vertices], 2) for v in range(n_vertices)]
 
 
 def backend_name() -> str:
@@ -53,42 +109,66 @@ def rainbow_search(
     candidate.
     """
     t = len(color_masks)
+    if t == 0:
+        return FOUND, [], 0
     lists = [list(c) for c in color_masks]
     if any(not lst for lst in lists):
         return NONE, None, 0
+    n_vertices = max(m.bit_length() for lst in lists for m in lst)
+    # Vertices of each candidate, filled in when it is first placed.
+    verts: list[list[Optional[tuple[int, ...]]]] = [[None] * len(lst) for lst in lists]
+    sizes = [len(lst) for lst in lists]
+    everything = [(1 << size) - 1 for size in sizes]
+    # avoid[c][v]: the candidates of color c that miss vertex v.
+    avoid = [
+        [every ^ row for row in _incidence(lst, n_vertices)]
+        for lst, every in zip(lists, everything)
+    ]
     picks = [-1] * t
     nodes = 0
+    due = _next_check(0, node_budget, deadline)
 
-    def starved(level: int, occ: int) -> bool:
-        for c in range(level, t):
-            if all(m & occ for m in lists[c]):
-                return True
-        return False
-
-    def search(level: int, occ: int) -> bool:
-        nonlocal nodes
-        if level == t:
-            return True
-        for idx, m in enumerate(lists[level]):
-            nodes += 1
-            if _expired(nodes, node_budget, deadline):
-                raise _Abort
-            if m & occ:
-                continue
-            occ2 = occ | m
-            if level + 1 < t and starved(level + 1, occ2):
-                continue
-            picks[level] = idx
-            if search(level + 1, occ2):
-                return True
+    def search(level: int, cands: int, later: list[int]) -> bool:
+        # cands: alive candidates of this color; later: alive sets of the
+        # colors after it, in order.
+        nonlocal nodes, due
+        edge_verts = verts[level]
+        masks = lists[level]
+        later_avoid = avoid[level + 1 :]
+        last = -1
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            idx = low.bit_length() - 1
+            nodes += idx - last
+            last = idx
+            if nodes >= due:
+                due = _checkpoint(nodes, node_budget, deadline)
+            vs = edge_verts[idx]
+            if vs is None:
+                vs = edge_verts[idx] = _vertices(masks[idx])
+            nxt = []
+            for alive, rows in zip(later, later_avoid):
+                for v in vs:
+                    alive &= rows[v]
+                if not alive:
+                    break
+                nxt.append(alive)
+            else:
+                picks[level] = idx
+                if not nxt or search(level + 1, nxt[0], nxt[1:]):
+                    return True
+        nodes += sizes[level] - 1 - last
+        if nodes >= due:
+            due = _checkpoint(nodes, node_budget, deadline)
         return False
 
     try:
-        if search(0, 0):
+        if search(0, everything[0], everything[1:]):
             return FOUND, picks, nodes
         return NONE, None, nodes
-    except _Abort:
-        return ABORTED, None, nodes
+    except _Abort as stop:
+        return ABORTED, None, stop.args[0]
 
 
 def exact_cover(
@@ -106,55 +186,56 @@ def exact_cover(
     """
     lists = list(masks)
     full = (1 << n_vertices) - 1
-    by_vertex: list[list[int]] = [[] for _ in range(n_vertices)]
-    for i, m in enumerate(lists):
-        v = m
-        while v:
-            low = v & -v
-            by_vertex[low.bit_length() - 1].append(i)
-            v ^= low
+    every = (1 << len(lists)) - 1
+    by_bits = _incidence(lists, n_vertices)
+    avoid = [every ^ row for row in by_bits]
+    # Vertices of an edge, filled in when it is first placed.
+    verts: list[Optional[tuple[int, ...]]] = [None] * len(lists)
     picks: list[int] = []
     nodes = 0
+    due = _next_check(0, node_budget, deadline)
 
-    def search(occ: int) -> bool:
-        nonlocal nodes
+    def search(occ: int, alive: int) -> bool:
+        nonlocal nodes, due
         if occ == full:
             return True
         pivot = -1
-        pivot_count = -1
+        pivot_count = inf
         for v in range(n_vertices):
             if occ >> v & 1:
                 continue
-            count = 0
-            for i in by_vertex[v]:
-                if not (lists[i] & occ):
-                    count += 1
-                    if pivot_count != -1 and count >= pivot_count:
-                        break
+            count = (by_bits[v] & alive).bit_count()
             if count == 0:
                 return False
-            if pivot_count == -1 or count < pivot_count:
+            if count < pivot_count:
                 pivot = v
                 pivot_count = count
-        for i in by_vertex[pivot]:
-            m = lists[i]
-            if m & occ:
-                continue
+        cands = by_bits[pivot] & alive
+        while cands:
+            low = cands & -cands
+            cands ^= low
+            i = low.bit_length() - 1
             nodes += 1
-            if _expired(nodes, node_budget, deadline):
-                raise _Abort
+            if nodes >= due:
+                due = _checkpoint(nodes, node_budget, deadline)
             picks.append(i)
-            if search(occ | m):
+            vs = verts[i]
+            if vs is None:
+                vs = verts[i] = _vertices(lists[i])
+            rest = alive
+            for v in vs:
+                rest &= avoid[v]
+            if search(occ | lists[i], rest):
                 return True
             picks.pop()
         return False
 
     try:
-        if search(0):
+        if search(0, every):
             return FOUND, picks, nodes
         return NONE, None, nodes
-    except _Abort:
-        return ABORTED, None, nodes
+    except _Abort as stop:
+        return ABORTED, None, stop.args[0]
 
 
 def max_disjoint_edges(
@@ -176,17 +257,18 @@ def max_disjoint_edges(
     best: list[int] = []
     cur: list[int] = []
     nodes = 0
+    due = _next_check(0, node_budget, deadline)
 
     def go(start: int, occ: int) -> None:
-        nonlocal nodes
+        nonlocal nodes, due
         if len(cur) + (all_vertices & ~occ).bit_count() // k <= len(best):
             return
         for j in range(start, m_count):
             if len(cur) + (m_count - j) <= len(best):
                 break
             nodes += 1
-            if _expired(nodes, node_budget, deadline):
-                raise _Abort
+            if nodes >= due:
+                due = _checkpoint(nodes, node_budget, deadline)
             m = lists[j]
             if m & occ:
                 continue
@@ -199,5 +281,5 @@ def max_disjoint_edges(
     try:
         go(0, 0)
         return FOUND, best, nodes
-    except _Abort:
-        return ABORTED, best, nodes
+    except _Abort as stop:
+        return ABORTED, best, stop.args[0]

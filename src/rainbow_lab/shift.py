@@ -331,7 +331,6 @@ def fractional_pm_pipeline(
     graph: PartiteHypergraph,
     threshold: Optional[int] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
-    check_value: bool = True,
 ) -> PipelineResult:
     """Decide fractional perfect matchability constructively.
 
@@ -366,7 +365,7 @@ def fractional_pm_pipeline(
             matching = extend_link_matching(shifted, mapped)
 
     value_check = None
-    if found and containment_ok and check_value:
+    if found and containment_ok:
         value_check = tau == graph.q_size
     return PipelineResult(
         found=found,

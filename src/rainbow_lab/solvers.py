@@ -158,7 +158,11 @@ def rainbow_matching(
 
     Backtracks over colors in index order and candidate edges in
     canonical order, pruning any branch that starves a later color.
+    A family with more members than a third of its vertices has no
+    room for disjoint triples and is answered without a search.
     """
+    if 3 * len(family.members) > family.n_vertices:
+        return None
     color_masks = [[edge_mask(e) for e in m.edges] for m in family.members]
     status, picks, _ = kernel.rainbow_search(
         color_masks,

@@ -2,11 +2,14 @@
 
 These recompute expected values by plain enumeration with no pruning
 beyond disjointness, so they stay honest cross-checks for the solvers.
-Only usable at small sizes.
+Only usable at small sizes.  The one exception is the reference search
+kernel at the end, which fixes the kernel's exact output rather than
+just its verdict.
 """
 
 from __future__ import annotations
 
+import time
 from itertools import combinations, product
 
 
@@ -121,3 +124,128 @@ def float_lp_cover_value(edges, n_vertices: int) -> float:
     )
     assert res.status == 0
     return res.fun
+
+
+# -- Reference search kernel ---------------------------------------------------
+#
+# The scalar searches that ``rainbow_lab.kernel`` replaced with bitset
+# candidate sets, kept verbatim: they rescan every candidate list at
+# every node.  ``tests/test_kernel.py`` requires the kernel to return
+# exactly their ``(status, picks, nodes)``, so candidate order and node
+# accounting cannot drift unseen.
+
+KERNEL_FOUND = 0
+KERNEL_NONE = 1
+KERNEL_ABORTED = 2
+
+_DEADLINE_STRIDE = 4096
+
+
+class _Abort(Exception):
+    pass
+
+
+def _expired(nodes: int, node_budget: int, deadline: float) -> bool:
+    if node_budget and nodes >= node_budget:
+        return True
+    if deadline and nodes % _DEADLINE_STRIDE == 0 and time.monotonic() > deadline:
+        return True
+    return False
+
+
+def scalar_rainbow_search(color_masks, node_budget: int = 0, deadline: float = 0.0):
+    """Pick one edge per color, pairwise disjoint (reference kernel)."""
+    t = len(color_masks)
+    lists = [list(c) for c in color_masks]
+    if any(not lst for lst in lists):
+        return KERNEL_NONE, None, 0
+    picks = [-1] * t
+    nodes = 0
+
+    def starved(level: int, occ: int) -> bool:
+        for c in range(level, t):
+            if all(m & occ for m in lists[c]):
+                return True
+        return False
+
+    def search(level: int, occ: int) -> bool:
+        nonlocal nodes
+        if level == t:
+            return True
+        for idx, m in enumerate(lists[level]):
+            nodes += 1
+            if _expired(nodes, node_budget, deadline):
+                raise _Abort
+            if m & occ:
+                continue
+            occ2 = occ | m
+            if level + 1 < t and starved(level + 1, occ2):
+                continue
+            picks[level] = idx
+            if search(level + 1, occ2):
+                return True
+        return False
+
+    try:
+        if search(0, 0):
+            return KERNEL_FOUND, picks, nodes
+        return KERNEL_NONE, None, nodes
+    except _Abort:
+        return KERNEL_ABORTED, None, nodes
+
+
+def scalar_exact_cover(
+    masks, n_vertices: int, node_budget: int = 0, deadline: float = 0.0
+):
+    """Partition every vertex into chosen edges (reference kernel)."""
+    lists = list(masks)
+    full = (1 << n_vertices) - 1
+    by_vertex: list[list[int]] = [[] for _ in range(n_vertices)]
+    for i, m in enumerate(lists):
+        v = m
+        while v:
+            low = v & -v
+            by_vertex[low.bit_length() - 1].append(i)
+            v ^= low
+    picks: list[int] = []
+    nodes = 0
+
+    def search(occ: int) -> bool:
+        nonlocal nodes
+        if occ == full:
+            return True
+        pivot = -1
+        pivot_count = -1
+        for v in range(n_vertices):
+            if occ >> v & 1:
+                continue
+            count = 0
+            for i in by_vertex[v]:
+                if not (lists[i] & occ):
+                    count += 1
+                    if pivot_count != -1 and count >= pivot_count:
+                        break
+            if count == 0:
+                return False
+            if pivot_count == -1 or count < pivot_count:
+                pivot = v
+                pivot_count = count
+        for i in by_vertex[pivot]:
+            m = lists[i]
+            if m & occ:
+                continue
+            nodes += 1
+            if _expired(nodes, node_budget, deadline):
+                raise _Abort
+            picks.append(i)
+            if search(occ | m):
+                return True
+            picks.pop()
+        return False
+
+    try:
+        if search(0):
+            return KERNEL_FOUND, picks, nodes
+        return KERNEL_NONE, None, nodes
+    except _Abort:
+        return KERNEL_ABORTED, None, nodes

@@ -1,4 +1,4 @@
-"""Command-line exit codes for the exact LP verbs."""
+"""Command-line exit codes: the exact LP verbs and the timeout option."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from rainbow_lab.cli import EXIT_FOUND, EXIT_UNKNOWN, main
+from rainbow_lab.cli import EXIT_FOUND, EXIT_INPUT, EXIT_UNKNOWN, main
 from rainbow_lab.hypergraph import complete_hypergraph
 
 INSTANCE = complete_hypergraph(3, 6).to_json()
@@ -38,3 +38,13 @@ def test_frac_within_timeout_answers(monkeypatch, capsys):
     code, out = run(monkeypatch, capsys, "frac", "tau-star")
     assert code == EXIT_FOUND
     assert out["value"] == "2/1"
+
+
+@pytest.mark.parametrize("timeout", ["0", "-1", "-0.5", "nan"])
+@pytest.mark.parametrize("verb", [("solve", "pm"), ("frac", "nu-star")], ids=" ".join)
+def test_nonpositive_timeout_is_input_error(monkeypatch, capsys, timeout, verb):
+    monkeypatch.setattr("sys.stdin", io.StringIO(INSTANCE))
+    assert main(["--timeout", timeout, *verb]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--timeout" in captured.err

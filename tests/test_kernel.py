@@ -1,17 +1,27 @@
-"""Exact ``(status, picks, nodes)`` of the search kernel on fixed inputs.
+"""Exact ``(status, picks, nodes)`` of the search kernel.
 
 Candidate order and node accounting are part of the kernel's contract:
 witnesses, experiment digests and the benchmark's node counts follow
-from them, so any change to either shows here.
+from them, so any change to either shows here.  Fixed inputs are pinned,
+and random inputs must give exactly what the reference kernel in
+``_oracles`` gives, node budgets included.
 """
 
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rainbow_lab import kernel
 from rainbow_lab.constructions import complete_partite, extremal_graph, extremal_partite
+from rainbow_lab.hypergraph import Hypergraph
 from rainbow_lab.solvers import edge_mask
+
+from _oracles import scalar_exact_cover, scalar_rainbow_search
 
 
 def masks_of(graph):
@@ -26,6 +36,18 @@ def test_exact_cover_refutes_tight_partite():
 def test_rainbow_search_refutes_tight_family():
     g = extremal_graph(9, 3, 2)
     assert kernel.rainbow_search([masks_of(g)] * 3) == (kernel.NONE, None, 2550)
+
+
+def test_rainbow_search_finds_after_backtracking():
+    # Three tight members leave a matching of size 3 that must also miss
+    # the fourth member's only edge.
+    colors = [masks_of(extremal_graph(12, 4, 1))] * 3
+    colors.append(masks_of(Hypergraph(3, 12, [(3, 4, 5)])))
+    assert kernel.rainbow_search(colors) == (kernel.FOUND, [40, 94, 135, 0], 1905)
+
+
+def test_rainbow_search_without_colors():
+    assert kernel.rainbow_search([]) == (kernel.FOUND, [], 0)
 
 
 @pytest.mark.parametrize(
@@ -47,3 +69,56 @@ def test_exact_cover_finds_complete_partite():
         [0, 1177, 2228, 3180, 4060, 4895],
         6,
     )
+
+
+def test_exact_cover_rejects_vertex_outside_range():
+    with pytest.raises(ValueError):
+        kernel.exact_cover([0b111, 0b1000], 3)
+
+
+# -- agreement with the reference kernel -------------------------------------
+
+
+def random_masks(draw, n):
+    """Edges of one size on ``n`` vertices, each kept with a drawn density."""
+    size = draw(st.integers(1, min(4, n)))
+    density = draw(st.floats(0.05, 0.7))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = combinations(range(n), size)
+    return [edge_mask(e) for e in edges if rng.random() < density]
+
+
+budgets = st.one_of(st.sampled_from([0, 1]), st.integers(2, 2000))
+
+
+@st.composite
+def rainbow_inputs(draw):
+    n = draw(st.integers(1, 12))
+    colors = [random_masks(draw, n) for _ in range(draw(st.integers(0, 4)))]
+    return colors, draw(budgets)
+
+
+@st.composite
+def cover_inputs(draw):
+    n = draw(st.integers(0, 12))
+    return (random_masks(draw, n) if n else []), n, draw(budgets)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rainbow_inputs())
+def test_rainbow_search_matches_reference(case):
+    colors, budget = case
+    got = kernel.rainbow_search(colors, node_budget=budget)
+    assert got == scalar_rainbow_search(colors, node_budget=budget)
+    if got[0] == kernel.ABORTED:
+        assert got[2] == budget
+
+
+@settings(max_examples=500, deadline=None)
+@given(cover_inputs())
+def test_exact_cover_matches_reference(case):
+    masks, n, budget = case
+    got = kernel.exact_cover(masks, n, node_budget=budget)
+    assert got == scalar_exact_cover(masks, n, node_budget=budget)
+    if got[0] == kernel.ABORTED:
+        assert got[2] == budget

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -133,6 +134,13 @@ class TestRainbow:
         rm = rainbow_matching(HypergraphFamily(6, ()))
         assert rm is not None and len(rm) == 0
 
+    def test_overfull_family_answered_without_search(self):
+        # 3t > n: no room for t disjoint triples, however dense the members.
+        fam = HypergraphFamily(15, (complete_hypergraph(3, 15),) * 6)
+        start = time.monotonic()
+        assert rainbow_matching(fam) is None
+        assert time.monotonic() - start < 1.0
+
     def test_colors_match_members(self):
         rng = random.Random(8)
         fam = HypergraphFamily(
@@ -215,6 +223,19 @@ class TestTimeout:
         fam = HypergraphFamily(12, (extremal_graph(12, 4, 2),) * 4)
         with pytest.raises(SolverTimeout):
             rainbow_matching(fam, node_budget=50)
+
+    def test_deadline_stops_rainbow_refutation(self):
+        fam = HypergraphFamily(12, (extremal_graph(12, 4, 3),) * 4)
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            rainbow_matching(fam, timeout=1e-3)
+        assert time.monotonic() - start < 0.5
+
+    def test_deadline_stops_partite_refutation(self):
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            partite_perfect_matching(extremal_partite(12), timeout=1e-3)
+        assert time.monotonic() - start < 0.5
 
     def test_budget_exhaustion_max_matching(self):
         h = complete_hypergraph(3, 12)
