@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Sequence
 
 from .constructions import HypergraphFamily, PartiteHypergraph
 from .hypergraph import Hypergraph
-from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
+from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, has_perfect_matching
 
 Edge = tuple[int, ...]
 
@@ -180,7 +180,11 @@ def build_gadget(
     candidates: Iterable[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> Optional[AbsorberGadget]:
-    """Search for an absorbing 24-set for the target, or None.
+    """Search for an absorbing 24-set for the target.
+
+    Returns None when no gadget of this wiring exists among the
+    candidates, and raises :class:`SolverTimeout` when ``node_budget``
+    runs out before the search is decided.
 
     The wiring: three helper vertices c1..c3 from the candidate pool,
     one edge of the target class vertex's link for the rewire, then six
@@ -205,9 +209,15 @@ def build_gadget(
     pool = [v for v in pool if v >= graph.q_size]
     edge_set = set(graph.edges)
     q_free_all = [u for u in graph.q_vertices() if u != u_target]
-    budget = [node_budget]
+    nodes_left = node_budget
 
     link_edges = [e[1:] for e in graph.edges if e[0] == u_target]
+
+    def spend() -> None:
+        nonlocal nodes_left
+        nodes_left -= 1
+        if nodes_left < 0:
+            raise SolverTimeout(f"gadget search exceeded {node_budget} nodes")
 
     def bridge_candidates(
         lv: int, rv: int, used_p: set, used_q: set
@@ -262,9 +272,7 @@ def build_gadget(
                                + usage.get(c[2], 0), c),
             )
             for cand in ordered:
-                budget[0] -= 1
-                if budget[0] < 0:
-                    return False
+                spend()
                 taken = set(cand)
                 saved = {
                     j: live[j]
@@ -281,8 +289,6 @@ def build_gadget(
                 del chosen[pivot]
                 for j, old in saved.items():
                     live[j] = old
-                if budget[0] < 0:
-                    return False
             return False
 
         if not place():
@@ -295,17 +301,13 @@ def build_gadget(
             if set(e) & set(helpers) or set(e) & set(a_part):
                 continue
             for rewire in permutations(e):
-                budget[0] -= 1
-                if budget[0] < 0:
-                    return None
+                spend()
                 r1, r2, r3 = rewire
                 left = [a_part[0], a_part[1], a_part[2], c1, c2, c3]
                 right = [c1, c2, c3, r1, r2, r3]
                 used_p = set(helpers) | set(e) | set(a_part)
                 got = bridges(left, right, used_p, set())
                 if got is None:
-                    if budget[0] < 0:
-                        return None
                     continue
                 body_q = tuple(sorted(u for u, _, _ in got))
                 body_p = tuple(

@@ -2,8 +2,9 @@
 
 Verbs: gen, stats, solve, frac, shift, absorb, exp.  Instances
 travel as JSON on stdin/stdout.  Exit codes: solve-style verbs use
-0 = found, 1 = none, 2 = unknown (timeout); exp uses 0 = all pass,
-1 = any fail, 2 = any unknown; malformed input exits 3.
+0 = found, 1 = none, 2 = unknown (timeout or budget); exp uses
+0 = all pass, 1 = any fail, 2 = any unknown; malformed input exits 3;
+an unexpected error prints its traceback on stderr and exits 4.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from typing import Optional
 
 from . import __version__
@@ -43,9 +45,9 @@ from .fractional import (
 )
 from .hypergraph import Hypergraph
 from .jsonio import (
-    as_plain_hypergraph,
     fraction_to_str,
     load_instance,
+    load_vertices,
     matching_obj,
     rainbow_obj,
 )
@@ -65,10 +67,7 @@ EXIT_FOUND = 0
 EXIT_NONE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
-
-
-class InputProblem(Exception):
-    pass
+EXIT_CRASH = 4
 
 
 def _emit(obj) -> None:
@@ -79,32 +78,21 @@ def _emit(obj) -> None:
 def _read_stdin_json():
     try:
         return json.load(sys.stdin)
-    except json.JSONDecodeError as exc:
-        raise InputProblem(f"stdin is not valid JSON: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"stdin is not valid JSON: {exc}") from exc
 
 
 def _load(kind, normalize: bool):
-    data = _read_stdin_json()
-    try:
-        instance = load_instance(data, normalize=normalize)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise InputProblem(str(exc)) from exc
-    if kind is not None and not isinstance(instance, kind):
-        raise InputProblem(
-            f"expected a {kind.__name__} instance, got {type(instance).__name__}"
-        )
-    return instance
+    return load_instance(_read_stdin_json(), normalize=normalize, kind=kind)
 
 
 def _load_vertex_file(path: str) -> list[int]:
     try:
         with open(path) as handle:
             data = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputProblem(f"cannot read vertex set {path}: {exc}") from exc
-    if not isinstance(data, list) or not all(isinstance(v, int) for v in data):
-        raise InputProblem(f"{path} must hold a JSON array of vertex ids")
-    return data
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"cannot read vertex set {path}: {exc}") from exc
+    return load_vertices(data, path)
 
 
 def _cmd_gen(args) -> int:
@@ -120,10 +108,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    instance = _load(None, args.normalize)
-    if isinstance(instance, HypergraphFamily):
-        raise InputProblem("stats expects a single hypergraph, not a family")
-    graph = as_plain_hypergraph(instance)
+    graph = _load(Hypergraph, args.normalize)
     minima = graph.degree_sum_minima() if graph.n_vertices >= 2 else None
     payload = {
         "k": graph.k,
@@ -156,10 +141,7 @@ def _solve_outcome(found: bool, witness) -> int:
 def _cmd_solve(args) -> int:
     try:
         if args.what == "pm":
-            graph = _load(None, args.normalize)
-            if isinstance(graph, HypergraphFamily):
-                raise InputProblem("solve pm expects a hypergraph")
-            graph = as_plain_hypergraph(graph)
+            graph = _load(Hypergraph, args.normalize)
             found, pm = has_perfect_matching(graph, timeout=args.timeout)
             return _solve_outcome(found, matching_obj(pm))
         if args.what == "rainbow":
@@ -175,10 +157,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_frac(args) -> int:
-    instance = _load(None, args.normalize)
-    if isinstance(instance, HypergraphFamily):
-        raise InputProblem("frac expects a hypergraph or partite instance")
-    graph = as_plain_hypergraph(instance)
+    graph = _load(Hypergraph, args.normalize)
     try:
         return _frac_verb(args.what, graph, args.timeout)
     except SolverTimeout:
@@ -233,10 +212,7 @@ def _frac_verb(what: str, graph, timeout: float) -> int:
 def _cmd_shift(args) -> int:
     graph = _load(PartiteHypergraph, args.normalize)
     if args.what == "run":
-        try:
-            shifted, trace = stable_shift(identity_order(graph), args.threshold)
-        except ValueError as exc:
-            raise InputProblem(str(exc)) from exc
+        shifted, trace = stable_shift(identity_order(graph), args.threshold)
         payload = trace.to_dict()
         payload["edges_left"] = shifted.graph.n_edges
         _emit(payload)
@@ -285,7 +261,11 @@ def _cmd_absorb(args) -> int:
             if args.candidates
             else list(graph.p_vertices())
         )
-        gadget = build_gadget(target, graph, candidates)
+        try:
+            gadget = build_gadget(target, graph, candidates)
+        except SolverTimeout:
+            _emit({"found": "unknown"})
+            return EXIT_UNKNOWN
         if gadget is None:
             _emit({"found": False})
             return EXIT_NONE
@@ -301,11 +281,12 @@ def _cmd_absorb(args) -> int:
         return EXIT_FOUND
     # absorb run < scenario.json
     data = _read_stdin_json()
-    try:
-        graph = PartiteHypergraph.from_dict(data["partite"], normalize=args.normalize)
-        targets = data["targets"]
-    except (KeyError, ValueError, TypeError) as exc:
-        raise InputProblem(f"bad scenario: {exc}") from exc
+    if not isinstance(data, dict) or set(data) != {"partite", "targets"}:
+        raise ValueError('scenario must be {"partite": ..., "targets": [[...], ...]}')
+    graph = load_instance(data["partite"], args.normalize, kind=PartiteHypergraph)
+    if not isinstance(data["targets"], list):
+        raise ValueError("targets must be a list of vertex sets")
+    targets = [load_vertices(t, "target") for t in data["targets"]]
     try:
         combined, pool = absorb_scenario(graph, targets, timeout=args.timeout)
     except SolverTimeout:
@@ -436,16 +417,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if not args.timeout > 0:
-            raise InputProblem(
+            raise ValueError(
                 f"--timeout must be a positive number of seconds, got {args.timeout}"
             )
         return args.func(args)
-    except InputProblem as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    except Exception:
+        traceback.print_exc()
+        return EXIT_CRASH
 
 
 if __name__ == "__main__":

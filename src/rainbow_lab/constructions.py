@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .hypergraph import Hypergraph, canonical_edge
+from .hypergraph import Hypergraph
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,6 @@ class HypergraphFamily:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: dict, normalize: bool = False) -> "HypergraphFamily":
-        members = tuple(
-            Hypergraph.from_dict(m, normalize=normalize) for m in data["members"]
-        )
-        return cls(n_vertices=data["n"], members=members)
-
-    @classmethod
-    def from_json(cls, text: str, normalize: bool = False) -> "HypergraphFamily":
-        return cls.from_dict(json.loads(text), normalize=normalize)
 
 
 class PartiteHypergraph:
@@ -134,25 +123,6 @@ class PartiteHypergraph:
     def has_edge(self, edge: Iterable[int]) -> bool:
         return self._graph.has_edge(edge)
 
-    def induced(self, vertices: Iterable[int]) -> tuple["PartiteHypergraph", tuple[int, ...]]:
-        """Induced partite subgraph, relabeled with Q before P."""
-        keep = sorted(set(vertices))
-        for v in keep:
-            if not 0 <= v < self.n_vertices:
-                raise ValueError(f"vertex {v} out of range")
-        q_keep = [v for v in keep if v < self.q_size]
-        p_keep = [v for v in keep if v >= self.q_size]
-        order = q_keep + p_keep
-        relabel = {v: i for i, v in enumerate(order)}
-        keep_set = set(keep)
-        edges = [
-            tuple(sorted(relabel[v] for v in e))
-            for e in self.edges
-            if keep_set.issuperset(e)
-        ]
-        sub = PartiteHypergraph(len(q_keep), len(p_keep), edges)
-        return sub, tuple(order)
-
     def to_dict(self) -> dict:
         return {
             "q": self.q_size,
@@ -162,27 +132,6 @@ class PartiteHypergraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: dict, normalize: bool = False) -> "PartiteHypergraph":
-        raw = data["edges"]
-        if not normalize:
-            for e in raw:
-                if list(e) != sorted(e):
-                    raise ValueError(f"edge {e} is not sorted; pass normalize to repair")
-            seen = set()
-            for e in raw:
-                t = tuple(e)
-                if t in seen:
-                    raise ValueError(f"duplicate edge {e}; pass normalize to repair")
-                seen.add(t)
-        else:
-            raw = sorted({canonical_edge(e) for e in raw})
-        return cls(data["q"], data["p"], raw)
-
-    @classmethod
-    def from_json(cls, text: str, normalize: bool = False) -> "PartiteHypergraph":
-        return cls.from_dict(json.loads(text), normalize=normalize)
 
 
 def extremal_graph(n: int, s: int, ell: int) -> Hypergraph:

@@ -13,7 +13,7 @@ import json
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional
 
 
 def canonical_edge(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -209,34 +209,6 @@ class Hypergraph:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-
-    @classmethod
-    def from_dict(cls, data: dict, normalize: bool = False) -> "Hypergraph":
-        """Build from the JSON instance format.
-
-        Unless ``normalize`` is set, unsorted or duplicate edges are
-        rejected rather than silently repaired.
-        """
-        k = data["k"]
-        n = data["n"]
-        raw = data["edges"]
-        if not normalize:
-            for e in raw:
-                if list(e) != sorted(e):
-                    raise ValueError(f"edge {e} is not sorted; pass normalize to repair")
-            seen = set()
-            for e in raw:
-                t = tuple(e)
-                if t in seen:
-                    raise ValueError(f"duplicate edge {e}; pass normalize to repair")
-                seen.add(t)
-        else:
-            raw = sorted({canonical_edge(e) for e in raw})
-        return cls(k, n, raw)
-
-    @classmethod
-    def from_json(cls, text: str, normalize: bool = False) -> "Hypergraph":
-        return cls.from_dict(json.loads(text), normalize=normalize)
 
 
 def complete_hypergraph(k: int, n: int) -> Hypergraph:

@@ -25,7 +25,7 @@ from rainbow_lab.constructions import (
     family_to_partite,
 )
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
-from rainbow_lab.solvers import is_perfect_matching_of, max_matching
+from rainbow_lab.solvers import SolverTimeout, is_perfect_matching_of, max_matching
 
 
 def standard_body(graph):
@@ -146,6 +146,11 @@ class TestBuildGadget:
     def test_no_candidates_gives_none(self):
         graph = complete_partite(8, 24)
         assert build_gadget(first_target(graph), graph, []) is None
+
+    def test_budget_exhaustion_raises(self):
+        # a gadget exists (see test_complete_graph), so None would claim a false "none"
+        with pytest.raises(SolverTimeout):
+            build_gadget((0, 8, 9, 10), complete_partite(8, 24), range(8, 32), node_budget=1)
 
     def test_deterministic(self):
         graph = complete_partite(8, 24)

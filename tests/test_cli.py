@@ -1,14 +1,25 @@
-"""Command-line exit codes: the exact LP verbs and the timeout option."""
+"""Command-line exit codes: every code, timeouts, budgets and malformed input."""
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 
 import pytest
 
-from rainbow_lab.cli import EXIT_FOUND, EXIT_INPUT, EXIT_UNKNOWN, main
-from rainbow_lab.hypergraph import complete_hypergraph
+from rainbow_lab import cli
+from rainbow_lab.absorbing import build_gadget
+from rainbow_lab.cli import (
+    EXIT_CRASH,
+    EXIT_FOUND,
+    EXIT_INPUT,
+    EXIT_NONE,
+    EXIT_UNKNOWN,
+    main,
+)
+from rainbow_lab.constructions import complete_partite
+from rainbow_lab.hypergraph import complete_hypergraph, empty_hypergraph
 
 INSTANCE = complete_hypergraph(3, 6).to_json()
 
@@ -48,3 +59,97 @@ def test_nonpositive_timeout_is_input_error(monkeypatch, capsys, timeout, verb):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--timeout" in captured.err
+
+
+def run_raw(monkeypatch, capsys, stdin, *argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# Malformed inputs that used to crash with exit 1 (which means "none"),
+# pass as a valid instance, or hang building a huge vertex set.
+MALFORMED = [
+    ('{"k":3,"n":6.0,"edges":[[0,1,2]]}', ["stats"]),
+    ('{"k":3,"n":6,"edges":[[0,1,2.0]]}', ["solve", "pm"]),
+    ('{"k":3,"n":6,"edges":[[0,true,2],[3,4,5]]}', ["--normalize", "solve", "pm"]),
+    ('{"k":3.5,"n":6,"edges":[]}', ["solve", "pm"]),
+    ('{"q":1,"p":3.0,"edges":[[0,1,2,3]]}', ["solve", "partite-pm"]),
+    ('{"q":true,"p":3,"edges":[[0,1,2,3]]}', ["solve", "partite-pm"]),
+    ('{"partite":{"q":1,"p":3,"edges":[[0,1,2,3]]},"targets":5}', ["absorb", "run"]),
+    (
+        '{"n":6,"members":[{"k":3,"n":6,"edges":[[0,1,2]]}],"q":1}',
+        ["solve", "rainbow"],
+    ),
+    ('{"k":3,"n":100000000,"edges":[]}', ["stats"]),
+]
+
+
+@pytest.mark.parametrize("stdin, argv", MALFORMED, ids=[" ".join(a) for _, a in MALFORMED])
+def test_malformed_input_exits_3(monkeypatch, capsys, stdin, argv):
+    code, out, err = run_raw(monkeypatch, capsys, stdin, *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_deeply_nested_json_exits_3(monkeypatch, capsys):
+    code, out, err = run_raw(monkeypatch, capsys, "[" * 100000 + "]" * 100000, "stats")
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: stdin is not valid JSON")
+
+
+def test_vertex_file_rejects_bools(monkeypatch, capsys, tmp_path):
+    target = tmp_path / "a.json"
+    target.write_text("[0, 8, 9, 10]")
+    candidates = tmp_path / "c.json"
+    candidates.write_text(json.dumps([True] + list(range(11, 32))))
+    stdin = complete_partite(8, 24).to_json()
+    code, out, err = run_raw(
+        monkeypatch, capsys, stdin,
+        "absorb", "gadget", "--a", str(target), "--candidates", str(candidates),
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert "vertex id" in err
+
+
+def test_gadget_budget_exhaustion_is_unknown(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(cli, "build_gadget", functools.partial(build_gadget, node_budget=1))
+    target = tmp_path / "a.json"
+    target.write_text("[0, 8, 9, 10]")
+    stdin = complete_partite(8, 24).to_json()
+    code, out, _ = run_raw(monkeypatch, capsys, stdin, "absorb", "gadget", "--a", str(target))
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out) == {"found": "unknown"}
+
+
+def _crash(args):
+    raise RuntimeError("boom")
+
+
+@pytest.mark.parametrize(
+    "code, stdin, argv",
+    [
+        (EXIT_FOUND, INSTANCE, ["solve", "pm"]),
+        (EXIT_NONE, empty_hypergraph(3, 6).to_json(), ["solve", "pm"]),
+        (EXIT_UNKNOWN, INSTANCE, ["--timeout", "1e-9", "frac", "nu-star"]),
+        (EXIT_INPUT, "[]", ["stats"]),
+        (EXIT_CRASH, INSTANCE, ["stats"]),
+    ],
+)
+def test_exit_codes(monkeypatch, capsys, code, stdin, argv):
+    if code == EXIT_CRASH:
+        monkeypatch.setattr(cli, "_cmd_stats", _crash)
+    got, out, err = run_raw(monkeypatch, capsys, stdin, *argv)
+    assert got == code
+    if code == EXIT_CRASH:
+        assert out == ""
+        assert "Traceback" in err and "RuntimeError: boom" in err
+    elif code == EXIT_INPUT:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+        json.loads(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import combinations
 
@@ -15,6 +16,7 @@ from rainbow_lab.hypergraph import (
     empty_hypergraph,
 )
 from rainbow_lab.constructions import extremal_graph
+from rainbow_lab.jsonio import load_instance
 
 from _oracles import brute_degree
 
@@ -226,22 +228,22 @@ class TestInvariants:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         h = extremal_graph(9, 3, 2)
-        again = Hypergraph.from_json(h.to_json())
+        again = load_instance(json.loads(h.to_json()))
         assert again == h
         assert again.to_json() == h.to_json()
 
     def test_reader_rejects_unsorted(self):
         with pytest.raises(ValueError):
-            Hypergraph.from_dict({"k": 3, "n": 4, "edges": [[2, 1, 0]]})
+            load_instance({"k": 3, "n": 4, "edges": [[2, 1, 0]]})
 
     def test_reader_rejects_duplicates(self):
         with pytest.raises(ValueError):
-            Hypergraph.from_dict(
+            load_instance(
                 {"k": 3, "n": 4, "edges": [[0, 1, 2], [0, 1, 2]]}
             )
 
     def test_normalize_repairs(self):
-        h = Hypergraph.from_dict(
+        h = load_instance(
             {"k": 3, "n": 4, "edges": [[2, 1, 0], [0, 1, 2], [1, 2, 3]]},
             normalize=True,
         )

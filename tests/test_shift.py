@@ -14,6 +14,7 @@ from rainbow_lab.constructions import (
     complete_partite,
     extremal_partite,
 )
+from rainbow_lab.experiments import ExperimentConfig, run_shift_suite
 from rainbow_lab.fractional import (
     FractionalCover,
     max_fractional_matching,
@@ -278,6 +279,21 @@ class TestPipeline:
         res = fractional_pm_pipeline(graph)
         assert len(calls) == 1
         assert res.value_check is (True if res.found else None)
+
+    def test_shift_suite_lp_solves(self, monkeypatch):
+        # 7 pipeline cover LPs plus nu* of the shifted graph on the 4 rows
+        # with q <= 3 and containment; nu* of the input is the cover's value
+        calls = []
+        solve = fractional._solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(fractional, "_solve", counting_solve)
+        report = run_shift_suite(ExperimentConfig(seed=0, trials=7))
+        assert report.aggregate == "pass"
+        assert len(calls) == 11
 
     def test_value_preserved_when_contained(self):
         rng = random.Random(37)
