@@ -50,6 +50,7 @@ from .jsonio import (
     load_vertices,
     matching_obj,
     rainbow_obj,
+    vertex_count,
 )
 from .shift import (
     fractional_pm_pipeline,
@@ -96,10 +97,13 @@ def _load_vertex_file(path: str) -> list[int]:
 
 
 def _cmd_gen(args) -> int:
+    # Bounded like instance input, so gen emits nothing load_instance
+    # refuses and never starts enumerating C(n, 3) triples for a huge n.
     if args.what == "extremal":
-        graph = extremal_graph(args.n, args.s, args.ell)
+        graph = extremal_graph(vertex_count(args.n), args.s, args.ell)
         _emit(graph.to_dict())
     elif args.what == "partite-extremal":
+        vertex_count(args.n + args.n // 3)
         _emit(extremal_partite(args.n).to_dict())
     else:  # reduce
         family = _load(HypergraphFamily, args.normalize)

@@ -2,16 +2,24 @@
 
 The matching LP (maximize total edge weight, every vertex load at most
 1) is solved by a primal simplex from the slack basis, which is
-feasible.  The tableau holds Python ints only: every entry is the true
-rational entry times one common denominator ``den``, the pivot element
-of the previous step (1 at the start).  Pivoting is fraction-free in the
-manner of Bareiss (1968), so each update divides exactly and entries
-stay bounded by subdeterminants of the constraint matrix.  There is no
-floating point and no rounding, so optimal values are bit-exact.
+feasible.  All arithmetic is on Python ints: every stored entry is the
+true rational entry times one common denominator ``den``, the pivot
+element of the previous step (1 at the start).  Pivoting is
+fraction-free in the manner of Bareiss (1968), so each update divides
+exactly and entries stay bounded by subdeterminants of the constraint
+matrix.  There is no floating point and no rounding, so optimal values
+are bit-exact.
 
-Both certificates come from the final tableau: the basic edge columns
-give the matching, and the negated reduced costs of the vertex slacks
-give the cover (the LP dual).  Their optimality is not taken on trust:
+The simplex is revised (Azulay and Pique, ACM TOMS 27(3), 2001): of
+the n x (m + n + 1) tableau it keeps only the n x (n + 1) block
+``den * B^-1 | den * rhs`` and the n + 1 slack reduced costs.  Each of
+the m edge columns has k ones, so its column and its reduced cost are
+sums over its k vertices, formed only when the edge is priced; a pivot
+costs O(n^2) plus the pricing scan, instead of O(n * m).
+
+Both certificates come from the final state: the basic edge rows give
+the matching, and the negated reduced costs of the vertex slacks give
+the cover (the LP dual).  Their optimality is not taken on trust:
 callers check that the matching and the cover are feasible and that
 their values agree, which by weak duality proves both optimal.
 
@@ -86,54 +94,71 @@ def _solve(
 ) -> tuple[Fraction, FractionalMatching, FractionalCover]:
     """Optimal value, matching and cover of the matching LP.
 
-    Columns are the m edges, then the n vertex slacks, then the rhs.
-    Bland's rule picks the entering column; the leaving row minimizes
-    rhs/entry, ties to the smaller basic index.  ``den`` stays positive
-    because every pivot element is, so signs of stored ints are signs of
-    the true entries and ratios compare by cross-multiplication.
+    The dense tableau has the m edge columns, the n vertex slacks and
+    the rhs; this stores only the slack block ``den * B^-1``, the rhs
+    column, and the slack reduced costs followed by ``-den`` times the
+    objective.  An edge column of the dense tableau is the sum of the
+    slack columns of its vertices, and its reduced cost is ``den`` plus
+    the sum of their reduced costs.  Both identities hold exactly in the
+    stored integers, because every Bareiss step is linear in the
+    columns and each of its divisions is exact, so an edge's entries are
+    computed when it is priced and never stored.  A basic edge prices to
+    0, so the basis needs no membership set.
+
+    Bland's rule scans the edges, then the slacks, and enters the first
+    positive reduced cost; the leaving row minimizes rhs/entry, ties to
+    the smaller basic index.  That is the pivot path of the dense
+    tableau, with the same integers.  ``den`` stays positive because
+    every pivot element is, so signs of stored ints are signs of the
+    true entries and ratios compare by cross-multiplication.
     """
     deadline = _deadline(timeout)
     edges = graph.edges
     m = len(edges)
     n = graph.n_vertices
-    rows = []
-    for v in range(n):
-        row = [0] * (m + n + 1)
-        for j, e in enumerate(edges):
-            if v in e:
-                row[j] = 1
-        row[m + v] = 1
-        row[-1] = 1
-        rows.append(row)
-    cbar = [1] * m + [0] * (n + 1)  # reduced costs, then -objective
+    rows = [[0] * v + [1] + [0] * (n - v - 1) + [1] for v in range(n)]
+    cbar = [0] * (n + 1)  # den * (-y), then -den * objective
     basis = [m + v for v in range(n)]
     den = 1
-    ncols = m + n
     while True:
-        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
+        enter = None
+        for j, e in enumerate(edges):
+            f = den
+            for v in e:
+                f += cbar[v]
+            if f > 0:
+                enter = j
+                col = [sum([row[v] for v in e]) for row in rows]
+                break
+        else:
+            for v in range(n):
+                f = cbar[v]
+                if f > 0:
+                    enter = m + v
+                    col = [row[v] for row in rows]
+                    break
         if enter is None:
             break
         if deadline and time.monotonic() > deadline:
             raise SolverTimeout("fractional LP exceeded its deadline")
         leave = None
-        for i, row in enumerate(rows):
-            a = row[enter]
+        for i, a in enumerate(col):
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                lhs = row[-1] * rows[leave][enter]
+                lhs = rows[i][-1] * col[leave]
                 rhs = rows[leave][-1] * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise ArithmeticError("LP unbounded; malformed instance")
         prow = rows[leave]
-        piv = prow[enter]
+        piv = col[leave]
         for i, row in enumerate(rows):
             if i != leave:
-                rows[i] = _bareiss(row, prow, piv, den, enter)
-        cbar = _bareiss(cbar, prow, piv, den, enter)
+                rows[i] = _bareiss(row, prow, piv, den, col[i])
+        cbar = _bareiss(cbar, prow, piv, den, f)
         basis[leave] = enter
         den = piv
 
@@ -141,7 +166,7 @@ def _solve(
     for i, b in enumerate(basis):
         if b < m:
             weights[edges[b]] = Fraction(rows[i][-1], den)
-    cover = {v: Fraction(-cbar[m + v], den) for v in range(n)}
+    cover = {v: Fraction(-cbar[v], den) for v in range(n)}
     return (
         Fraction(-cbar[-1], den),
         FractionalMatching(weights=weights),
@@ -150,14 +175,14 @@ def _solve(
 
 
 def _bareiss(
-    row: list[int], prow: list[int], piv: int, den: int, enter: int
+    row: list[int], prow: list[int], piv: int, den: int, f: int
 ) -> list[int]:
-    """One non-pivot row after pivoting on ``prow[enter] == piv``.
+    """One non-pivot row, with entry ``f`` in the entering column, after
+    pivoting on ``piv`` in ``prow``.
 
     The divisions are exact (Bareiss): every result is a subdeterminant
     of the original tableau.
     """
-    f = row[enter]
     if f:
         return [(piv * x - f * p) // den for x, p in zip(row, prow)]
     if piv == den:

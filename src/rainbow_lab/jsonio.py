@@ -67,7 +67,8 @@ def _int(value, name: str) -> int:
     return value
 
 
-def _vertex_count(count: int) -> int:
+def vertex_count(count: int) -> int:
+    """``count`` itself, when it lies in ``[0, MAX_VERTICES]``."""
     if not 0 <= count <= MAX_VERTICES:
         raise ValueError(f"vertex count {count} is outside [0, {MAX_VERTICES}]")
     return count
@@ -96,7 +97,7 @@ def _edges(data, normalize: bool) -> list[tuple[int, ...]]:
 
 
 def _hypergraph(data: dict, normalize: bool) -> Hypergraph:
-    n = _vertex_count(_int(data["n"], "n"))
+    n = vertex_count(_int(data["n"], "n"))
     return Hypergraph(_int(data["k"], "k"), n, _edges(data["edges"], normalize))
 
 
@@ -106,10 +107,10 @@ def _read(data, normalize: bool) -> Instance:
         return _hypergraph(data, normalize)
     if keys == {"q", "p", "edges"}:
         q, p = _int(data["q"], "q"), _int(data["p"], "p")
-        _vertex_count(q + p)
+        vertex_count(q + p)
         return PartiteHypergraph(q, p, _edges(data["edges"], normalize))
     if keys == {"n", "members"}:
-        n = _vertex_count(_int(data["n"], "n"))
+        n = vertex_count(_int(data["n"], "n"))
         members = data["members"]
         if not isinstance(members, list) or not all(
             isinstance(m, dict) and set(m) == _HYPERGRAPH_KEYS for m in members

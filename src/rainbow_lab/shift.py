@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 from typing import Optional, Sequence
 
 from .constructions import (
@@ -154,17 +155,25 @@ def cover_closure(
     """All partite 4-sets whose cover weight reaches 1.
 
     With ranks ascending in weight this edge set is upward closed, hence
-    stable, and it contains every edge of the covered graph.
+    stable, and it contains every edge of the covered graph.  Weights are
+    compared as integer numerators over their common denominator.
     """
-    if not cover.is_feasible(graph.as_hypergraph()):
-        raise ValueError("weights do not form a fractional cover of the graph")
     w = cover.weights
+    den = lcm(*(x.denominator for x in w.values()))
+    num = {v: x.numerator * (den // x.denominator) for v, x in w.items()}
+    at = [num[v] for v in range(graph.n_vertices)]
+    if any(not 0 <= x <= den for x in num.values()) or any(
+        sum(at[v] for v in e) < den for e in graph.edges
+    ):
+        raise ValueError("weights do not form a fractional cover of the graph")
+    trios = [
+        (trio, at[trio[0]] + at[trio[1]] + at[trio[2]])
+        for trio in combinations(graph.p_vertices(), 3)
+    ]
     edges = []
     for u in graph.q_vertices():
-        base = w[u]
-        for trio in combinations(graph.p_vertices(), 3):
-            if base + w[trio[0]] + w[trio[1]] + w[trio[2]] >= 1:
-                edges.append((u,) + trio)
+        need = den - at[u]
+        edges.extend((u,) + trio for trio, total in trios if total >= need)
     closed = PartiteHypergraph(graph.q_size, graph.p_size, edges)
     return order.with_graph(closed)
 

@@ -2,15 +2,21 @@
 
 These recompute expected values by plain enumeration with no pruning
 beyond disjointness, so they stay honest cross-checks for the solvers.
-Only usable at small sizes.  The one exception is the reference search
-kernel at the end, which fixes the kernel's exact output rather than
-just its verdict.
+Only usable at small sizes.  The exceptions are the reference search
+kernel and the dense LP tableau at the end, which fix the exact output
+of the kernel and of the LP rather than just their verdicts.
 """
 
 from __future__ import annotations
 
 import time
-from itertools import combinations, product
+from fractions import Fraction
+from itertools import combinations
+from typing import Optional
+
+from rainbow_lab.fractional import ZERO, FractionalCover, FractionalMatching
+from rainbow_lab.hypergraph import Hypergraph
+from rainbow_lab.solvers import SolverTimeout, _deadline
 
 
 def brute_degree(edges, subset) -> int:
@@ -249,3 +255,95 @@ def scalar_exact_cover(
         return KERNEL_NONE, None, nodes
     except _Abort:
         return KERNEL_ABORTED, None, nodes
+
+
+# -- Reference LP tableau -------------------------------------------------------
+#
+# The dense fraction-free simplex that ``rainbow_lab.fractional._solve``
+# replaced with its revised form, kept verbatim: it updates all m edge
+# columns of the tableau at every pivot.  ``tests/test_fractional.py``
+# requires the revised solve to return exactly its value, matching
+# weights and cover weights, so the pivot path cannot drift unseen.
+
+def dense_solve(
+    graph: Hypergraph, timeout: Optional[float]
+) -> tuple[Fraction, FractionalMatching, FractionalCover]:
+    """Optimal value, matching and cover of the matching LP.
+
+    Columns are the m edges, then the n vertex slacks, then the rhs.
+    Bland's rule picks the entering column; the leaving row minimizes
+    rhs/entry, ties to the smaller basic index.  ``den`` stays positive
+    because every pivot element is, so signs of stored ints are signs of
+    the true entries and ratios compare by cross-multiplication.
+    """
+    deadline = _deadline(timeout)
+    edges = graph.edges
+    m = len(edges)
+    n = graph.n_vertices
+    rows = []
+    for v in range(n):
+        row = [0] * (m + n + 1)
+        for j, e in enumerate(edges):
+            if v in e:
+                row[j] = 1
+        row[m + v] = 1
+        row[-1] = 1
+        rows.append(row)
+    cbar = [1] * m + [0] * (n + 1)  # reduced costs, then -objective
+    basis = [m + v for v in range(n)]
+    den = 1
+    ncols = m + n
+    while True:
+        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
+        if enter is None:
+            break
+        if deadline and time.monotonic() > deadline:
+            raise SolverTimeout("fractional LP exceeded its deadline")
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = row[-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave is None:
+            raise ArithmeticError("LP unbounded; malformed instance")
+        prow = rows[leave]
+        piv = prow[enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                rows[i] = dense_bareiss(row, prow, piv, den, enter)
+        cbar = dense_bareiss(cbar, prow, piv, den, enter)
+        basis[leave] = enter
+        den = piv
+
+    weights = {e: ZERO for e in edges}
+    for i, b in enumerate(basis):
+        if b < m:
+            weights[edges[b]] = Fraction(rows[i][-1], den)
+    cover = {v: Fraction(-cbar[m + v], den) for v in range(n)}
+    return (
+        Fraction(-cbar[-1], den),
+        FractionalMatching(weights=weights),
+        FractionalCover(weights=cover),
+    )
+
+
+def dense_bareiss(
+    row: list[int], prow: list[int], piv: int, den: int, enter: int
+) -> list[int]:
+    """One non-pivot row after pivoting on ``prow[enter] == piv``.
+
+    The divisions are exact (Bareiss): every result is a subdeterminant
+    of the original tableau.
+    """
+    f = row[enter]
+    if f:
+        return [(piv * x - f * p) // den for x, p in zip(row, prow)]
+    if piv == den:
+        return row
+    return [x * piv // den for x in row]

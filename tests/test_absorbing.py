@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import pytest
 
 from rainbow_lab.absorbing import (

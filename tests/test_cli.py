@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from rainbow_lab import cli
+from rainbow_lab import cli, jsonio
 from rainbow_lab.absorbing import build_gadget
 from rainbow_lab.cli import (
     EXIT_CRASH,
@@ -92,6 +92,43 @@ def test_malformed_input_exits_3(monkeypatch, capsys, stdin, argv):
     assert code == EXIT_INPUT
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "extremal", "--n", "3000", "--s", "1", "--ell", "1"],
+        ["gen", "extremal", "--n", "-1", "--s", "1", "--ell", "1"],
+        ["gen", "partite-extremal", "--n", "3000"],
+        ["gen", "partite-extremal", "--n", "1023"],
+    ],
+    ids=" ".join,
+)
+def test_gen_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
+    code, out, err = run_raw(monkeypatch, capsys, "", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: vertex count")
+
+
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        (["gen", "extremal", "--n", "12", "--s", "4", "--ell", "2"], 12),
+        (["gen", "extremal", "--n", "13", "--s", "4", "--ell", "2"], None),
+        (["gen", "partite-extremal", "--n", "9"], 12),
+        (["gen", "partite-extremal", "--n", "12"], None),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_gen_bound_is_the_input_bound(monkeypatch, capsys, argv, vertices):
+    monkeypatch.setattr(jsonio, "MAX_VERTICES", 12)
+    code, out, _ = run_raw(monkeypatch, capsys, "", *argv)
+    if vertices is None:
+        assert code == EXIT_INPUT and out == ""
+    else:
+        assert code == EXIT_FOUND
+        assert jsonio.load_instance(json.loads(out)).n_vertices == vertices
 
 
 def test_deeply_nested_json_exits_3(monkeypatch, capsys):

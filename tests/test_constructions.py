@@ -23,7 +23,7 @@ from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.jsonio import load_instance
 from rainbow_lab.solvers import max_matching
 
-from _oracles import brute_degree, brute_max_matching_size
+from _oracles import brute_max_matching_size
 
 
 def random_partite(rng, q, p, prob):

@@ -2,7 +2,9 @@
 
 Optimal certificates are degenerate in general, so assertions cover
 values and feasibility, never specific weights.  A floating-point LP
-solver serves as the independent oracle for optimal values.
+solver serves as the independent oracle for optimal values.  The one
+exception is the agreement test with the dense tableau in ``_oracles``,
+which fixes the solver's pivot path and so its exact certificates.
 """
 
 from __future__ import annotations
@@ -12,8 +14,11 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rainbow_lab.constructions import extremal_graph, extremal_partite
+from rainbow_lab import fractional
+from rainbow_lab.constructions import PartiteHypergraph, extremal_graph, extremal_partite
 from rainbow_lab.fractional import (
     FractionalCover,
     FractionalMatching,
@@ -25,7 +30,12 @@ from rainbow_lab.fractional import (
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph, empty_hypergraph
 from rainbow_lab.solvers import SolverTimeout, has_perfect_matching, max_matching
 
-from _oracles import float_lp_cover_value, float_lp_matching_value
+from _oracles import (
+    all_partite_four_sets,
+    dense_solve,
+    float_lp_cover_value,
+    float_lp_matching_value,
+)
 
 
 def random_3graph(rng, n, prob):
@@ -114,6 +124,16 @@ class TestDuality:
             assert nu <= Fraction(h.n_vertices, h.k)
 
 
+class TestTightPartite:
+    def test_eighteen_vertex_family(self):
+        # 838 Bland pivots on 24 rows: 4-8 s with the dense tableau on a
+        # shared 2-CPU box, under 0.5 s revised
+        h = extremal_partite(18).as_hypergraph()
+        value, fc = min_fractional_cover(h, timeout=5.0)
+        assert value == Fraction(11, 2)
+        assert fc.is_feasible(h) and fc.value() == value
+
+
 class TestCertificates:
     def test_matching_weights_in_range(self):
         rng = random.Random(16)
@@ -184,3 +204,38 @@ class TestDeadline:
         # no pivot, so no deadline check: an empty graph always answers
         value, _ = max_fractional_matching(empty_hypergraph(3, 4), timeout=1e-9)
         assert value == 0
+
+
+# -- agreement with the dense tableau ------------------------------------------
+
+
+@st.composite
+def lp_graphs(draw):
+    """Random k-graphs (k = 2, 3, 4, n <= 12) and partite graphs (q <= 3).
+
+    Edge sizes, vertex counts and densities come from the drawn seed, so
+    they spread evenly instead of clustering at the small values
+    Hypothesis favours.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = rng.uniform(0.05, 0.9)
+    if draw(st.booleans()):
+        q, p = rng.randint(1, 3), rng.randint(3, 9)
+        sets = all_partite_four_sets(q, p)
+        return PartiteHypergraph(
+            q, p, [e for e in sets if rng.random() < density]
+        ).as_hypergraph()
+    k = rng.randint(2, 4)
+    n = rng.randint(k, 12)
+    sets = combinations(range(n), k)
+    return Hypergraph(k, n, [e for e in sets if rng.random() < density])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lp_graphs())
+def test_solve_matches_dense_tableau(graph):
+    value, matching, cover = fractional._solve(graph, None)
+    want_value, want_matching, want_cover = dense_solve(graph, None)
+    assert value == want_value
+    assert matching.weights == want_matching.weights
+    assert cover.weights == want_cover.weights

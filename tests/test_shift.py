@@ -22,7 +22,6 @@ from rainbow_lab.fractional import (
 )
 from rainbow_lab.shift import (
     ContractViolation,
-    OrderedPartite,
     cover_closure,
     edge_precedes,
     extend_link_matching,
@@ -50,6 +49,15 @@ def random_partite(rng, q, p, prob):
         if rng.random() < prob
     ]
     return PartiteHypergraph(q, p, edges)
+
+
+def random_cover(rng, n):
+    """Weights i/d in [0, 1], with its own denominator d <= 7 per vertex."""
+    weights = {}
+    for v in range(n):
+        d = rng.randint(1, 7)
+        weights[v] = Fraction(rng.randint(0, d), d)
+    return FractionalCover(weights=weights)
 
 
 def uniform_cover(graph, value):
@@ -162,6 +170,34 @@ class TestCoverClosure:
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4)])
         with pytest.raises(ValueError):
             cover_closure(pg, uniform_cover(pg, 0), identity_order(pg))
+
+    def test_matches_fraction_brute_force(self):
+        # LP covers, and arbitrary covers over mixed denominators
+        rng = random.Random(31)
+        for trial in range(40):
+            q, p = rng.randint(1, 3), rng.randint(3, 9)
+            if trial % 2:
+                pg = random_partite(rng, q, p, rng.uniform(0.1, 0.9))
+                _, cover = min_fractional_cover(pg.as_hypergraph())
+            else:
+                cover = random_cover(rng, q + p)
+                pg = PartiteHypergraph(q, p, [
+                    f for f in all_partite_four_sets(q, p)
+                    if sum(cover.weights[v] for v in f) >= 1 and rng.random() < 0.5
+                ])
+            closed = cover_closure(pg, cover, order_by_cover(pg, cover))
+            w = cover.weights
+            assert list(closed.graph.edges) == [
+                f for f in all_partite_four_sets(q, p) if sum(w[v] for v in f) >= 1
+            ]
+
+    @pytest.mark.parametrize("bad", [Fraction(-1, 3), Fraction(4, 3)])
+    def test_weight_outside_unit_interval_rejected(self, bad):
+        pg = PartiteHypergraph(1, 3, [])
+        cover = uniform_cover(pg, 0)
+        cover.weights[2] = bad
+        with pytest.raises(ValueError):
+            cover_closure(pg, cover, identity_order(pg))
 
     def test_contains_input_and_stable(self):
         rng = random.Random(29)

@@ -11,7 +11,6 @@ import pytest
 from rainbow_lab.constructions import (
     HypergraphFamily,
     PartiteHypergraph,
-    complete_partite,
     extremal_graph,
     extremal_partite,
     family_to_partite,
