@@ -341,14 +341,6 @@ def build_gadget(
     return None
 
 
-def pool_matching(pool: Sequence[AbsorberGadget]) -> Matching:
-    """Union of the reserved body matchings of a disjoint gadget pool."""
-    edges: list[Edge] = []
-    for g in pool:
-        edges.extend(g.pm_body.edges)
-    return Matching(edges=tuple(sorted(edges)))
-
-
 def absorb(
     pool: Sequence[AbsorberGadget],
     leftover: BalancedSet,
@@ -384,12 +376,14 @@ def absorb(
         for gi, g in enumerate(pool):
             if used[gi]:
                 continue
-            ok, pms = is_absorbing(
-                g.body.vertices(), piece, graph, timeout=timeout
+            # Only the joint matching is kept: the body's own matching
+            # is already reserved in g.pm_body.
+            joint = _induced_pm(
+                graph, sorted(g.body.vertices() + piece), timeout
             )
-            if ok and pms is not None:
+            if joint is not None:
                 used[gi] = True
-                chosen.append((gi, pms[1]))
+                chosen.append((gi, joint))
                 placed = True
                 break
         if not placed:

@@ -3,8 +3,13 @@
 Verbs: gen, stats, solve, frac, shift, absorb, exp.  Instances
 travel as JSON on stdin/stdout.  Exit codes: solve-style verbs use
 0 = found, 1 = none, 2 = unknown (timeout or budget); exp uses
-0 = all pass, 1 = any fail, 2 = any unknown; malformed input exits 3;
-an unexpected error prints its traceback on stderr and exits 4.
+0 = all pass, 1 = any fail, 2 = any unknown.  Malformed input exits 3,
+and so does a usage error (an unknown verb, a bad option value); an
+unexpected error prints its traceback on stderr and exits 4.
+
+Each verb prints its answer through ``_outcome``.  A timeout or spent
+budget anywhere below a verb is caught once, in ``main``, which prints
+the ``unknown`` payload the verb declares next to its ``func``.
 """
 
 from __future__ import annotations
@@ -76,6 +81,11 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
+def _outcome(found: bool, payload) -> int:
+    _emit(payload)
+    return EXIT_FOUND if found else EXIT_NONE
+
+
 def _read_stdin_json():
     try:
         return json.load(sys.stdin)
@@ -100,15 +110,13 @@ def _cmd_gen(args) -> int:
     # Bounded like instance input, so gen emits nothing load_instance
     # refuses and never starts enumerating C(n, 3) triples for a huge n.
     if args.what == "extremal":
-        graph = extremal_graph(vertex_count(args.n), args.s, args.ell)
-        _emit(graph.to_dict())
+        instance = extremal_graph(vertex_count(args.n), args.s, args.ell)
     elif args.what == "partite-extremal":
         vertex_count(args.n + args.n // 3)
-        _emit(extremal_partite(args.n).to_dict())
+        instance = extremal_partite(args.n)
     else:  # reduce
-        family = _load(HypergraphFamily, args.normalize)
-        _emit(family_to_partite(family).to_dict())
-    return EXIT_FOUND
+        instance = family_to_partite(_load(HypergraphFamily, args.normalize))
+    return _outcome(True, instance.to_dict())
 
 
 def _cmd_stats(args) -> int:
@@ -137,97 +145,61 @@ def _cmd_stats(args) -> int:
     return EXIT_FOUND
 
 
-def _solve_outcome(found: bool, witness) -> int:
-    _emit({"found": found, "witness": witness})
-    return EXIT_FOUND if found else EXIT_NONE
-
-
 def _cmd_solve(args) -> int:
-    try:
-        if args.what == "pm":
-            graph = _load(Hypergraph, args.normalize)
-            found, pm = has_perfect_matching(graph, timeout=args.timeout)
-            return _solve_outcome(found, matching_obj(pm))
-        if args.what == "rainbow":
-            family = _load(HypergraphFamily, args.normalize)
-            rm = rainbow_matching(family, timeout=args.timeout)
-            return _solve_outcome(rm is not None, rainbow_obj(rm))
+    if args.what == "pm":
+        graph = _load(Hypergraph, args.normalize)
+        found, pm = has_perfect_matching(graph, timeout=args.timeout)
+        witness = matching_obj(pm)
+    elif args.what == "rainbow":
+        family = _load(HypergraphFamily, args.normalize)
+        rm = rainbow_matching(family, timeout=args.timeout)
+        found, witness = rm is not None, rainbow_obj(rm)
+    else:
         family_graph = _load(PartiteHypergraph, args.normalize)
         pm = partite_perfect_matching(family_graph, timeout=args.timeout)
-        return _solve_outcome(pm is not None, matching_obj(pm))
-    except SolverTimeout:
-        _emit({"found": "unknown", "witness": None})
-        return EXIT_UNKNOWN
+        found, witness = pm is not None, matching_obj(pm)
+    return _outcome(found, {"found": found, "witness": witness})
+
+
+def _edge_weights(fm) -> list[dict]:
+    return [
+        {"edge": list(e), "weight": fraction_to_str(w)}
+        for e, w in sorted(fm.weights.items())
+        if w
+    ]
 
 
 def _cmd_frac(args) -> int:
     graph = _load(Hypergraph, args.normalize)
-    try:
-        return _frac_verb(args.what, graph, args.timeout)
-    except SolverTimeout:
-        key = {"check-duality": "equal", "pm": "found"}.get(args.what, "value")
-        _emit({key: "unknown"})
-        return EXIT_UNKNOWN
-
-
-def _frac_verb(what: str, graph, timeout: float) -> int:
-    if what == "nu-star":
-        value, fm = max_fractional_matching(graph, timeout=timeout)
-        _emit(
-            {
-                "value": fraction_to_str(value),
-                "weights": [
-                    {"edge": list(e), "weight": fraction_to_str(w)}
-                    for e, w in sorted(fm.weights.items())
-                    if w
-                ],
-            }
+    if args.what == "nu-star":
+        value, fm = max_fractional_matching(graph, timeout=args.timeout)
+        return _outcome(
+            True, {"value": fraction_to_str(value), "weights": _edge_weights(fm)}
         )
-        return EXIT_FOUND
-    if what == "tau-star":
-        value, fc = min_fractional_cover(graph, timeout=timeout)
-        _emit(
-            {
-                "value": fraction_to_str(value),
-                "weights": {
-                    str(v): fraction_to_str(w)
-                    for v, w in sorted(fc.weights.items())
-                    if w
-                },
-            }
-        )
-        return EXIT_FOUND
-    if what == "check-duality":
-        ok = verify_duality(graph, timeout=timeout)
-        _emit({"equal": ok})
-        return EXIT_FOUND if ok else EXIT_NONE
-    found, fm = fractional_perfect_matching(graph, timeout=timeout)
+    if args.what == "tau-star":
+        value, fc = min_fractional_cover(graph, timeout=args.timeout)
+        weights = {
+            str(v): fraction_to_str(w) for v, w in sorted(fc.weights.items()) if w
+        }
+        return _outcome(True, {"value": fraction_to_str(value), "weights": weights})
+    if args.what == "check-duality":
+        ok = verify_duality(graph, timeout=args.timeout)
+        return _outcome(ok, {"equal": ok})
+    found, fm = fractional_perfect_matching(graph, timeout=args.timeout)
     payload = {"found": found}
-    if found and fm is not None:
-        payload["weights"] = [
-            {"edge": list(e), "weight": fraction_to_str(w)}
-            for e, w in sorted(fm.weights.items())
-            if w
-        ]
-    _emit(payload)
-    return EXIT_FOUND if found else EXIT_NONE
+    if found:
+        payload["weights"] = _edge_weights(fm)
+    return _outcome(found, payload)
 
 
 def _cmd_shift(args) -> int:
     graph = _load(PartiteHypergraph, args.normalize)
     if args.what == "run":
         shifted, trace = stable_shift(identity_order(graph), args.threshold)
-        payload = trace.to_dict()
-        payload["edges_left"] = shifted.graph.n_edges
-        _emit(payload)
-        return EXIT_FOUND
-    try:
-        res = fractional_pm_pipeline(
-            graph, threshold=args.threshold, timeout=args.timeout
+        return _outcome(
+            True, {**trace.to_dict(), "edges_left": shifted.graph.n_edges}
         )
-    except SolverTimeout:
-        _emit({"found": "unknown"})
-        return EXIT_UNKNOWN
+    res = fractional_pm_pipeline(graph, threshold=args.threshold, timeout=args.timeout)
     payload = {
         "found": res.found,
         "containment": res.containment_ok,
@@ -237,8 +209,7 @@ def _cmd_shift(args) -> int:
         "value_check": res.value_check,
         "matching": matching_obj(res.matching),
     }
-    _emit(payload)
-    return EXIT_FOUND if res.found else EXIT_NONE
+    return _outcome(res.found, payload)
 
 
 def _cmd_absorb(args) -> int:
@@ -246,17 +217,12 @@ def _cmd_absorb(args) -> int:
         graph = _load(PartiteHypergraph, args.normalize)
         body = _load_vertex_file(args.t)
         target = _load_vertex_file(args.a)
-        try:
-            ok, pms = is_absorbing(body, target, graph, timeout=args.timeout)
-        except SolverTimeout:
-            _emit({"absorbing": "unknown"})
-            return EXIT_UNKNOWN
+        ok, pms = is_absorbing(body, target, graph, timeout=args.timeout)
         payload = {"absorbing": ok}
-        if ok and pms:
+        if ok:
             payload["pm_body"] = matching_obj(pms[0])
             payload["pm_joint"] = matching_obj(pms[1])
-        _emit(payload)
-        return EXIT_FOUND if ok else EXIT_NONE
+        return _outcome(ok, payload)
     if args.what == "gadget":
         graph = _load(PartiteHypergraph, args.normalize)
         target = _load_vertex_file(args.a)
@@ -265,24 +231,17 @@ def _cmd_absorb(args) -> int:
             if args.candidates
             else list(graph.p_vertices())
         )
-        try:
-            gadget = build_gadget(target, graph, candidates)
-        except SolverTimeout:
-            _emit({"found": "unknown"})
-            return EXIT_UNKNOWN
+        gadget = build_gadget(target, graph, candidates)
         if gadget is None:
-            _emit({"found": False})
-            return EXIT_NONE
-        _emit(
-            {
-                "found": True,
-                "target": list(gadget.target.vertices()),
-                "body": list(gadget.body.vertices()),
-                "pm_body": matching_obj(gadget.pm_body),
-                "pm_joint": matching_obj(gadget.pm_joint),
-            }
-        )
-        return EXIT_FOUND
+            return _outcome(False, {"found": False})
+        payload = {
+            "found": True,
+            "target": list(gadget.target.vertices()),
+            "body": list(gadget.body.vertices()),
+            "pm_body": matching_obj(gadget.pm_body),
+            "pm_joint": matching_obj(gadget.pm_joint),
+        }
+        return _outcome(True, payload)
     # absorb run < scenario.json
     data = _read_stdin_json()
     if not isinstance(data, dict) or set(data) != {"partite", "targets"}:
@@ -293,26 +252,20 @@ def _cmd_absorb(args) -> int:
     targets = [load_vertices(t, "target") for t in data["targets"]]
     try:
         combined, pool = absorb_scenario(graph, targets, timeout=args.timeout)
-    except SolverTimeout:
-        _emit({"found": "unknown"})
-        return EXIT_UNKNOWN
     except AbsorptionError as exc:
-        _emit({"found": False, "unabsorbed": list(exc.unabsorbed)})
-        return EXIT_NONE
-    _emit(
-        {
-            "found": True,
-            "matching": matching_obj(combined),
-            "pool_bodies": [list(g.body.vertices()) for g in pool],
-        }
-    )
-    return EXIT_FOUND
+        return _outcome(False, {"found": False, "unabsorbed": list(exc.unabsorbed)})
+    payload = {
+        "found": True,
+        "matching": matching_obj(combined),
+        "pool_bodies": [list(g.body.vertices()) for g in pool],
+    }
+    return _outcome(True, payload)
 
 
 def _cmd_exp(args) -> int:
     cfg = ExperimentConfig(
         seed=args.seed,
-        n_values=tuple(args.n_values) if args.n_values else (),
+        n_values=tuple(args.n_values or ()),
         trials=args.trials,
         timeout_seconds=args.timeout,
         threshold_override=args.threshold,
@@ -338,8 +291,16 @@ def _int_list(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line is malformed input: exit 3, not 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rainbow-lab",
         description="Exact rainbow-matching toolkit for 3-uniform hypergraphs",
     )
@@ -372,16 +333,23 @@ def build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="degree statistics of a hypergraph")
     stats.set_defaults(func=_cmd_stats)
 
+    # ``unknown``: what a verb prints when its search or LP runs out of
+    # time or budget.
     solve = sub.add_parser("solve", help="exact matching solvers")
     solve_sub = solve.add_subparsers(dest="what", required=True)
     for name in ("pm", "rainbow", "partite-pm"):
         solve_sub.add_parser(name)
-    solve.set_defaults(func=_cmd_solve)
+    solve.set_defaults(func=_cmd_solve, unknown={"found": "unknown", "witness": None})
 
     frac = sub.add_parser("frac", help="exact fractional optima")
     frac_sub = frac.add_subparsers(dest="what", required=True)
-    for name in ("nu-star", "tau-star", "check-duality", "pm"):
-        frac_sub.add_parser(name)
+    for name, key in (
+        ("nu-star", "value"),
+        ("tau-star", "value"),
+        ("check-duality", "equal"),
+        ("pm", "found"),
+    ):
+        frac_sub.add_parser(name).set_defaults(unknown={key: "unknown"})
     frac.set_defaults(func=_cmd_frac)
 
     shift = sub.add_parser("shift", help="stability shift and pipeline")
@@ -390,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     shift_run.add_argument("--threshold", type=int, required=True)
     shift_pipe = shift_sub.add_parser("pipeline")
     shift_pipe.add_argument("--threshold", type=int, default=None)
+    shift_pipe.set_defaults(unknown={"found": "unknown"})
     shift.set_defaults(func=_cmd_shift)
 
     ab = sub.add_parser("absorb", help="absorbing gadgets")
@@ -397,10 +366,12 @@ def build_parser() -> argparse.ArgumentParser:
     ab_check = ab_sub.add_parser("check")
     ab_check.add_argument("--t", required=True, help="body vertex-set JSON file")
     ab_check.add_argument("--a", required=True, help="target vertex-set JSON file")
+    ab_check.set_defaults(unknown={"absorbing": "unknown"})
     ab_gadget = ab_sub.add_parser("gadget")
     ab_gadget.add_argument("--a", required=True)
     ab_gadget.add_argument("--candidates", default=None)
-    ab_sub.add_parser("run")
+    ab_gadget.set_defaults(unknown={"found": "unknown"})
+    ab_sub.add_parser("run").set_defaults(unknown={"found": "unknown"})
     ab.set_defaults(func=_cmd_absorb)
 
     exp = sub.add_parser("exp", help="experiment suites")
@@ -424,7 +395,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ValueError(
                 f"--timeout must be a positive number of seconds, got {args.timeout}"
             )
-        return args.func(args)
+        try:
+            return args.func(args)
+        except SolverTimeout:
+            _emit(args.unknown)
+            return EXIT_UNKNOWN
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

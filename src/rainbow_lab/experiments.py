@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import combinations
 from typing import Callable, Optional, Sequence
 
@@ -39,7 +40,7 @@ from .fractional import (
     min_fractional_cover,
 )
 from .hypergraph import Hypergraph
-from .jsonio import canonical_json, sha256_of
+from .jsonio import canonical_json, sha256_of, vertex_count
 from .shift import fractional_pm_pipeline, is_stable
 from .solvers import (
     Matching,
@@ -56,6 +57,10 @@ PASS = "pass"
 FAIL = "fail"
 UNKNOWN = "unknown"
 
+# A trial's (passed, detail, witness digest), and a labelled trial.
+Verdict = tuple[bool, str, Optional[str]]
+Case = tuple[str, Callable[[], Verdict]]
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -68,6 +73,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        for n in self.n_values:
+            vertex_count(n)
 
 
 @dataclass
@@ -173,24 +180,15 @@ def _prob_ladder(index: int, total: int, low: float = 0.15, high: float = 0.85) 
     return low + (high - low) * (index / (total - 1))
 
 
-def _header(cfg: ExperimentConfig, **extra) -> dict:
-    head = {
-        "rng": RNG_ALGORITHM,
-        "trial_seed": "seed*2^32+trial",
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "timeout_seconds": cfg.timeout_seconds,
-    }
-    head.update(extra)
-    return head
-
-
-def _timed_row(index: int, instance: str, body: Callable[[], tuple[str, str, Optional[str]]]) -> ExperimentRow:
+def _timed_row(index: int, instance: str, body: Callable[[], Verdict]) -> ExperimentRow:
+    """The one place a trial's verdict becomes pass, fail or unknown."""
     start = time.perf_counter()
     try:
-        outcome, detail, witness = body()
+        passed, detail, witness = body()
     except SolverTimeout as exc:
         outcome, detail, witness = UNKNOWN, f"timeout: {exc}", None
+    else:
+        outcome = PASS if passed else FAIL
     runtime = (time.perf_counter() - start) * 1000
     return ExperimentRow(
         index=index,
@@ -202,113 +200,117 @@ def _timed_row(index: int, instance: str, body: Callable[[], tuple[str, str, Opt
     )
 
 
-def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
-    """The tight construction defeats both solvers at every listed n."""
-    n_values = cfg.n_values or (6, 9, 12)
+def _report(name: str, cfg: ExperimentConfig, cases: list[Case], **header) -> ExperimentReport:
+    """Run each ``(label, case)`` in order; ``case()`` gives the row's verdict."""
+    header = {
+        "rng": RNG_ALGORITHM,
+        "trial_seed": "seed*2^32+trial",
+        "seed": cfg.seed,
+        "trials": cfg.trials,
+        "timeout_seconds": cfg.timeout_seconds,
+        **header,
+    }
+    rows = [_timed_row(i, label, case) for i, (label, case) in enumerate(cases)]
+    return ExperimentReport(experiment=name, header=header, rows=rows)
+
+
+def _trials(cfg: ExperimentConfig, trial: Callable[..., Verdict]) -> list[Case]:
+    """Cases ``trial(cfg, i)`` for i below ``cfg.trials``."""
+    return [(f"trial={i}", partial(trial, cfg, i)) for i in range(cfg.trials)]
+
+
+def _sizes(cfg: ExperimentConfig, default: tuple[int, ...], suite: str) -> tuple[int, ...]:
+    n_values = cfg.n_values or default
     for n in n_values:
         if n % 3 != 0:
-            raise ValueError(f"sharpness sizes must be divisible by 3, got {n}")
-    report = ExperimentReport(
-        experiment="sharpness", header=_header(cfg, n_values=list(n_values))
+            raise ValueError(f"{suite} sizes must be divisible by 3, got {n}")
+    return n_values
+
+
+def _sharpness_trial(cfg: ExperimentConfig, n: int) -> Verdict:
+    member = extremal_graph(n, n // 3, 2)
+    family = HypergraphFamily(n, (member,) * (n // 3))
+    bound = extremal_adjacent_degree_sum(n)
+    stats = member.degree_sum_minima()
+    rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
+    pm = partite_perfect_matching(extremal_partite(n), timeout=cfg.timeout_seconds)
+    ok = rb is None and pm is None and stats.adjacent == bound
+    detail = (
+        f"degree-sum bound {bound}, rainbow "
+        f"{'none' if rb is None else 'found'}, partite pm "
+        f"{'none' if pm is None else 'found'}"
     )
+    witness = sha256_of(
+        {"bound": bound, "rainbow": rb is None, "partite_pm": pm is None}
+    )
+    return ok, detail, witness
 
-    def worker(i: int) -> ExperimentRow:
-        n = n_values[i]
 
-        def body():
-            member = extremal_graph(n, n // 3, 2)
-            family = HypergraphFamily(n, (member,) * (n // 3))
-            bound = extremal_adjacent_degree_sum(n)
-            stats = member.degree_sum_minima()
-            rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
-            pm = partite_perfect_matching(
-                extremal_partite(n), timeout=cfg.timeout_seconds
-            )
-            ok = rb is None and pm is None and stats.adjacent == bound
-            detail = (
-                f"degree-sum bound {bound}, rainbow "
-                f"{'none' if rb is None else 'found'}, partite pm "
-                f"{'none' if pm is None else 'found'}"
-            )
-            witness = sha256_of(
-                {"bound": bound, "rainbow": rb is None, "partite_pm": pm is None}
-            )
-            return (PASS if ok else FAIL), detail, witness
+def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
+    """The tight construction defeats both solvers at every listed n."""
+    n_values = _sizes(cfg, (6, 9, 12), "sharpness")
+    cases = [
+        (f"n={n} copies={n // 3}", partial(_sharpness_trial, cfg, n))
+        for n in n_values
+    ]
+    return _report("sharpness", cfg, cases, n_values=list(n_values))
 
-        return _timed_row(i, f"n={n} copies={n // 3}", body)
 
-    report.rows = [worker(i) for i in range(len(n_values))]
-    return report
+def _equivalence_trial(cfg: ExperimentConfig, i: int, n: int, t: int) -> Verdict:
+    rng = trial_rng(cfg.seed, i)
+    prob = _prob_ladder(t, cfg.trials)
+    family = random_family(rng, n, n // 3, prob)
+    rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
+    pm = partite_perfect_matching(
+        family_to_partite(family), timeout=cfg.timeout_seconds
+    )
+    agree = (rb is None) == (pm is None)
+    detail = (
+        f"p={prob:.2f} rainbow={'none' if rb is None else 'found'} "
+        f"partite={'none' if pm is None else 'found'}"
+    )
+    witness = sha256_of(
+        {
+            "rainbow": None if rb is None else rb.to_list(),
+            "partite": None if pm is None else pm.to_list(),
+        }
+    )
+    return agree, detail, witness
 
 
 def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
     """Rainbow existence must match partite perfect-matching existence."""
-    n_values = cfg.n_values or (6, 9)
-    for n in n_values:
-        if n % 3 != 0:
-            raise ValueError(f"equivalence sizes must be divisible by 3, got {n}")
-    report = ExperimentReport(
-        experiment="equivalence", header=_header(cfg, n_values=list(n_values))
-    )
+    n_values = _sizes(cfg, (6, 9), "equivalence")
     jobs = [(n, t) for n in n_values for t in range(cfg.trials)]
+    cases = [
+        (f"n={n} trial={t}", partial(_equivalence_trial, cfg, i, n, t))
+        for i, (n, t) in enumerate(jobs)
+    ]
+    return _report("equivalence", cfg, cases, n_values=list(n_values))
 
-    def worker(i: int) -> ExperimentRow:
-        n, t = jobs[i]
 
-        def body():
-            rng = trial_rng(cfg.seed, i)
-            prob = _prob_ladder(t, cfg.trials)
-            family = random_family(rng, n, n // 3, prob)
-            rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
-            pm = partite_perfect_matching(
-                family_to_partite(family), timeout=cfg.timeout_seconds
-            )
-            agree = (rb is None) == (pm is None)
-            detail = (
-                f"p={prob:.2f} rainbow={'none' if rb is None else 'found'} "
-                f"partite={'none' if pm is None else 'found'}"
-            )
-            witness = sha256_of(
-                {
-                    "rainbow": None if rb is None else rb.to_list(),
-                    "partite": None if pm is None else pm.to_list(),
-                }
-            )
-            return (PASS if agree else FAIL), detail, witness
-
-        return _timed_row(i, f"n={n} trial={t}", body)
-
-    report.rows = [worker(i) for i in range(len(jobs))]
-    return report
+def _duality_trial(cfg: ExperimentConfig, i: int) -> Verdict:
+    rng = trial_rng(cfg.seed, i)
+    n = rng.randint(4, 10)
+    prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
+    graph = random_hypergraph(rng, n, prob)
+    nu, fm = max_fractional_matching(graph, timeout=cfg.timeout_seconds)
+    tau, fc = min_fractional_cover(graph, timeout=cfg.timeout_seconds)
+    integral = len(max_matching(graph, timeout=cfg.timeout_seconds))
+    ok = (
+        nu == tau
+        and fm.is_feasible(graph)
+        and fc.is_feasible(graph)
+        and integral <= nu
+    )
+    detail = f"n={n} m={graph.n_edges} nu*={nu} tau*={tau} nu={integral}"
+    witness = sha256_of({"value": str(nu), "integral": integral})
+    return ok, detail, witness
 
 
 def run_duality(cfg: ExperimentConfig) -> ExperimentReport:
     """Exact equality of the fractional matching and cover optima."""
-    report = ExperimentReport(experiment="duality", header=_header(cfg))
-
-    def worker(i: int) -> ExperimentRow:
-        def body():
-            rng = trial_rng(cfg.seed, i)
-            n = rng.randint(4, 10)
-            prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
-            graph = random_hypergraph(rng, n, prob)
-            nu, fm = max_fractional_matching(graph, timeout=cfg.timeout_seconds)
-            tau, fc = min_fractional_cover(graph, timeout=cfg.timeout_seconds)
-            integral = len(max_matching(graph, timeout=cfg.timeout_seconds))
-            ok = (
-                nu == tau
-                and fm.is_feasible(graph)
-                and fc.is_feasible(graph)
-                and integral <= nu
-            )
-            detail = f"n={n} m={graph.n_edges} nu*={nu} tau*={tau} nu={integral}"
-            witness = sha256_of({"value": str(nu), "integral": integral})
-            return (PASS if ok else FAIL), detail, witness
-
-        return _timed_row(i, f"trial={i}", body)
-
-    report.rows = [worker(i) for i in range(cfg.trials)]
-    return report
+    return _report("duality", cfg, _trials(cfg, _duality_trial))
 
 
 def _codegree_floor(graph: PartiteHypergraph, threshold: int) -> bool:
@@ -321,96 +323,88 @@ def _codegree_floor(graph: PartiteHypergraph, threshold: int) -> bool:
     return True
 
 
+def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
+    rng = trial_rng(cfg.seed, i)
+    q_size = 2 + (i % 3)  # cycles 2, 3, 4
+    p_size = 3 * q_size
+    if i % 7 == 6:
+        # tight construction: exercises actual deletions and the
+        # containment-failure logging
+        graph = extremal_partite(p_size)
+        prob = 1.0
+    else:
+        prob = _prob_ladder(i % 5, 5, 0.15, 0.9)
+        graph = random_partite(rng, q_size, p_size, prob)
+    threshold = (
+        cfg.threshold_override
+        if cfg.threshold_override is not None
+        else extremal_adjacent_degree_sum(p_size)
+    )
+    res = fractional_pm_pipeline(
+        graph,
+        threshold=threshold,
+        timeout=cfg.timeout_seconds,
+    )
+    checks = {
+        "stable": res.trace.stable and is_stable(res.shifted),
+        "contained_in_closure": set(res.shifted.graph.edges)
+        <= set(res.closure.graph.edges),
+        "codegree_floor": _codegree_floor(res.shifted.graph, threshold),
+        "trace_bookkeeping": res.trace.edges_removed
+        == res.closure.graph.n_edges - res.shifted.graph.n_edges,
+    }
+    if res.found and res.matching is not None:
+        checks["extension_pm"] = is_perfect_matching_of(
+            res.shifted.graph.as_hypergraph(), res.matching.edges
+        )
+    if q_size <= 3 and res.containment_ok:
+        # the cover LP optimum equals nu* of the input by LP duality
+        nu_out, _ = max_fractional_matching(
+            res.shifted.graph.as_hypergraph(), timeout=cfg.timeout_seconds
+        )
+        checks["value_preserved"] = res.cover_value == nu_out
+    ok = all(checks.values())
+    skipped = (
+        " preservation-skipped(containment-failed)"
+        if q_size <= 3 and not res.containment_ok
+        else ""
+    )
+    detail = (
+        f"q={q_size} p={prob:.2f} edges={graph.n_edges} "
+        f"closure={res.closure.graph.n_edges} "
+        f"shifted={res.shifted.graph.n_edges} found={res.found}"
+        f"{skipped}"
+    )
+    witness = sha256_of(
+        {
+            "checks": {k: bool(v) for k, v in checks.items()},
+            "matching": None if res.matching is None else res.matching.to_list(),
+        }
+    )
+    return ok, detail, witness
+
+
 def run_shift_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Pipeline postconditions on random balanced partite instances."""
-    report = ExperimentReport(experiment="shift", header=_header(cfg))
-
-    def worker(i: int) -> ExperimentRow:
-        def body():
-            rng = trial_rng(cfg.seed, i)
-            q_size = 2 + (i % 3)  # cycles 2, 3, 4
-            p_size = 3 * q_size
-            if i % 7 == 6:
-                # tight construction: exercises actual deletions and the
-                # containment-failure logging
-                graph = extremal_partite(p_size)
-                prob = 1.0
-            else:
-                prob = _prob_ladder(i % 5, 5, 0.15, 0.9)
-                graph = random_partite(rng, q_size, p_size, prob)
-            threshold = (
-                cfg.threshold_override
-                if cfg.threshold_override is not None
-                else extremal_adjacent_degree_sum(p_size)
-            )
-            res = fractional_pm_pipeline(
-                graph,
-                threshold=threshold,
-                timeout=cfg.timeout_seconds,
-            )
-            checks = {
-                "stable": res.trace.stable and is_stable(res.shifted),
-                "contained_in_closure": set(res.shifted.graph.edges)
-                <= set(res.closure.graph.edges),
-                "codegree_floor": _codegree_floor(res.shifted.graph, threshold),
-                "trace_bookkeeping": res.trace.edges_removed
-                == res.closure.graph.n_edges - res.shifted.graph.n_edges,
-            }
-            if res.found and res.matching is not None:
-                checks["extension_pm"] = is_perfect_matching_of(
-                    res.shifted.graph.as_hypergraph(), res.matching.edges
-                )
-            if q_size <= 3 and res.containment_ok:
-                # the cover LP optimum equals nu* of the input by LP duality
-                nu_out, _ = max_fractional_matching(
-                    res.shifted.graph.as_hypergraph(), timeout=cfg.timeout_seconds
-                )
-                checks["value_preserved"] = res.cover_value == nu_out
-            ok = all(checks.values())
-            skipped = (
-                " preservation-skipped(containment-failed)"
-                if q_size <= 3 and not res.containment_ok
-                else ""
-            )
-            detail = (
-                f"q={q_size} p={prob:.2f} edges={graph.n_edges} "
-                f"closure={res.closure.graph.n_edges} "
-                f"shifted={res.shifted.graph.n_edges} found={res.found}"
-                f"{skipped}"
-            )
-            witness = sha256_of(
-                {
-                    "checks": {k: bool(v) for k, v in checks.items()},
-                    "matching": None
-                    if res.matching is None
-                    else res.matching.to_list(),
-                }
-            )
-            return (PASS if ok else FAIL), detail, witness
-
-        return _timed_row(i, f"trial={i}", body)
-
-    report.rows = [worker(i) for i in range(cfg.trials)]
-    return report
+    return _report("shift", cfg, _trials(cfg, _shift_trial))
 
 
 def absorb_scenario(
     graph: PartiteHypergraph,
     targets: Sequence[Sequence[int]],
-    candidates: Optional[Sequence[int]] = None,
     timeout: Optional[float] = 60.0,
 ) -> tuple[Matching, list]:
     """Pool -> max matching -> absorb -> verified perfect matching.
 
     Builds one gadget per target (failing loudly when none is found),
-    reserves the bodies, matches the remaining vertices exhaustively,
-    and absorbs the leftover through the pool.  Returns the assembled
-    perfect matching and the pool.
+    drawing helper vertices from the vertices popular among the
+    members' low-degree anchors, reserves the bodies, matches the
+    remaining vertices exhaustively, and absorbs the leftover through
+    the pool.  Returns the assembled perfect matching and the pool.
     """
-    if candidates is None:
-        family = partite_to_family(graph)
-        candidates = popular_vertices(family, 1)
-        candidates = [v + graph.q_size for v in candidates]
+    candidates = [
+        v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
+    ]
     pool = []
     reserved: set[int] = set()
     for target in targets:
@@ -440,34 +434,25 @@ def absorb_scenario(
     return combined, pool
 
 
+def _absorb_trial(cfg: ExperimentConfig, i: int) -> Verdict:
+    rng = trial_rng(cfg.seed, i)
+    if i == 0:
+        graph = complete_partite(8, 24)
+        kind = "complete q=8 p=24"
+    else:
+        prob = 0.75 + 0.2 * rng.random()
+        family = random_family(rng, 24, 8, prob)
+        graph = family_to_partite(family)
+        kind = f"random dense n=24 p={prob:.2f}"
+    target = (0,) + tuple(range(graph.q_size, graph.q_size + 3))
+    try:
+        combined, pool = absorb_scenario(graph, [target], timeout=cfg.timeout_seconds)
+    except AbsorptionError as exc:
+        return False, f"{kind}: absorption failed at {exc.unabsorbed}", None
+    detail = f"{kind}: pm edges={len(combined.edges)} pool={len(pool)}"
+    return True, detail, sha256_of(combined.to_list())
+
+
 def run_absorb_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Gadget pool assembly on a dense instance ends in a perfect matching."""
-    report = ExperimentReport(experiment="absorb", header=_header(cfg))
-
-    def worker(i: int) -> ExperimentRow:
-        def body():
-            rng = trial_rng(cfg.seed, i)
-            if i == 0:
-                graph = complete_partite(8, 24)
-                kind = "complete q=8 p=24"
-            else:
-                prob = 0.75 + 0.2 * rng.random()
-                family = random_family(rng, 24, 8, prob)
-                graph = family_to_partite(family)
-                kind = f"random dense n=24 p={prob:.2f}"
-            target = (0,) + tuple(range(graph.q_size, graph.q_size + 3))
-            try:
-                combined, pool = absorb_scenario(
-                    graph, [target], timeout=cfg.timeout_seconds
-                )
-            except AbsorptionError as exc:
-                return FAIL, f"{kind}: absorption failed at {exc.unabsorbed}", None
-            detail = (
-                f"{kind}: pm edges={len(combined.edges)} pool={len(pool)}"
-            )
-            return PASS, detail, sha256_of(combined.to_list())
-
-        return _timed_row(i, f"trial={i}", body)
-
-    report.rows = [worker(i) for i in range(cfg.trials)]
-    return report
+    return _report("absorb", cfg, _trials(cfg, _absorb_trial))

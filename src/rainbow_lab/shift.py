@@ -64,9 +64,6 @@ class OrderedPartite:
             self, "_p_rank", {v: r for r, v in enumerate(self.p_order)}
         )
 
-    def q_rank(self, v: int) -> int:
-        return self._q_rank[v]
-
     def p_rank(self, v: int) -> int:
         return self._p_rank[v]
 
@@ -78,11 +75,6 @@ class OrderedPartite:
             raise ValueError(f"{edge} is not a partite 4-edge")
         j1, j2, j3 = sorted(self._p_rank[v] for v in p)
         return self._q_rank[q[0]], (j1, j2, j3)
-
-    def edge_of_ranks(self, i: int, triple: tuple[int, int, int]) -> Edge:
-        return tuple(
-            sorted((self.q_order[i],) + tuple(self.p_order[j] for j in triple))
-        )
 
     def with_graph(self, graph: PartiteHypergraph) -> "OrderedPartite":
         return OrderedPartite(graph=graph, q_order=self.q_order, p_order=self.p_order)

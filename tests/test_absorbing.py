@@ -12,7 +12,6 @@ from rainbow_lab.absorbing import (
     is_absorbing,
     is_balanced,
     low_degree_anchor,
-    pool_matching,
     popular_vertices,
 )
 from rainbow_lab.constructions import (
@@ -182,7 +181,7 @@ class TestAbsorb:
         gadget = build_gadget(target, graph, graph.p_vertices())
         empty = BalancedSet(q_part=(), p_part=())
         result = absorb([gadget], empty, graph)
-        assert result == pool_matching([gadget])
+        assert result == gadget.pm_body
 
     def test_single_piece_uses_joint_matching(self):
         graph = complete_partite(7, 21)

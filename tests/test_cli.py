@@ -112,6 +112,50 @@ def test_gen_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "sharpness", "--n-values", "3000"],
+        ["exp", "equivalence", "--n-values", "6,1026"],
+    ],
+    ids=" ".join,
+)
+def test_exp_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
+    code, out, err = run_raw(monkeypatch, capsys, "", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: vertex count")
+
+
+# argparse's own usage errors exit 2, which would read as "unknown".
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exp", "sharpness", "--n-values", "x"],
+        ["solve", "nosuch"],
+        ["--timeout", "abc", "solve", "pm"],
+        ["gen", "extremal", "--n", "6"],
+    ],
+    ids=" ".join,
+)
+def test_usage_error_exits_3(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rainbow-lab")
+    assert "error: " in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"], ["--version"]], ids=" ".join)
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out != ""
+
+
+@pytest.mark.parametrize(
     "argv, vertices",
     [
         (["gen", "extremal", "--n", "12", "--s", "4", "--ell", "2"], 12),

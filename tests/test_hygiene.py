@@ -1,13 +1,16 @@
-"""Every imported name is used in the module that imports it.
+"""No unused imports and no unreferenced definitions.
 
-A stdlib ``ast`` scan of the package and the tests.  Package
-``__init__.py`` files are skipped, because their imports are the
-package's re-exports, and so are ``from __future__`` imports.
+Stdlib ``ast`` scans.  Every imported name is used in the module that
+imports it; package ``__init__.py`` files are skipped, because their
+imports are the package's re-exports, and so are ``from __future__``
+imports.  Every function and class of the package is named somewhere
+in ``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
 """
 
 from __future__ import annotations
 
 import ast
+from collections.abc import Iterable
 from pathlib import Path
 
 import pytest
@@ -47,3 +50,65 @@ def test_scan_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def appearances(tree: ast.Module) -> set[str]:
+    """Names, attributes, import aliases and string constants.
+
+    A dotted string such as ``"Hypergraph.induced"``, which the
+    benchmark's tracer uses to find what it wraps, counts each part.
+    """
+    seen: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            seen.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            seen.add(node.attr)
+        elif isinstance(node, ast.alias):
+            seen.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            seen.update(node.value.split("."))
+    return seen
+
+
+def unreferenced(package: dict[str, ast.Module], others: Iterable[ast.Module]) -> list[str]:
+    """Functions and classes of ``package`` that nothing names.
+
+    Dunder methods are skipped: the language calls them.
+    """
+    seen = set().union(*map(appearances, [*package.values(), *others]))
+    return sorted(
+        f"{node.name} ({path}:{node.lineno})"
+        for path, tree in package.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in seen
+    )
+
+
+def test_scan_sees_an_unreferenced_definition():
+    package = {
+        "m.py": ast.parse(
+            "def used(): pass\n"
+            "def dead(): pass\n"
+            "class C:\n"
+            "    def __len__(self): return 0\n"
+            "    def traced(self): pass\n"
+        )
+    }
+    others = [ast.parse("from m import used as u\nwrap('C.traced')\n")]
+    assert unreferenced(package, others) == ["dead (m.py:2)"]
+
+
+def test_no_unreferenced_definitions():
+    package = {
+        p.name: ast.parse(p.read_text())
+        for p in sorted((ROOT / "src" / "rainbow_lab").glob("*.py"))
+    }
+    others = [
+        ast.parse(p.read_text())
+        for d in ("tests", "perfbench")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    assert unreferenced(package, others) == []
