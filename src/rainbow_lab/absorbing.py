@@ -106,7 +106,7 @@ def _induced_pm(
     vertices: Sequence[int],
     timeout: Optional[float],
 ) -> Optional[Matching]:
-    sub, ids = graph.as_hypergraph().induced(vertices)
+    sub, ids = graph.induced(vertices)
     found, pm = has_perfect_matching(sub, timeout=timeout)
     if not found or pm is None:
         return None

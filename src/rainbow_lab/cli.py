@@ -263,6 +263,15 @@ def _cmd_absorb(args) -> int:
 
 
 def _cmd_exp(args) -> int:
+    ignored = {
+        "--n-values": args.n_values is not None
+        and args.what in ("duality", "shift", "absorb"),
+        "--threshold": args.threshold is not None and args.what != "shift",
+        "--trials": args.trials != 1 and args.what == "sharpness",
+    }
+    for option, given in ignored.items():
+        if given:
+            raise ValueError(f"exp {args.what} does not read {option}")
     cfg = ExperimentConfig(
         seed=args.seed,
         n_values=tuple(args.n_values or ()),

@@ -3,7 +3,9 @@
 A family of 3-graphs F_1..F_t on a common vertex set P corresponds to a
 (1,3)-partite 4-graph: attach a fresh class vertex u_i to every edge of
 F_i.  Rainbow matchings of the family are exactly perfect matchings of
-the reduction, which is what the solvers exploit.
+the reduction, which is what the solvers exploit.  The reduction is a
+:class:`PartiteHypergraph`, itself a 4-graph whose class vertex is
+``e[0]`` of every edge ``e``, so it goes to every 4-graph routine as is.
 """
 
 from __future__ import annotations
@@ -46,35 +48,35 @@ class HypergraphFamily:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
-class PartiteHypergraph:
+class PartiteHypergraph(Hypergraph):
     """(1,3)-partite 4-graph with class Q = [0, q) and P = [q, q+p).
 
-    Every edge contains exactly one Q-vertex and three P-vertices.
-    Instances are immutable.
+    It is a 4-graph on q + p vertices in which every edge contains
+    exactly one Q-vertex and three P-vertices; as ids in Q come first,
+    the class vertex of an edge ``e`` is ``e[0]``.  Instances are
+    immutable, and never equal to a plain :class:`Hypergraph`.
     """
 
-    __slots__ = ("q_size", "p_size", "_graph")
+    __slots__ = ("q_size", "p_size")
 
     def __init__(self, q_size: int, p_size: int, edges: Iterable[Iterable[int]]):
         if q_size < 0 or p_size < 0:
             raise ValueError("class sizes must be nonnegative")
-        graph = Hypergraph(4, q_size + p_size, edges)
-        for e in graph.edges:
+        super().__init__(4, q_size + p_size, edges)
+        for e in self.edges:
             in_q = sum(1 for v in e if v < q_size)
             if in_q != 1:
                 raise ValueError(f"edge {e} has {in_q} class-Q vertices, expected 1")
         object.__setattr__(self, "q_size", q_size)
         object.__setattr__(self, "p_size", p_size)
-        object.__setattr__(self, "_graph", graph)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard
-        raise AttributeError("PartiteHypergraph is immutable")
 
     def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PartiteHypergraph):
+        if not isinstance(other, Hypergraph):
             return NotImplemented
+        # A plain 4-graph on the same edges is still not partite.
         return (
-            self.q_size == other.q_size
+            isinstance(other, PartiteHypergraph)
+            and self.q_size == other.q_size
             and self.p_size == other.p_size
             and self.edges == other.edges
         )
@@ -89,18 +91,6 @@ class PartiteHypergraph:
         )
 
     @property
-    def edges(self) -> tuple[tuple[int, ...], ...]:
-        return self._graph.edges
-
-    @property
-    def n_vertices(self) -> int:
-        return self.q_size + self.p_size
-
-    @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
     def balanced(self) -> bool:
         return 3 * self.q_size == self.p_size
 
@@ -111,17 +101,8 @@ class PartiteHypergraph:
         return range(self.q_size, self.q_size + self.p_size)
 
     def as_hypergraph(self) -> Hypergraph:
-        """The same edges viewed as a plain 4-graph."""
-        return self._graph
-
-    def degree(self, vertices: Iterable[int]) -> int:
-        return self._graph.degree(vertices)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        return self._graph.adjacent(u, v)
-
-    def has_edge(self, edge: Iterable[int]) -> bool:
-        return self._graph.has_edge(edge)
+        """The graph itself, already a 4-graph; ``perfbench`` still calls this."""
+        return self
 
     def to_dict(self) -> dict:
         return {
@@ -129,9 +110,6 @@ class PartiteHypergraph:
             "p": self.p_size,
             "edges": [list(e) for e in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def extremal_graph(n: int, s: int, ell: int) -> Hypergraph:
@@ -148,9 +126,13 @@ def extremal_graph(n: int, s: int, ell: int) -> Hypergraph:
     t_size = s * ell - 1
     if t_size > n:
         raise ValueError(f"need s*ell-1 = {t_size} <= n = {n}")
+    # i vertices from T and 3 - i from the rest, so the time is linear
+    # in the edges kept rather than in all C(n, 3) triples.
     edges = [
-        e for e in combinations(range(n), 3)
-        if sum(1 for v in e if v < t_size) >= ell
+        inside + outside
+        for i in range(ell, 4)
+        for inside in combinations(range(t_size), i)
+        for outside in combinations(range(t_size, n), 3 - i)
     ]
     return Hypergraph(3, n, edges)
 

@@ -35,10 +35,8 @@ from .constructions import (
     family_to_partite,
     partite_to_family,
 )
-from .fractional import (
-    max_fractional_matching,
-    min_fractional_cover,
-)
+from . import fractional
+from .fractional import max_fractional_matching
 from .hypergraph import Hypergraph
 from .jsonio import canonical_json, sha256_of, vertex_count
 from .shift import fractional_pm_pipeline, is_stable
@@ -294,17 +292,19 @@ def _duality_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     n = rng.randint(4, 10)
     prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
     graph = random_hypergraph(rng, n, prob)
-    nu, fm = max_fractional_matching(graph, timeout=cfg.timeout_seconds)
-    tau, fc = min_fractional_cover(graph, timeout=cfg.timeout_seconds)
+    # One solve gives both certificates; feasible with equal values,
+    # they prove nu* = tau*.
+    value, fm, fc = fractional._solve(graph, cfg.timeout_seconds)
+    nu, tau = fm.value(), fc.value()
     integral = len(max_matching(graph, timeout=cfg.timeout_seconds))
     ok = (
-        nu == tau
+        nu == tau == value
         and fm.is_feasible(graph)
         and fc.is_feasible(graph)
         and integral <= nu
     )
     detail = f"n={n} m={graph.n_edges} nu*={nu} tau*={tau} nu={integral}"
-    witness = sha256_of({"value": str(nu), "integral": integral})
+    witness = sha256_of({"value": str(value), "integral": integral})
     return ok, detail, witness
 
 
@@ -355,12 +355,12 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     }
     if res.found and res.matching is not None:
         checks["extension_pm"] = is_perfect_matching_of(
-            res.shifted.graph.as_hypergraph(), res.matching.edges
+            res.shifted.graph, res.matching.edges
         )
     if q_size <= 3 and res.containment_ok:
         # the cover LP optimum equals nu* of the input by LP duality
         nu_out, _ = max_fractional_matching(
-            res.shifted.graph.as_hypergraph(), timeout=cfg.timeout_seconds
+            res.shifted.graph, timeout=cfg.timeout_seconds
         )
         checks["value_preserved"] = res.cover_value == nu_out
     ok = all(checks.values())
@@ -418,7 +418,7 @@ def absorb_scenario(
         pool.append(gadget)
 
     rest = sorted(set(range(graph.n_vertices)) - reserved)
-    sub, ids = graph.as_hypergraph().induced(rest)
+    sub, ids = graph.induced(rest)
     m1 = max_matching(sub, timeout=timeout)
     m1_edges = tuple(
         sorted(tuple(sorted(ids[v] for v in e)) for e in m1.edges)
@@ -429,7 +429,7 @@ def absorb_scenario(
     )
     absorbed = absorb(pool, leftover, graph, timeout=timeout)
     combined = Matching(edges=tuple(sorted(m1_edges + absorbed.edges)))
-    if not is_perfect_matching_of(graph.as_hypergraph(), combined.edges):
+    if not is_perfect_matching_of(graph, combined.edges):
         raise AssertionError("assembled matching is not perfect")
     return combined, pool
 

@@ -45,9 +45,10 @@ class DegreeSumMinima:
 class Hypergraph:
     """Immutable k-uniform hypergraph with indexed degree queries.
 
-    Subset-degree indexes for subsets of size 1..min(3, k-1) are built at
-    construction; the shifting and absorbing code issue many pair and
-    triple degree queries.
+    Vertex and pair degrees (subsets of size 1..min(2, k-1)) are indexed
+    at construction: degree sums, codegree checks and low-degree anchors
+    ask for them many times.  A k-set degree is an edge lookup, and any
+    other size is a scan of the edges.
     """
 
     __slots__ = ("k", "n_vertices", "edges", "_index")
@@ -71,7 +72,7 @@ class Hypergraph:
         object.__setattr__(self, "edges", tuple(canon))
         index: dict[tuple[int, ...], int] = {}
         for e in canon:
-            for size in range(1, min(3, k - 1) + 1):
+            for size in range(1, min(2, k - 1) + 1):
                 for sub in combinations(e, size):
                     index[sub] = index.get(sub, 0) + 1
         object.__setattr__(self, "_index", index)
@@ -126,7 +127,7 @@ class Hypergraph:
             raise ValueError(f"subset size {len(sub)} exceeds uniformity {self.k}")
         if not sub:
             return len(self.edges)
-        if len(sub) <= min(3, self.k - 1):
+        if len(sub) <= min(2, self.k - 1):
             return self._index.get(sub, 0)
         if len(sub) == self.k:
             return 1 if self.has_edge(sub) else 0

@@ -36,7 +36,7 @@ from .solvers import Matching, RainbowMatching
 
 MAX_VERTICES = 1024
 
-Instance = Union[Hypergraph, PartiteHypergraph, HypergraphFamily]
+Instance = Union[Hypergraph, HypergraphFamily]
 
 _HYPERGRAPH_KEYS = {"k", "n", "edges"}
 
@@ -127,12 +127,10 @@ def load_instance(data, normalize: bool = False, kind: Optional[type] = None) ->
     """Build the instance a decoded JSON value describes.
 
     ``kind`` is the type the caller accepts; ``Hypergraph`` also accepts
-    a partite instance and returns its plain 4-graph.  Any other shape
-    raises ``ValueError``.
+    a partite instance, returned as itself, since every partite graph is
+    a 4-graph.  Any other shape raises ``ValueError``.
     """
     instance = _read(data, normalize)
-    if kind is Hypergraph and isinstance(instance, PartiteHypergraph):
-        return instance.as_hypergraph()
     if kind is not None and not isinstance(instance, kind):
         raise ValueError(
             f"expected a {kind.__name__} instance, got a {type(instance).__name__}"

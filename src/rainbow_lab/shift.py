@@ -321,7 +321,6 @@ class PipelineResult:
     trace: ShiftTrace
     cover_value: object
     containment_ok: bool
-    ordered: OrderedPartite
     closure: OrderedPartite
     shifted: OrderedPartite
     matching: Optional[Matching]
@@ -348,9 +347,8 @@ def fractional_pm_pipeline(
         raise ValueError("pipeline needs a balanced partite graph")
     if threshold is None:
         threshold = extremal_adjacent_degree_sum(graph.p_size)
-    tau, cover = min_fractional_cover(graph.as_hypergraph(), timeout=timeout)
-    ordered = order_by_cover(graph, cover)
-    closure = cover_closure(graph, cover, ordered)
+    tau, cover = min_fractional_cover(graph, timeout=timeout)
+    closure = cover_closure(graph, cover, order_by_cover(graph, cover))
     shifted, trace = stable_shift(closure, threshold)
     containment_ok = set(graph.edges) <= set(shifted.graph.edges)
 
@@ -373,7 +371,6 @@ def fractional_pm_pipeline(
         trace=trace,
         cover_value=cover.value(),
         containment_ok=containment_ok,
-        ordered=ordered,
         closure=closure,
         shifted=shifted,
         matching=matching,

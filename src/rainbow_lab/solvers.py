@@ -196,6 +196,6 @@ def partite_perfect_matching(
             f"|P|={graph.p_size}"
         )
     found, matching = has_perfect_matching(
-        graph.as_hypergraph(), timeout=timeout, node_budget=node_budget
+        graph, timeout=timeout, node_budget=node_budget
     )
     return matching if found else None

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import io
 import json
+import time
 
 import pytest
 
@@ -173,6 +174,46 @@ def test_gen_bound_is_the_input_bound(monkeypatch, capsys, argv, vertices):
     else:
         assert code == EXIT_FOUND
         assert jsonio.load_instance(json.loads(out)).n_vertices == vertices
+
+
+def test_gen_extremal_time_follows_the_edges_kept(monkeypatch, capsys):
+    # T is empty, so no triple is kept out of C(1024, 3)
+    start = time.perf_counter()
+    code, out, _ = run_raw(
+        monkeypatch, capsys, "", "gen", "extremal", "--n", "1024", "--s", "1", "--ell", "1"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_FOUND
+    assert json.loads(out) == {"edges": [], "k": 3, "n": 1024}
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["exp", "duality", "--n-values", "7", "--trials", "1"], "--n-values"),
+        (["exp", "shift", "--n-values", "6"], "--n-values"),
+        (["exp", "absorb", "--n-values", "24"], "--n-values"),
+        (["exp", "absorb", "--threshold", "5"], "--threshold"),
+        (["exp", "sharpness", "--threshold", "5"], "--threshold"),
+        (["exp", "equivalence", "--threshold", "5"], "--threshold"),
+        (["exp", "duality", "--threshold", "5"], "--threshold"),
+        (["exp", "sharpness", "--trials", "4", "--n-values", "6"], "--trials"),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_exp_rejects_an_option_its_suite_ignores(monkeypatch, capsys, argv, option):
+    code, out, err = run_raw(monkeypatch, capsys, "", *argv)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == f"error: exp {argv[1]} does not read {option}\n"
+
+
+def test_exp_sharpness_accepts_one_trial(monkeypatch, capsys):
+    code, out, _ = run_raw(
+        monkeypatch, capsys, "", "exp", "sharpness", "--trials", "1", "--n-values", "6"
+    )
+    assert code == EXIT_FOUND
+    assert "trials: 1" in out
 
 
 def test_deeply_nested_json_exits_3(monkeypatch, capsys):

@@ -71,6 +71,9 @@ CASES = [
     Case("gen reduce", ["gen", "reduce"], NO_RAINBOW),
     Case("stats", ["stats"], K4),
     Case("stats json", ["--json", "stats"], K4),
+    # A partite instance is read as a 4-graph wherever a Hypergraph is expected.
+    Case("stats partite", ["stats"], PARTITE),
+    Case("solve pm partite", ["solve", "pm"], PARTITE),
     Case("solve pm found", ["solve", "pm"], K6),
     Case("solve pm none", ["solve", "pm"], EMPTY6),
     Case("solve pm unknown", ["solve", "pm"], K6, budget(cli, "has_perfect_matching")),
@@ -91,6 +94,7 @@ CASES = [
         budget(cli, "partite_perfect_matching"),
     ),
     Case("frac nu-star found", ["frac", "nu-star"], K4),
+    Case("frac nu-star partite", ["frac", "nu-star"], PARTITE),
     Case("frac nu-star unknown", ["--timeout", "1e-9", "frac", "nu-star"], K4),
     Case("frac tau-star found", ["frac", "tau-star"], K4),
     Case("frac tau-star unknown", ["--timeout", "1e-9", "frac", "tau-star"], K4),
@@ -208,6 +212,14 @@ GOLDEN = {
         0,
         '{"degree_sum_min": {"adjacent": 6, "all": 6, "nonadjacent": null}, "edges": 4, "isolated": [], "k": 3, "min_degree_1": 3, "n": 4}\n',
     ),
+    'stats partite': (
+        0,
+        "k: 4\nn: 8\nedges: 40\nisolated: []\nmin_degree_1: 20\ndegree_sum_min: {'adjacent': 40, 'all': 40, 'nonadjacent': 40}\n",
+    ),
+    'solve pm partite': (
+        0,
+        '{"found": true, "witness": [[0, 2, 3, 4], [1, 5, 6, 7]]}\n',
+    ),
     'solve pm found': (
         0,
         '{"found": true, "witness": [[0, 1, 2], [3, 4, 5]]}\n',
@@ -247,6 +259,10 @@ GOLDEN = {
     'frac nu-star found': (
         0,
         '{"value": "4/3", "weights": [{"edge": [0, 1, 2], "weight": "1/3"}, {"edge": [0, 1, 3], "weight": "1/3"}, {"edge": [0, 2, 3], "weight": "1/3"}, {"edge": [1, 2, 3], "weight": "1/3"}]}\n',
+    ),
+    'frac nu-star partite': (
+        0,
+        '{"value": "2/1", "weights": [{"edge": [0, 5, 6, 7], "weight": "1/1"}, {"edge": [1, 2, 3, 4], "weight": "1/1"}]}\n',
     ),
     'frac nu-star unknown': (
         2,

@@ -63,6 +63,19 @@ class TestExtremalGraph:
         with pytest.raises(ValueError):
             extremal_graph(6, 2, 4)
 
+    def test_equals_the_filter_definition(self):
+        for n in range(10):
+            for s in range(1, 5):
+                for ell in (1, 2, 3):
+                    t_size = s * ell - 1
+                    if t_size > n:
+                        continue
+                    want = tuple(
+                        e for e in combinations(range(n), 3)
+                        if sum(1 for v in e if v < t_size) >= ell
+                    )
+                    assert extremal_graph(n, s, ell).edges == want, (n, s, ell)
+
     @pytest.mark.parametrize("ell", [1, 2, 3])
     @pytest.mark.parametrize("n,s", [(9, 3), (12, 4)])
     def test_matching_number_one_short(self, n, s, ell):
@@ -200,6 +213,16 @@ class TestPartiteType:
     def test_complete_partite_count(self):
         pg = complete_partite(2, 6)
         assert pg.n_edges == 2 * comb(6, 3)
+
+    def test_never_equals_the_plain_graph(self):
+        pg = complete_partite(2, 6)
+        plain = Hypergraph(4, 8, pg.edges)
+        assert pg != plain and plain != pg
+        assert not pg == plain and not plain == pg
+        same = PartiteHypergraph(2, 6, list(pg.edges))
+        assert pg == same and hash(pg) == hash(same)
+        assert len({pg, same}) == 1
+        assert len({pg, same, plain}) == 2
 
     def test_round_trip_json(self):
         pg = extremal_partite(6)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from rainbow_lab import fractional
 from rainbow_lab.experiments import (
     ExperimentConfig,
     run_absorb_suite,
@@ -50,3 +51,18 @@ def test_absorb_suite_digest():
     assert report.digest() == (
         "9288e5125727631a967eac1160f50c0e8b3d80ffabf43b87ace3f8034e3638f7"
     )
+
+
+def test_duality_suite_lp_solves(monkeypatch):
+    # one solve per trial gives the value and both certificates
+    calls = []
+    solve = fractional._solve
+
+    def counting_solve(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(fractional, "_solve", counting_solve)
+    report = run_duality(ExperimentConfig(seed=0, trials=5))
+    assert report.aggregate == "pass"
+    assert len(calls) == 5

@@ -214,6 +214,18 @@ class TestInvariants:
         if stats.nonadjacent is not None:
             assert stats.all_pairs <= stats.nonadjacent
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_every_subset_size_matches_oracle(self, k):
+        # indexed sizes, the k-set edge lookup and the scan in between
+        rng = random.Random(k)
+        n = 8
+        h = Hypergraph(
+            k, n, [e for e in combinations(range(n), k) if rng.random() < 0.4]
+        )
+        for size in range(k + 1):
+            for sub in combinations(range(n), size):
+                assert h.degree(sub) == brute_degree(h.edges, sub), sub
+
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(), st.data())
     def test_degree_matches_oracle(self, h, data):
