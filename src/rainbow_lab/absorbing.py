@@ -10,13 +10,14 @@ about the induced perfect matchings, not the wiring.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .constructions import HypergraphFamily, PartiteHypergraph
 from .hypergraph import Hypergraph
-from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, has_perfect_matching
+from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, _deadline, has_perfect_matching
 
 Edge = tuple[int, ...]
 
@@ -151,13 +152,11 @@ def low_degree_anchor(member: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """
     if member.n_vertices == 0:
         raise ValueError("anchor needs at least one vertex")
-    anchor = min(range(member.n_vertices), key=lambda v: (member.degree((v,)), v))
-    reach = tuple(
-        v
-        for v in range(member.n_vertices)
-        if v != anchor and member.degree((min(v, anchor), max(v, anchor))) > 0
-    )
-    return anchor, reach
+    deg = member.degrees(1)
+    anchor = min(range(member.n_vertices), key=lambda v: (deg[(v,)], v))
+    reach = {v for e in member.edges if anchor in e for v in e}
+    reach.discard(anchor)
+    return anchor, tuple(sorted(reach))
 
 
 def popular_vertices(
@@ -179,12 +178,13 @@ def build_gadget(
     graph: PartiteHypergraph,
     candidates: Iterable[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> Optional[AbsorberGadget]:
     """Search for an absorbing 24-set for the target.
 
     Returns None when no gadget of this wiring exists among the
     candidates, and raises :class:`SolverTimeout` when ``node_budget``
-    runs out before the search is decided.
+    or ``timeout`` runs out before the search is decided.
 
     The wiring: three helper vertices c1..c3 from the candidate pool,
     one edge of the target class vertex's link for the rewire, then six
@@ -210,6 +210,7 @@ def build_gadget(
     edge_set = set(graph.edges)
     q_free_all = [u for u in graph.q_vertices() if u != u_target]
     nodes_left = node_budget
+    deadline = _deadline(timeout)
 
     link_edges = [e[1:] for e in graph.edges if e[0] == u_target]
 
@@ -218,15 +219,15 @@ def build_gadget(
         nodes_left -= 1
         if nodes_left < 0:
             raise SolverTimeout(f"gadget search exceeded {node_budget} nodes")
+        if deadline and time.monotonic() > deadline:
+            raise SolverTimeout("gadget search exceeded its deadline")
 
     def bridge_candidates(
-        lv: int, rv: int, used_p: set, used_q: set
+        lv: int, rv: int, used_p: set
     ) -> list[tuple[int, int, int]]:
         free = [p for p in graph.p_vertices() if p not in used_p]
         out = []
         for u in q_free_all:
-            if u in used_q:
-                continue
             for x, y in combinations(free, 2):
                 if (
                     tuple(sorted((u, x, y, lv))) in edge_set
@@ -239,7 +240,6 @@ def build_gadget(
         left: list[int],
         right: list[int],
         used_p: set[int],
-        used_q: set[int],
     ) -> Optional[list[tuple[int, int, int]]]:
         # One pick per bridge, pairwise disjoint.  The most constrained
         # bridge is filled first and candidates are ordered by how
@@ -247,7 +247,7 @@ def build_gadget(
         # (ties canonical); scarce vertices then get rationed greedily
         # instead of being discovered by exponential backtracking.
         live: dict[int, list[tuple[int, int, int]]] = {
-            j: bridge_candidates(left[j], right[j], used_p, used_q)
+            j: bridge_candidates(left[j], right[j], used_p)
             for j in range(6)
         }
         chosen: dict[int, tuple[int, int, int]] = {}
@@ -306,7 +306,7 @@ def build_gadget(
                 left = [a_part[0], a_part[1], a_part[2], c1, c2, c3]
                 right = [c1, c2, c3, r1, r2, r3]
                 used_p = set(helpers) | set(e) | set(a_part)
-                got = bridges(left, right, used_p, set())
+                got = bridges(left, right, used_p)
                 if got is None:
                     continue
                 body_q = tuple(sorted(u for u, _, _ in got))

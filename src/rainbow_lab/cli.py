@@ -63,6 +63,7 @@ from .shift import (
     stable_shift,
 )
 from .solvers import (
+    DEFAULT_TIMEOUT,
     SolverTimeout,
     has_perfect_matching,
     partite_perfect_matching,
@@ -231,7 +232,7 @@ def _cmd_absorb(args) -> int:
             if args.candidates
             else list(graph.p_vertices())
         )
-        gadget = build_gadget(target, graph, candidates)
+        gadget = build_gadget(target, graph, candidates, timeout=args.timeout)
         if gadget is None:
             return _outcome(False, {"found": False})
         payload = {
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--seed", type=int, default=0, help="experiment seed")
     parser.add_argument(
-        "--timeout", type=float, default=60.0, help="solver timeout in seconds"
+        "--timeout", type=float, default=DEFAULT_TIMEOUT, help="solver timeout in seconds"
     )
     parser.add_argument(
         "--json", action="store_true", help="machine-readable output"

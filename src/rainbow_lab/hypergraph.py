@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional
 
 
@@ -43,15 +44,15 @@ class DegreeSumMinima:
 
 
 class Hypergraph:
-    """Immutable k-uniform hypergraph with indexed degree queries.
+    """Immutable k-uniform hypergraph; degrees are counted on demand.
 
-    Vertex and pair degrees (subsets of size 1..min(2, k-1)) are indexed
-    at construction: degree sums, codegree checks and low-degree anchors
-    ask for them many times.  A k-set degree is an edge lookup, and any
-    other size is a scan of the edges.
+    No degree index is kept: most graphs (induced subproblems, closures,
+    links) are only searched.  ``degree(vertices)`` scans the edges once
+    for one set; ``degrees(size)`` counts every ``size``-set in one pass,
+    for callers that need many degrees.
     """
 
-    __slots__ = ("k", "n_vertices", "edges", "_index")
+    __slots__ = ("k", "n_vertices", "edges")
 
     def __init__(self, k: int, n_vertices: int, edges: Iterable[Iterable[int]]):
         if k < 2:
@@ -70,12 +71,6 @@ class Hypergraph:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", tuple(canon))
-        index: dict[tuple[int, ...], int] = {}
-        for e in canon:
-            for size in range(1, min(2, k - 1) + 1):
-                for sub in combinations(e, size):
-                    index[sub] = index.get(sub, 0) + 1
-        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Hypergraph is immutable")
@@ -125,22 +120,21 @@ class Hypergraph:
         sub = self._check_vertices(vertices)
         if len(sub) > self.k:
             raise ValueError(f"subset size {len(sub)} exceeds uniformity {self.k}")
-        if not sub:
-            return len(self.edges)
-        if len(sub) <= min(2, self.k - 1):
-            return self._index.get(sub, 0)
-        if len(sub) == self.k:
-            return 1 if self.has_edge(sub) else 0
         want = set(sub)
         return sum(1 for e in self.edges if want.issubset(e))
+
+    def degrees(self, size: int) -> Counter:
+        """Degree of every ``size``-set, as sorted tuples; absent means 0."""
+        return Counter(
+            chain.from_iterable(combinations(e, size) for e in self.edges)
+        )
 
     def min_degree(self, size: int) -> int:
         """Minimum degree over all vertex subsets of the given size."""
         if not 1 <= size < self.k:
             raise ValueError(f"subset size must be in [1, {self.k - 1}], got {size}")
-        return min(
-            self.degree(sub) for sub in combinations(range(self.n_vertices), size)
-        )
+        deg = self.degrees(size)
+        return min(deg[sub] for sub in combinations(range(self.n_vertices), size))
 
     def link(self, u: int) -> "Hypergraph":
         """The (k-1)-graph of edge remainders over edges containing u.
@@ -164,14 +158,15 @@ class Hypergraph:
         """Minimum degree sums over adjacent / all / non-adjacent pairs."""
         if self.n_vertices < 2:
             raise ValueError("degree sums need at least two vertices")
-        deg = [self.degree((v,)) for v in range(self.n_vertices)]
+        deg = self.degrees(1)
+        pair_deg = self.degrees(2)
         adj: Optional[int] = None
         allp: Optional[int] = None
         non: Optional[int] = None
         for u, v in combinations(range(self.n_vertices), 2):
-            s = deg[u] + deg[v]
+            s = deg[(u,)] + deg[(v,)]
             allp = s if allp is None else min(allp, s)
-            if self._index.get((u, v), 0) > 0:
+            if pair_deg[(u, v)] > 0:
                 adj = s if adj is None else min(adj, s)
             else:
                 non = s if non is None else min(non, s)
@@ -179,9 +174,8 @@ class Hypergraph:
 
     def isolated_vertices(self) -> tuple[int, ...]:
         """All vertices of degree zero, in increasing order."""
-        return tuple(
-            v for v in range(self.n_vertices) if self._index.get((v,), 0) == 0
-        )
+        deg = self.degrees(1)
+        return tuple(v for v in range(self.n_vertices) if deg[(v,)] == 0)
 
     def induced(self, vertices: Iterable[int]) -> tuple["Hypergraph", tuple[int, ...]]:
         """Subgraph induced on a vertex set, relabeled to 0..len-1.

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import time
+from itertools import combinations
+
 import pytest
 
 from rainbow_lab.absorbing import (
@@ -21,8 +25,11 @@ from rainbow_lab.constructions import (
     extremal_graph,
     family_to_partite,
 )
+from rainbow_lab.experiments import absorb_scenario
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.solvers import SolverTimeout, is_perfect_matching_of, max_matching
+
+from _oracles import brute_degree
 
 
 def standard_body(graph):
@@ -34,6 +41,11 @@ def standard_body(graph):
 
 def first_target(graph):
     return [0] + list(graph.p_vertices())[:3]
+
+
+# Only class vertex 0 lies on edges: every helper and rewire choice is
+# tried, and each one fails at the bridges, far beyond any test's patience.
+LONE_CLASS = PartiteHypergraph(8, 24, [(0,) + t for t in combinations(range(8, 32), 3)])
 
 
 class TestBalanced:
@@ -121,6 +133,22 @@ class TestAnchors:
         with pytest.raises(ValueError):
             popular_vertices(fam, 0)
 
+    def test_matches_the_min_degree_definition(self):
+        # a minimum-degree vertex (ties to the smallest id) and the
+        # vertices sharing a pair degree with it; sparse graphs leave
+        # vertices isolated
+        rng = random.Random(5)
+        for trial in range(60):
+            n = rng.randint(1, 9)
+            prob = rng.choice((0.05, 0.2, 0.5))
+            edges = [e for e in combinations(range(n), 3) if rng.random() < prob]
+            h = Hypergraph(3, n, edges)
+            anchor = min(range(n), key=lambda v: (brute_degree(edges, (v,)), v))
+            reach = tuple(
+                v for v in range(n) if v != anchor and brute_degree(edges, (v, anchor))
+            )
+            assert low_degree_anchor(h) == (anchor, reach), (trial, edges)
+
 
 class TestBuildGadget:
     def test_complete_graph(self):
@@ -148,6 +176,18 @@ class TestBuildGadget:
         # a gadget exists (see test_complete_graph), so None would claim a false "none"
         with pytest.raises(SolverTimeout):
             build_gadget((0, 8, 9, 10), complete_partite(8, 24), range(8, 32), node_budget=1)
+
+    def test_deadline_raises(self):
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            build_gadget((0, 8, 9, 10), LONE_CLASS, LONE_CLASS.p_vertices(), timeout=0.2)
+        assert time.monotonic() - start < 2.0
+
+    def test_scenario_passes_its_deadline_to_the_gadget_search(self):
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            absorb_scenario(LONE_CLASS, [(0, 8, 9, 10)], timeout=0.2)
+        assert time.monotonic() - start < 2.0
 
     def test_deterministic(self):
         graph = complete_partite(8, 24)

@@ -6,6 +6,7 @@ import functools
 import io
 import json
 import time
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,7 @@ from rainbow_lab.cli import (
     EXIT_UNKNOWN,
     main,
 )
-from rainbow_lab.constructions import complete_partite
+from rainbow_lab.constructions import PartiteHypergraph, complete_partite
 from rainbow_lab.hypergraph import complete_hypergraph, empty_hypergraph
 
 INSTANCE = complete_hypergraph(3, 6).to_json()
@@ -244,6 +245,21 @@ def test_gadget_budget_exhaustion_is_unknown(monkeypatch, capsys, tmp_path):
     target.write_text("[0, 8, 9, 10]")
     stdin = complete_partite(8, 24).to_json()
     code, out, _ = run_raw(monkeypatch, capsys, stdin, "absorb", "gadget", "--a", str(target))
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out) == {"found": "unknown"}
+
+
+def test_gadget_deadline_is_unknown(monkeypatch, capsys, tmp_path):
+    # only class vertex 0 lies on edges, so the search would run for minutes
+    graph = PartiteHypergraph(8, 24, [(0,) + t for t in combinations(range(8, 32), 3)])
+    target = tmp_path / "a.json"
+    target.write_text("[0, 8, 9, 10]")
+    start = time.monotonic()
+    code, out, _ = run_raw(
+        monkeypatch, capsys, graph.to_json(),
+        "--timeout", "0.2", "absorb", "gadget", "--a", str(target),
+    )
+    assert time.monotonic() - start < 2.0
     assert code == EXIT_UNKNOWN
     assert json.loads(out) == {"found": "unknown"}
 

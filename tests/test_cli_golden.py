@@ -27,6 +27,7 @@ K6 = complete_hypergraph(3, 6).to_json()
 EMPTY6 = empty_hypergraph(3, 6).to_json()
 TRIANGLE3 = Hypergraph(3, 3, [(0, 1, 2)]).to_json()
 TRIANGLE6 = Hypergraph(3, 6, [(0, 1, 2)]).to_json()
+PATH3 = Hypergraph(2, 3, [(0, 1), (1, 2)]).to_json()
 RAINBOW = HypergraphFamily(6, (complete_hypergraph(3, 6),) * 2).to_json()
 NO_RAINBOW = HypergraphFamily(6, (Hypergraph(3, 6, [(0, 1, 2)]),) * 2).to_json()
 PARTITE = complete_partite(2, 6).to_json()
@@ -71,6 +72,7 @@ CASES = [
     Case("gen reduce", ["gen", "reduce"], NO_RAINBOW),
     Case("stats", ["stats"], K4),
     Case("stats json", ["--json", "stats"], K4),
+    Case("stats 2-graph", ["--json", "stats"], PATH3),
     # A partite instance is read as a 4-graph wherever a Hypergraph is expected.
     Case("stats partite", ["stats"], PARTITE),
     Case("solve pm partite", ["solve", "pm"], PARTITE),
@@ -211,6 +213,10 @@ GOLDEN = {
     'stats json': (
         0,
         '{"degree_sum_min": {"adjacent": 6, "all": 6, "nonadjacent": null}, "edges": 4, "isolated": [], "k": 3, "min_degree_1": 3, "n": 4}\n',
+    ),
+    'stats 2-graph': (
+        0,
+        '{"degree_sum_min": {"adjacent": 3, "all": 2, "nonadjacent": 2}, "edges": 2, "isolated": [], "k": 2, "min_degree_1": 1, "n": 3}\n',
     ),
     'stats partite': (
         0,

@@ -1,10 +1,13 @@
-"""No unused imports and no unreferenced definitions.
+"""No unused imports, no unreferenced definitions, no repeated degree scans.
 
 Stdlib ``ast`` scans.  Every imported name is used in the module that
 imports it; package ``__init__.py`` files are skipped, because their
 imports are the package's re-exports, and so are ``from __future__``
 imports.  Every function and class of the package is named somewhere
 in ``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
+No package code calls ``.degree(`` inside a loop, comprehension or
+lambda: each call scans every edge, so a caller that needs many
+degrees reads one ``degrees(size)`` table.
 """
 
 from __future__ import annotations
@@ -112,3 +115,54 @@ def test_no_unreferenced_definitions():
         for p in sorted((ROOT / d).rglob("*.py"))
     ]
     assert unreferenced(package, others) == []
+
+
+REPEATING = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
+    ast.Lambda,
+)
+
+
+def repeated_degree_calls(tree: ast.Module) -> list[int]:
+    """Lines that call ``.degree(`` inside a loop, comprehension or lambda."""
+    return sorted(
+        {
+            node.lineno
+            for loop in ast.walk(tree)
+            if isinstance(loop, REPEATING)
+            for node in ast.walk(loop)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "degree"
+        }
+    )
+
+
+def test_scan_sees_a_repeated_degree_call():
+    tree = ast.parse(
+        "def f(h, xs):\n"
+        "    h.degree((0,))\n"
+        "    for v in xs:\n"
+        "        h.degree((v,))\n"
+        "    a = [h.degree(s) for s in xs]\n"
+        "    b = min(xs, key=lambda v: h.degree((v,)))\n"
+        "    while h.degree(xs):\n"
+        "        pass\n"
+        "    return h.degrees(1)\n"
+    )
+    assert repeated_degree_calls(tree) == [4, 5, 6, 7]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parent.name == "rainbow_lab"],
+    ids=lambda p: p.name,
+)
+def test_no_repeated_degree_calls(path):
+    assert repeated_degree_calls(ast.parse(path.read_text())) == []

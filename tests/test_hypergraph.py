@@ -174,6 +174,13 @@ class TestDegreeSumMinima:
         with pytest.raises(ValueError):
             empty_hypergraph(3, 1).degree_sum_minima()
 
+    def test_two_graph_pairs_are_adjacent_through_their_edges(self):
+        # path 0-1-2: degrees 1, 2, 1; {0, 2} is the only non-adjacent pair
+        stats = Hypergraph(2, 3, [(0, 1), (1, 2)]).degree_sum_minima()
+        assert stats.adjacent == 3
+        assert stats.all_pairs == 2
+        assert stats.nonadjacent == 2
+
 
 class TestIsolated:
     def test_complete(self):
@@ -216,15 +223,16 @@ class TestInvariants:
 
     @pytest.mark.parametrize("k", [2, 3, 4, 5])
     def test_every_subset_size_matches_oracle(self, k):
-        # indexed sizes, the k-set edge lookup and the scan in between
+        # one scan per set and one table per size, from the empty set to k-sets
         rng = random.Random(k)
         n = 8
         h = Hypergraph(
             k, n, [e for e in combinations(range(n), k) if rng.random() < 0.4]
         )
         for size in range(k + 1):
+            table = h.degrees(size)
             for sub in combinations(range(n), size):
-                assert h.degree(sub) == brute_degree(h.edges, sub), sub
+                assert h.degree(sub) == table[sub] == brute_degree(h.edges, sub), sub
 
     @settings(max_examples=40, deadline=None)
     @given(small_hypergraphs(), st.data())
