@@ -92,12 +92,21 @@ class AbsorberGadget:
             raise ValueError("joint matching must cover body and target")
 
 
+def _vertex_set(
+    vertices: Iterable[int], graph: PartiteHypergraph, name: str = "vertex set"
+) -> list[int]:
+    """The sorted ids of a vertex set: each a vertex of the graph, none twice."""
+    vs = sorted(vertices)
+    if vs and not 0 <= vs[0] <= vs[-1] < graph.n_vertices:
+        raise ValueError(f"{name} has a vertex out of range [0, {graph.n_vertices})")
+    if len(set(vs)) != len(vs):
+        raise ValueError(f"{name} repeats a vertex id")
+    return vs
+
+
 def is_balanced(vertices: Iterable[int], graph: PartiteHypergraph) -> bool:
     """Three non-class vertices per class vertex."""
-    vs = set(vertices)
-    for v in vs:
-        if not 0 <= v < graph.n_vertices:
-            raise ValueError(f"vertex {v} out of range")
+    vs = _vertex_set(vertices, graph)
     in_q = sum(1 for v in vs if v < graph.q_size)
     return 3 * in_q == len(vs) - in_q
 
@@ -125,8 +134,8 @@ def is_absorbing(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[bool, Optional[tuple[Matching, Matching]]]:
     """Do both induced subgraphs (body, body+target) have perfect matchings?"""
-    body_v = sorted(set(body))
-    target_v = sorted(set(target))
+    body_v = _vertex_set(body, graph, "body")
+    target_v = _vertex_set(target, graph, "target")
     if len(body_v) != BODY_SIZE:
         raise ValueError(f"body must have {BODY_SIZE} vertices, got {len(body_v)}")
     if len(target_v) != 4:
@@ -184,7 +193,8 @@ def build_gadget(
 
     Returns None when no gadget of this wiring exists among the
     candidates, and raises :class:`SolverTimeout` when ``node_budget``
-    or ``timeout`` runs out before the search is decided.
+    or ``timeout`` runs out before the search is decided.  Target and
+    candidates must be vertex sets of the graph (``ValueError``).
 
     The wiring: three helper vertices c1..c3 from the candidate pool,
     one edge of the target class vertex's link for the rewire, then six
@@ -194,7 +204,7 @@ def build_gadget(
     choices are explored in canonical order under a node budget, so the
     result is deterministic.
     """
-    target_v = sorted(set(target))
+    target_v = _vertex_set(target, graph, "target")
     if len(target_v) != 4 or not is_balanced(target_v, graph):
         raise ValueError("target must be a balanced 4-set")
     if graph.q_size < 1 + BODY_Q or graph.p_size < 3 + BODY_P:
@@ -205,7 +215,7 @@ def build_gadget(
     u_target = [v for v in target_v if v < graph.q_size][0]
     a_part = [v for v in target_v if v >= graph.q_size]
 
-    pool = sorted(set(candidates) - set(target_v))
+    pool = sorted(set(_vertex_set(candidates, graph, "candidates")) - set(target_v))
     pool = [v for v in pool if v >= graph.q_size]
     edge_set = set(graph.edges)
     q_free_all = [u for u in graph.q_vertices() if u != u_target]

@@ -8,29 +8,23 @@ repeatedly deletes the edges through the lowest-ranked codegree-deficient
 triple until none remains, which preserves stability; on inputs whose
 own edges all meet the codegree bound it also never deletes an original
 edge, so the fractional matching number is preserved along the way.
+It ranks each edge once into one table: rank key -> edge, with the keys
+bucketed by (class rank, rank pair) triple, so a round's doomed edges
+are one bucket and stability is checked on the keys already held.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
 
-from .constructions import (
-    PartiteHypergraph,
-    extremal_adjacent_degree_sum,
-)
-from .fractional import (
-    FractionalCover,
-    min_fractional_cover,
-)
+from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
+from .fractional import FractionalCover, min_fractional_cover
 from .hypergraph import Hypergraph
-from .solvers import (
-    DEFAULT_TIMEOUT,
-    Matching,
-    has_perfect_matching,
-)
+from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
 
 Edge = tuple[int, ...]
 
@@ -71,10 +65,13 @@ class OrderedPartite:
         """(class rank, sorted other-class ranks) of a partite 4-edge."""
         q = [v for v in edge if v < self.graph.q_size]
         p = [v for v in edge if v >= self.graph.q_size]
-        if len(edge) != 4 or len(q) != 1 or len(p) != 3 or len(set(edge)) != 4:
-            raise ValueError(f"{edge} is not a partite 4-edge")
-        j1, j2, j3 = sorted(self._p_rank[v] for v in p)
-        return self._q_rank[q[0]], (j1, j2, j3)
+        if len(edge) == 4 and len(q) == 1 and len(set(edge)) == 4:
+            try:
+                j1, j2, j3 = sorted(self._p_rank[v] for v in p)
+                return self._q_rank[q[0]], (j1, j2, j3)
+            except KeyError:  # an id outside the graph
+                pass
+        raise ValueError(f"{edge} is not a partite 4-edge")
 
     def with_graph(self, graph: PartiteHypergraph) -> "OrderedPartite":
         return OrderedPartite(graph=graph, q_order=self.q_order, p_order=self.p_order)
@@ -95,10 +92,6 @@ def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
     return qi <= qj and all(a <= b for a, b in zip(ep, fp))
 
 
-def _rank_edges(order: OrderedPartite) -> set[tuple[int, tuple[int, int, int]]]:
-    return {order.rank_key(e) for e in order.graph.edges}
-
-
 def _immediate_successors(i, triple, q_size, p_size):
     j1, j2, j3 = triple
     if i + 1 < q_size:
@@ -111,19 +104,23 @@ def _immediate_successors(i, triple, q_size, p_size):
         yield i, (j1, j2, j3 + 1)
 
 
-def is_stable(order: OrderedPartite) -> bool:
-    """Upward closure of the edge set under the shift order.
+def _upward_closed(keys, q_size: int, p_size: int) -> bool:
+    """Upward closure of a collection of rank keys under the shift order.
 
     Checked through single-rank-step successors, which generate the
     order, so this is equivalent to the all-pairs definition.
     """
+    return all(
+        succ in keys
+        for i, triple in keys
+        for succ in _immediate_successors(i, triple, q_size, p_size)
+    )
+
+
+def is_stable(order: OrderedPartite) -> bool:
+    """Upward closure of the edge set under the shift order."""
     g = order.graph
-    present = _rank_edges(order)
-    for i, triple in present:
-        for succ in _immediate_successors(i, triple, g.q_size, g.p_size):
-            if succ not in present:
-                return False
-    return True
+    return _upward_closed({order.rank_key(e) for e in g.edges}, g.q_size, g.p_size)
 
 
 def order_by_cover(
@@ -212,57 +209,47 @@ def stable_shift(
     stability of the input is preserved because any lower predecessor of
     a selected triple would itself violate the threshold with a smaller
     rank sum.  Ranks in the trace are 0-based.
+
+    Each edge is ranked once.  ``edge_of`` maps the rank keys of the
+    surviving edges to the edges, and ``through[i, a, b]`` buckets those
+    keys by triple (class rank i, other-class ranks a < b): a triple
+    spans an edge while its bucket is non-empty, and the bucket of the
+    selected triple is exactly the edges a round deletes.
     """
-    if not is_stable(start):
-        raise ValueError("shift input must be stable under the given order")
     g = start.graph
-    edges = set(g.edges)
-    pair_deg: dict[tuple[int, int], int] = {}
-    triple_deg: dict[tuple[int, int, int], int] = {}
-
-    def bump(edge: Edge, delta: int) -> None:
-        i, (j1, j2, j3) = start.rank_key(edge)
-        for j in (j1, j2, j3):
-            key2 = (i, j)
-            pair_deg[key2] = pair_deg.get(key2, 0) + delta
-        for a, b in ((j1, j2), (j1, j3), (j2, j3)):
-            key3 = (i, a, b)
-            triple_deg[key3] = triple_deg.get(key3, 0) + delta
-
-    for e in edges:
-        bump(e, +1)
+    edge_of = {start.rank_key(e): e for e in g.edges}
+    if not _upward_closed(edge_of, g.q_size, g.p_size):
+        raise ValueError("shift input must be stable under the given order")
+    pair_deg = Counter((i, j) for i, ranks in edge_of for j in ranks)
+    through: dict[tuple[int, int, int], set] = {}
+    for key in edge_of:
+        i, ranks = key
+        for a, b in combinations(ranks, 2):
+            through.setdefault((i, a, b), set()).add(key)
 
     steps: list[ShiftStep] = []
     while True:
-        worst: Optional[tuple[int, int, int, int]] = None
-        for (i, j, k), d3 in triple_deg.items():
-            if d3 <= 0:
-                continue
-            if pair_deg[(i, j)] + pair_deg[(i, k)] > threshold:
-                continue
-            cand = (i + j + k, i, j, k)
-            if worst is None or cand < worst:
-                worst = cand
-        if worst is None:
+        deficient = [
+            (i + j + k, i, j, k)
+            for (i, j, k), keys in through.items()
+            if keys and pair_deg[i, j] + pair_deg[i, k] <= threshold
+        ]
+        if not deficient:
             break
-        _, i, j, k = worst
-        doomed = []
-        for e in edges:
-            ei, ranks = start.rank_key(e)
-            if ei == i and j in ranks and k in ranks:
-                doomed.append(e)
-        for e in doomed:
-            edges.remove(e)
-            bump(e, -1)
-        steps.append(
-            ShiftStep(q_rank=i, p_rank_low=j, p_rank_high=k, removed=len(doomed))
-        )
+        _, i, j, k = min(deficient)
+        doomed = list(through[i, j, k])
+        for key in doomed:
+            del edge_of[key]
+            pair_deg.subtract((i, x) for x in key[1])
+            for a, b in combinations(key[1], 2):
+                through[i, a, b].remove(key)
+        steps.append(ShiftStep(i, j, k, removed=len(doomed)))
 
     shifted = start.with_graph(
-        PartiteHypergraph(g.q_size, g.p_size, sorted(edges))
+        PartiteHypergraph(g.q_size, g.p_size, sorted(edge_of.values()))
     )
-    trace = ShiftTrace(steps=tuple(steps), stable=is_stable(shifted))
-    return shifted, trace
+    stable = _upward_closed(edge_of, g.q_size, g.p_size)
+    return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 
 def link_of_lowest(order: OrderedPartite) -> tuple[Hypergraph, tuple[int, ...]]:

@@ -3,8 +3,9 @@
 These recompute expected values by plain enumeration with no pruning
 beyond disjointness, so they stay honest cross-checks for the solvers.
 Only usable at small sizes.  The exceptions are the reference search
-kernel and the dense LP tableau at the end, which fix the exact output
-of the kernel and of the LP rather than just their verdicts.
+kernel, the dense LP tableau and the reference shift at the end, which
+fix the exact output of the kernel, the LP and the shift rather than
+just their verdicts.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from rainbow_lab.constructions import PartiteHypergraph
 from rainbow_lab.fractional import ZERO, FractionalCover, FractionalMatching
 from rainbow_lab.hypergraph import Hypergraph
+from rainbow_lab.shift import (
+    Edge,
+    OrderedPartite,
+    ShiftStep,
+    ShiftTrace,
+    edge_precedes,
+    is_stable,
+)
 from rainbow_lab.solvers import SolverTimeout, _deadline
 
 
@@ -83,8 +93,6 @@ def all_partite_four_sets(q_size: int, p_size: int):
 
 def brute_is_stable(order) -> bool:
     """Definitional check: every dominating 4-set of an edge is an edge."""
-    from rainbow_lab.shift import edge_precedes
-
     g = order.graph
     edge_set = set(g.edges)
     for e in g.edges:
@@ -347,3 +355,76 @@ def dense_bareiss(
     if piv == den:
         return row
     return [x * piv // den for x in row]
+
+
+# -- Reference stability shift --------------------------------------------------
+#
+# ``rainbow_lab.shift.stable_shift`` before it ranked each edge once and
+# bucketed the edges by triple, kept verbatim: it keeps triple-degree
+# counts beside the edge set and re-ranks every surviving edge to find
+# the doomed ones.  ``tests/test_shift.py`` requires the shift to return
+# exactly its edge set and trace, so the selection order cannot drift.
+
+def reference_stable_shift(
+    start: OrderedPartite, threshold: int
+) -> tuple[OrderedPartite, ShiftTrace]:
+    """Delete codegree-deficient triples until the threshold holds.
+
+    While some class vertex u and pair v, v' span an edge but have
+    codegree sum at most ``threshold``, the triple with lexicographically
+    least (rank sum, ranks) is selected and every edge through it is
+    removed.  Each round removes at least one edge, so this terminates;
+    stability of the input is preserved because any lower predecessor of
+    a selected triple would itself violate the threshold with a smaller
+    rank sum.  Ranks in the trace are 0-based.
+    """
+    if not is_stable(start):
+        raise ValueError("shift input must be stable under the given order")
+    g = start.graph
+    edges = set(g.edges)
+    pair_deg: dict[tuple[int, int], int] = {}
+    triple_deg: dict[tuple[int, int, int], int] = {}
+
+    def bump(edge: Edge, delta: int) -> None:
+        i, (j1, j2, j3) = start.rank_key(edge)
+        for j in (j1, j2, j3):
+            key2 = (i, j)
+            pair_deg[key2] = pair_deg.get(key2, 0) + delta
+        for a, b in ((j1, j2), (j1, j3), (j2, j3)):
+            key3 = (i, a, b)
+            triple_deg[key3] = triple_deg.get(key3, 0) + delta
+
+    for e in edges:
+        bump(e, +1)
+
+    steps: list[ShiftStep] = []
+    while True:
+        worst: Optional[tuple[int, int, int, int]] = None
+        for (i, j, k), d3 in triple_deg.items():
+            if d3 <= 0:
+                continue
+            if pair_deg[(i, j)] + pair_deg[(i, k)] > threshold:
+                continue
+            cand = (i + j + k, i, j, k)
+            if worst is None or cand < worst:
+                worst = cand
+        if worst is None:
+            break
+        _, i, j, k = worst
+        doomed = []
+        for e in edges:
+            ei, ranks = start.rank_key(e)
+            if ei == i and j in ranks and k in ranks:
+                doomed.append(e)
+        for e in doomed:
+            edges.remove(e)
+            bump(e, -1)
+        steps.append(
+            ShiftStep(q_rank=i, p_rank_low=j, p_rank_high=k, removed=len(doomed))
+        )
+
+    shifted = start.with_graph(
+        PartiteHypergraph(g.q_size, g.p_size, sorted(edges))
+    )
+    trace = ShiftTrace(steps=tuple(steps), stable=is_stable(shifted))
+    return shifted, trace

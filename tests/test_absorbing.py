@@ -101,6 +101,15 @@ class TestIsAbsorbing:
         with pytest.raises(ValueError):
             is_absorbing(swapped[:23] + [0], first_target(graph), graph)
 
+    def test_repeated_id_rejected(self):
+        # a repeat used to be dropped, so 25 ids were checked as a 24-set
+        graph = complete_partite(7, 21)
+        body, target = standard_body(graph), first_target(graph)
+        with pytest.raises(ValueError, match="body repeats"):
+            is_absorbing(body + body[-1:], target, graph)
+        with pytest.raises(ValueError, match="target repeats"):
+            is_absorbing(body, target + target[-1:], graph)
+
 
 class TestAnchors:
     def test_complete_graph(self):
@@ -195,6 +204,19 @@ class TestBuildGadget:
         a = build_gadget(target, graph, graph.p_vertices())
         b = build_gadget(target, graph, graph.p_vertices())
         assert a == b
+
+    @pytest.mark.parametrize("outside", [-5, 32, 1000])
+    def test_candidate_outside_graph_rejected(self, outside):
+        # such an id used to be dropped (negative) or kept as a helper
+        # that can lie on no edge
+        graph = complete_partite(8, 24)
+        with pytest.raises(ValueError, match="out of range"):
+            build_gadget(first_target(graph), graph, [outside, *graph.p_vertices()])
+
+    def test_repeated_target_id_rejected(self):
+        graph = complete_partite(8, 24)
+        with pytest.raises(ValueError, match="target repeats"):
+            build_gadget([0, 8, 8, 9, 10], graph, graph.p_vertices())
 
     def test_too_small_graph_rejected(self):
         graph = complete_partite(6, 24)
@@ -301,7 +323,7 @@ class TestEndToEnd:
         gadget = build_gadget(target, graph, graph.p_vertices())
         reserved = set(gadget.body.vertices())
         rest = sorted(set(range(graph.n_vertices)) - reserved)
-        sub, ids = graph.as_hypergraph().induced(rest)
+        sub, ids = graph.induced(rest)
         m1 = max_matching(sub)
         m1_edges = tuple(
             sorted(tuple(sorted(ids[v] for v in e)) for e in m1.edges)
@@ -312,4 +334,4 @@ class TestEndToEnd:
         )
         absorbed = absorb([gadget], leftover, graph)
         combined = tuple(sorted(m1_edges + absorbed.edges))
-        assert is_perfect_matching_of(graph.as_hypergraph(), combined)
+        assert is_perfect_matching_of(graph, combined)

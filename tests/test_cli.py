@@ -239,6 +239,35 @@ def test_vertex_file_rejects_bools(monkeypatch, capsys, tmp_path):
     assert "vertex id" in err
 
 
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (
+            ["absorb", "gadget"],
+            {"--a": [0, 8, 9, 10], "--candidates": [1000, 1001, 1002, -5, 40, 41]},
+        ),
+        (["absorb", "gadget"], {"--a": [0, 8, 8, 9, 10]}),
+        (
+            ["absorb", "check"],
+            {"--t": [*range(1, 7), *range(11, 29), 11], "--a": [0, 8, 9, 10]},
+        ),
+    ],
+    ids=["candidates-outside", "target-repeats", "body-repeats"],
+)
+def test_bad_gadget_vertex_set_exits_3(monkeypatch, capsys, tmp_path, argv, files):
+    # each used to search (60 s, then unknown) or answer for the de-duplicated set
+    options = []
+    for flag, ids in files.items():
+        path = tmp_path / f"{flag.strip('-')}.json"
+        path.write_text(json.dumps(ids))
+        options += [flag, str(path)]
+    stdin = complete_partite(8, 24).to_json()
+    code, out, err = run_raw(monkeypatch, capsys, stdin, "--timeout", "5", *argv, *options)
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_gadget_budget_exhaustion_is_unknown(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "build_gadget", functools.partial(build_gadget, node_budget=1))
     target = tmp_path / "a.json"

@@ -147,11 +147,10 @@ class TestReduction:
         for _ in range(10):
             pg = random_partite(rng, 3, 6, 0.3)
             family = partite_to_family(pg)
-            flat = pg.as_hypergraph()
             for i, member in enumerate(family.members):
                 link_edges = {
                     tuple(v - pg.q_size for v in e)
-                    for e in flat.link(i).edges
+                    for e in pg.link(i).edges
                 }
                 assert set(member.edges) == link_edges
 
@@ -174,11 +173,10 @@ class TestReductionAdjacency:
         for _ in range(10):
             pg = random_partite(rng, 3, 6, 0.35)
             family = partite_to_family(pg)
-            flat = pg.as_hypergraph()
             for i, member in enumerate(family.members):
                 for vj, vk in combinations(range(pg.p_size), 2):
                     spanned = (
-                        flat.degree((i, vj + pg.q_size, vk + pg.q_size)) > 0
+                        pg.degree((i, vj + pg.q_size, vk + pg.q_size)) > 0
                     )
                     if member.degree((vj,)) and member.degree((vk,)):
                         assert spanned == member.adjacent(vj, vk)
@@ -190,11 +188,10 @@ class TestReductionAdjacency:
         for _ in range(10):
             pg = random_partite(rng, 3, 6, 0.25)
             family = partite_to_family(pg)
-            flat = pg.as_hypergraph()
             for i, member in enumerate(family.members):
                 for vj in range(pg.p_size):
                     isolated = member.degree((vj,)) == 0
-                    assert isolated == (not flat.adjacent(i, vj + pg.q_size))
+                    assert isolated == (not pg.adjacent(i, vj + pg.q_size))
 
 
 class TestPartiteType:

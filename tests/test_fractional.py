@@ -128,7 +128,7 @@ class TestTightPartite:
     def test_eighteen_vertex_family(self):
         # 838 Bland pivots on 24 rows: 4-8 s with the dense tableau on a
         # shared 2-CPU box, under 0.5 s revised
-        h = extremal_partite(18).as_hypergraph()
+        h = extremal_partite(18)
         value, fc = min_fractional_cover(h, timeout=5.0)
         assert value == Fraction(11, 2)
         assert fc.is_feasible(h) and fc.value() == value
@@ -167,7 +167,7 @@ class TestFractionalPerfectMatching:
     def test_tight_partite_blocked(self):
         # the three blocking vertices can carry total load at most 3,
         # but every edge needs two of them: value caps at 3/2 < 2
-        h = extremal_partite(6).as_hypergraph()
+        h = extremal_partite(6)
         found, fm = fractional_perfect_matching(h)
         assert not found and fm is None
         value, _ = max_fractional_matching(h)
@@ -224,7 +224,7 @@ def lp_graphs(draw):
         sets = all_partite_four_sets(q, p)
         return PartiteHypergraph(
             q, p, [e for e in sets if rng.random() < density]
-        ).as_hypergraph()
+        )
     k = rng.randint(2, 4)
     n = rng.randint(k, 12)
     sets = combinations(range(n), k)

@@ -7,7 +7,9 @@ imports.  Every function and class of the package is named somewhere
 in ``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
 No package code calls ``.degree(`` inside a loop, comprehension or
 lambda: each call scans every edge, so a caller that needs many
-degrees reads one ``degrees(size)`` table.
+degrees reads one ``degrees(size)`` table.  Nothing in ``src/`` or
+``tests/`` calls ``.as_hypergraph()``: it returns the partite graph
+itself and stays only for the benchmark.
 """
 
 from __future__ import annotations
@@ -129,17 +131,27 @@ REPEATING = (
 )
 
 
+def method_calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines that call a method called ``name``, on any receiver."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name
+        }
+    )
+
+
 def repeated_degree_calls(tree: ast.Module) -> list[int]:
     """Lines that call ``.degree(`` inside a loop, comprehension or lambda."""
     return sorted(
         {
-            node.lineno
+            line
             for loop in ast.walk(tree)
             if isinstance(loop, REPEATING)
-            for node in ast.walk(loop)
-            if isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "degree"
+            for line in method_calls(loop, "degree")
         }
     )
 
@@ -166,3 +178,18 @@ def test_scan_sees_a_repeated_degree_call():
 )
 def test_no_repeated_degree_calls(path):
     assert repeated_degree_calls(ast.parse(path.read_text())) == []
+
+
+def test_scan_sees_a_shim_call():
+    tree = ast.parse(
+        "def as_hypergraph(self): return self\n"
+        "h = pg.as_hypergraph()\n"
+        "f(pg.as_hypergraph().edges, as_hypergraph)\n"
+    )
+    assert method_calls(tree, "as_hypergraph") == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_as_hypergraph_calls(path):
+    # a partite graph is a Hypergraph; the shim only serves perfbench/
+    assert method_calls(ast.parse(path.read_text()), "as_hypergraph") == []

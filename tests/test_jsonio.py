@@ -71,7 +71,7 @@ def test_unknown_shape_names_all_three(data):
 
 def test_kind_hypergraph_accepts_partite_as_its_4_graph():
     pg = extremal_partite(6)
-    assert load_instance(pg.to_dict(), kind=Hypergraph) == pg.as_hypergraph()
+    assert load_instance(pg.to_dict(), kind=Hypergraph) == pg
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ def masks_of(graph):
 
 
 def test_exact_cover_refutes_tight_partite():
-    h = extremal_partite(9).as_hypergraph()
+    h = extremal_partite(9)
     assert kernel.exact_cover(masks_of(h), h.n_vertices) == (kernel.NONE, None, 210)
 
 
@@ -63,7 +63,7 @@ def test_max_disjoint_edges_on_tight_graph(ell, picks, nodes):
 
 
 def test_exact_cover_finds_complete_partite():
-    h = complete_partite(6, 18).as_hypergraph()
+    h = complete_partite(6, 18)
     assert kernel.exact_cover(masks_of(h), h.n_vertices) == (
         kernel.FOUND,
         [0, 1177, 2228, 3180, 4060, 4895],

@@ -22,6 +22,7 @@ from rainbow_lab.fractional import (
 )
 from rainbow_lab.shift import (
     ContractViolation,
+    OrderedPartite,
     cover_closure,
     edge_precedes,
     extend_link_matching,
@@ -38,7 +39,7 @@ from rainbow_lab.solvers import (
     is_perfect_matching_of,
 )
 
-from _oracles import all_partite_four_sets, brute_is_stable
+from _oracles import all_partite_four_sets, brute_is_stable, reference_stable_shift
 
 
 def random_partite(rng, q, p, prob):
@@ -85,6 +86,9 @@ class TestEdgeOrder:
     def test_rejects_malformed(self):
         with pytest.raises(ValueError):
             edge_precedes((0, 1, 2, 3), (0, 2, 3, 4), self.order)  # two class ids
+        for outside in [(0, 2, 3, 99), (-1, 2, 3, 4)]:  # ids outside the graph
+            with pytest.raises(ValueError):
+                self.order.rank_key(outside)
 
     def test_partial_order_axioms(self):
         sets = [tuple(sorted(e)) for e in all_partite_four_sets(2, 4)]
@@ -143,7 +147,7 @@ class TestOrderByCover:
 
     def test_blockers_of_tight_instance_rank_last(self):
         pg = extremal_partite(6)
-        _, cover = min_fractional_cover(pg.as_hypergraph())
+        _, cover = min_fractional_cover(pg)
         order = order_by_cover(pg, cover)
         # the three blocking vertices carry all the cover weight
         assert set(order.p_order[-3:]) == {2, 3, 4}
@@ -178,7 +182,7 @@ class TestCoverClosure:
             q, p = rng.randint(1, 3), rng.randint(3, 9)
             if trial % 2:
                 pg = random_partite(rng, q, p, rng.uniform(0.1, 0.9))
-                _, cover = min_fractional_cover(pg.as_hypergraph())
+                _, cover = min_fractional_cover(pg)
             else:
                 cover = random_cover(rng, q + p)
                 pg = PartiteHypergraph(q, p, [
@@ -203,7 +207,7 @@ class TestCoverClosure:
         rng = random.Random(29)
         for _ in range(10):
             pg = random_partite(rng, 2, 6, rng.uniform(0.2, 0.8))
-            _, cover = min_fractional_cover(pg.as_hypergraph())
+            _, cover = min_fractional_cover(pg)
             order = order_by_cover(pg, cover)
             closed = cover_closure(pg, cover, order)
             assert set(pg.edges) <= set(closed.graph.edges)
@@ -229,7 +233,7 @@ class TestStableShift:
 
     def test_postconditions_on_tight_closure(self):
         pg = extremal_partite(6)
-        _, cover = min_fractional_cover(pg.as_hypergraph())
+        _, cover = min_fractional_cover(pg)
         order = order_by_cover(pg, cover)
         closure = cover_closure(pg, cover, order)
         shifted, trace = stable_shift(closure, threshold=10)
@@ -242,10 +246,44 @@ class TestStableShift:
             for a, b in combinations(e[1:], 2):
                 assert flat.degree((u, a)) + flat.degree((u, b)) > 10
 
+    def test_matches_reference_shift(self):
+        # Closures of random covers.  A pair-degree sum is at most
+        # (p - 1)(p - 2), so thresholds up to 3p^2 mostly delete every
+        # edge; three trials in four stay where the shift can stop early.
+        rng = random.Random(47)
+        for trial in range(300):
+            q = rng.randint(1, 3)
+            p = 3 * q + rng.randint(0, 3)
+            pg = PartiteHypergraph(q, p, [])
+            cover = random_cover(rng, q + p)
+            closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+            top = 3 * p * p if trial % 4 == 0 else (p - 1) * (p - 2)
+            threshold = rng.randint(0, top)
+            shifted, trace = stable_shift(closure, threshold)
+            want, want_trace = reference_stable_shift(closure, threshold)
+            assert shifted.graph.edges == want.graph.edges
+            assert trace == want_trace
+
+    def test_ranks_each_edge_once(self, monkeypatch):
+        pg = extremal_partite(9)
+        _, cover = min_fractional_cover(pg)
+        closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+        calls = []
+        rank_key = OrderedPartite.rank_key
+
+        def counting_rank_key(self, edge):
+            calls.append(edge)
+            return rank_key(self, edge)
+
+        monkeypatch.setattr(OrderedPartite, "rank_key", counting_rank_key)
+        _, trace = stable_shift(closure, threshold=35)
+        assert len(trace.steps) > 1
+        assert len(calls) == closure.graph.n_edges
+
     def test_removals_deterministic(self):
         rng = random.Random(31)
         pg = random_partite(rng, 3, 9, 0.6)
-        _, cover = min_fractional_cover(pg.as_hypergraph())
+        _, cover = min_fractional_cover(pg)
         order = order_by_cover(pg, cover)
         closure = cover_closure(pg, cover, order)
         first = stable_shift(closure, threshold=25)
@@ -262,7 +300,7 @@ class TestExtension:
         assert found
         mapped = [tuple(sorted(ids[v] for v in e)) for e in link_pm.edges]
         pm = extend_link_matching(order, mapped)
-        assert is_perfect_matching_of(pg.as_hypergraph(), pm.edges)
+        assert is_perfect_matching_of(pg, pm.edges)
 
     def test_unstable_graph_raises_contract_error(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4), (0, 5, 6, 7)])
@@ -279,14 +317,12 @@ class TestPipeline:
     def test_complete_graph_found(self):
         res = fractional_pm_pipeline(complete_partite(3, 9))
         assert res.found and res.containment_ok and res.value_check
-        assert is_perfect_matching_of(
-            res.shifted.graph.as_hypergraph(), res.matching.edges
-        )
+        assert is_perfect_matching_of(res.shifted.graph, res.matching.edges)
 
     def test_tight_instance_not_found(self):
         res = fractional_pm_pipeline(extremal_partite(6))
         assert not res.found
-        value, _ = max_fractional_matching(extremal_partite(6).as_hypergraph())
+        value, _ = max_fractional_matching(extremal_partite(6))
         assert value < 2
 
     def test_unbalanced_rejected(self):
@@ -340,10 +376,8 @@ class TestPipeline:
             if not res.containment_ok:
                 continue
             checked += 1
-            nu_in, _ = max_fractional_matching(pg.as_hypergraph())
-            nu_out, _ = max_fractional_matching(
-                res.shifted.graph.as_hypergraph()
-            )
+            nu_in, _ = max_fractional_matching(pg)
+            nu_out, _ = max_fractional_matching(res.shifted.graph)
             assert nu_in == nu_out
             if res.found:
                 assert res.value_check
@@ -359,7 +393,7 @@ class TestPipeline:
         contained = 0
         for _ in range(20):
             pg = random_partite(rng, 2, 6, rng.uniform(0.25, 0.7))
-            _, cover = min_fractional_cover(pg.as_hypergraph())
+            _, cover = min_fractional_cover(pg)
             order = order_by_cover(pg, cover)
             closure = cover_closure(pg, cover, order)
             threshold = 10
@@ -367,7 +401,7 @@ class TestPipeline:
             if not set(pg.edges) <= set(shifted.graph.edges):
                 continue
             contained += 1
-            nu_in, _ = max_fractional_matching(pg.as_hypergraph())
+            nu_in, _ = max_fractional_matching(pg)
             working = set(closure.graph.edges)
             for step in trace.steps:
                 doomed = set()
@@ -385,11 +419,9 @@ class TestPipeline:
                     pg.q_size, pg.p_size, sorted(working)
                 )
                 assert set(pg.edges) <= set(stage.edges)
-                nu_stage, _ = max_fractional_matching(stage.as_hypergraph())
+                nu_stage, _ = max_fractional_matching(stage)
                 assert nu_stage == nu_in
-            nu_end, _ = max_fractional_matching(
-                shifted.graph.as_hypergraph()
-            )
+            nu_end, _ = max_fractional_matching(shifted.graph)
             assert nu_end == nu_in
         assert contained  # the sweep must hit the preservation branch
 
@@ -399,8 +431,8 @@ class TestPipeline:
         exercised = 0
         for _ in range(10):
             pg = random_partite(rng, 2, 6, rng.uniform(0.2, 0.6))
-            nu_in, _ = max_fractional_matching(pg.as_hypergraph())
-            _, cover = min_fractional_cover(pg.as_hypergraph())
+            nu_in, _ = max_fractional_matching(pg)
+            _, cover = min_fractional_cover(pg)
             order = order_by_cover(pg, cover)
             closure = cover_closure(pg, cover, order)
             slack = sorted(set(closure.graph.edges) - set(pg.edges))
@@ -411,7 +443,7 @@ class TestPipeline:
                 stage = PartiteHypergraph(
                     pg.q_size, pg.p_size, sorted(set(pg.edges) | set(keep))
                 )
-                nu_stage, _ = max_fractional_matching(stage.as_hypergraph())
+                nu_stage, _ = max_fractional_matching(stage)
                 assert nu_stage == nu_in
                 exercised += 1
         assert exercised
