@@ -70,6 +70,21 @@ class PartiteHypergraph(Hypergraph):
         object.__setattr__(self, "q_size", q_size)
         object.__setattr__(self, "p_size", p_size)
 
+    @classmethod
+    def _trusted(
+        cls, q_size: int, p_size: int, edges: Iterable[tuple[int, ...]]
+    ) -> "PartiteHypergraph":
+        """The graph on edges already canonical, sorted, distinct, partite
+        and in range, as those of another partite graph are; nothing is
+        re-checked."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "k", 4)
+        object.__setattr__(graph, "n_vertices", q_size + p_size)
+        object.__setattr__(graph, "edges", tuple(edges))
+        object.__setattr__(graph, "q_size", q_size)
+        object.__setattr__(graph, "p_size", p_size)
+        return graph
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Hypergraph):
             return NotImplemented

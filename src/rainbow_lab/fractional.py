@@ -14,8 +14,18 @@ The simplex is revised (Azulay and Pique, ACM TOMS 27(3), 2001): of
 the n x (m + n + 1) tableau it keeps only the n x (n + 1) block
 ``den * B^-1 | den * rhs`` and the n + 1 slack reduced costs.  Each of
 the m edge columns has k ones, so its column and its reduced cost are
-sums over its k vertices, formed only when the edge is priced; a pivot
-costs O(n^2) plus the pricing scan, instead of O(n * m).
+sums over its k vertices: every edge is priced at each pivot in O(k * m)
+integer additions, and only the entering edge's column is formed, so a
+pivot costs O(n^2 + k * m) instead of O(n * m).
+
+Pivots follow Dantzig's rule, the largest reduced cost enters, with
+the lexicographic ratio test of Dantzig, Orden and Wolfe (Pacific J.
+Math. 5, 1955): the leaving row is the lexicographic minimum of
+``(rhs, B^-1 row) / entry``.  The slack basis starts every such vector
+lexicographically positive, so no basis repeats and the method
+terminates without Bland's smallest-index rule (Math. Oper. Res. 2(2),
+1977), in far fewer pivots on the degenerate covers of the extremal
+graphs.
 
 Both certificates come from the final state: the basic edge rows give
 the matching, and the negated reduced costs of the vertex slacks give
@@ -23,9 +33,9 @@ the cover (the LP dual).  Their optimality is not taken on trust:
 callers check that the matching and the cover are feasible and that
 their values agree, which by weak duality proves both optimal.
 
-Optimal faces are generally not singletons: ties are broken by Bland's
-smallest-index rule, and callers should assert values and certificate
-feasibility, never specific weights.
+Optimal faces are generally not singletons, and which optimal vertex
+the pivot rule reaches is an accident of that rule: callers should
+assert values and certificate feasibility, never specific weights.
 """
 
 from __future__ import annotations
@@ -33,6 +43,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Optional
 
 from .hypergraph import Hypergraph
@@ -105,12 +116,17 @@ def _solve(
     computed when it is priced and never stored.  A basic edge prices to
     0, so the basis needs no membership set.
 
-    Bland's rule scans the edges, then the slacks, and enters the first
-    positive reduced cost; the leaving row minimizes rhs/entry, ties to
-    the smaller basic index.  That is the pivot path of the dense
-    tableau, with the same integers.  ``den`` stays positive because
-    every pivot element is, so signs of stored ints are signs of the
-    true entries and ratios compare by cross-multiplication.
+    Every edge, then every slack, is priced; the largest positive
+    reduced cost enters, ties to the lowest column.  All stored ints
+    share the factor ``den``, so they compare as they are.  The leaving
+    row is the lexicographic minimum of ``(rhs, den * B^-1 row) / entry``
+    over the positive entries: rhs ratios first, then the B^-1 entries
+    in column order only on a tie.  B^-1 is nonsingular, so no two rows
+    are proportional and the minimum is unique.  That is the pivot path
+    of the dense tableau under the same rule, with the same integers.
+    ``den`` stays positive because every pivot element is, so signs of
+    stored ints are signs of the true entries and ratios compare by
+    cross-multiplication.
     """
     deadline = _deadline(timeout)
     edges = graph.edges
@@ -120,24 +136,23 @@ def _solve(
     cbar = [0] * (n + 1)  # den * (-y), then -den * objective
     basis = [m + v for v in range(n)]
     den = 1
+    ends = list(zip(*edges))  # ends[i][j] is vertex i of edge j
     while True:
-        enter = None
-        for j, e in enumerate(edges):
-            f = den
-            for v in e:
-                f += cbar[v]
-            if f > 0:
-                enter = j
-                col = [sum([row[v] for v in e]) for row in rows]
-                break
+        price = [den] * m
+        for end in ends:
+            price = list(map(add, price, map(cbar.__getitem__, end)))
+        f = max(price, default=0)
+        slack = max(cbar[:n], default=0)
+        if slack > f:
+            f = slack
+            v = cbar.index(slack)
+            enter = m + v
+            col = [row[v] for row in rows]
+        elif f > 0:
+            enter = price.index(f)
+            e = edges[enter]
+            col = [sum([row[v] for v in e]) for row in rows]
         else:
-            for v in range(n):
-                f = cbar[v]
-                if f > 0:
-                    enter = m + v
-                    col = [row[v] for row in rows]
-                    break
-        if enter is None:
             break
         if deadline and time.monotonic() > deadline:
             raise SolverTimeout("fractional LP exceeded its deadline")
@@ -147,9 +162,14 @@ def _solve(
                 if leave is None:
                     leave = i
                     continue
-                lhs = rows[i][-1] * col[leave]
-                rhs = rows[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                row, low, b = rows[i], rows[leave], col[leave]
+                lhs, rhs = row[-1] * b, low[-1] * a
+                if lhs == rhs:
+                    for x, y in zip(row, low):
+                        lhs, rhs = x * b, y * a
+                        if lhs != rhs:
+                            break
+                if lhs < rhs:
                     leave = i
         if leave is None:
             raise ArithmeticError("LP unbounded; malformed instance")

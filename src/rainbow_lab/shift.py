@@ -145,7 +145,9 @@ def cover_closure(
 
     With ranks ascending in weight this edge set is upward closed, hence
     stable, and it contains every edge of the covered graph.  Weights are
-    compared as integer numerators over their common denominator.
+    compared as integer numerators over their common denominator.  The
+    edges are generated in canonical sorted order, so the graph is built
+    without re-validation.
     """
     w = cover.weights
     den = lcm(*(x.denominator for x in w.values()))
@@ -163,7 +165,7 @@ def cover_closure(
     for u in graph.q_vertices():
         need = den - at[u]
         edges.extend((u,) + trio for trio, total in trios if total >= need)
-    closed = PartiteHypergraph(graph.q_size, graph.p_size, edges)
+    closed = PartiteHypergraph._trusted(graph.q_size, graph.p_size, edges)
     return order.with_graph(closed)
 
 
@@ -214,7 +216,9 @@ def stable_shift(
     surviving edges to the edges, and ``through[i, a, b]`` buckets those
     keys by triple (class rank i, other-class ranks a < b): a triple
     spans an edge while its bucket is non-empty, and the bucket of the
-    selected triple is exactly the edges a round deletes.
+    selected triple is exactly the edges a round deletes.  The survivors
+    are edges of the validated input, so the result is built without
+    re-validation.
     """
     g = start.graph
     edge_of = {start.rank_key(e): e for e in g.edges}
@@ -246,7 +250,7 @@ def stable_shift(
         steps.append(ShiftStep(i, j, k, removed=len(doomed)))
 
     shifted = start.with_graph(
-        PartiteHypergraph(g.q_size, g.p_size, sorted(edge_of.values()))
+        PartiteHypergraph._trusted(g.q_size, g.p_size, sorted(edge_of.values()))
     )
     stable = _upward_closed(edge_of, g.q_size, g.p_size)
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)

@@ -268,10 +268,13 @@ def scalar_exact_cover(
 # -- Reference LP tableau -------------------------------------------------------
 #
 # The dense fraction-free simplex that ``rainbow_lab.fractional._solve``
-# replaced with its revised form, kept verbatim: it updates all m edge
-# columns of the tableau at every pivot.  ``tests/test_fractional.py``
-# requires the revised solve to return exactly its value, matching
-# weights and cover weights, so the pivot path cannot drift unseen.
+# replaced with its revised form: it updates all m edge columns of the
+# tableau at every pivot.  It follows the same pivot rule as the solve
+# (Dantzig pricing, lexicographic ratio test), with the ratios compared
+# as Fractions rather than by cross-multiplication.
+# ``tests/test_fractional.py`` requires the revised solve to return
+# exactly its value, matching weights and cover weights, so the pivot
+# path cannot drift unseen.
 
 def dense_solve(
     graph: Hypergraph, timeout: Optional[float]
@@ -279,10 +282,10 @@ def dense_solve(
     """Optimal value, matching and cover of the matching LP.
 
     Columns are the m edges, then the n vertex slacks, then the rhs.
-    Bland's rule picks the entering column; the leaving row minimizes
-    rhs/entry, ties to the smaller basic index.  ``den`` stays positive
-    because every pivot element is, so signs of stored ints are signs of
-    the true entries and ratios compare by cross-multiplication.
+    The largest positive reduced cost enters, ties to the lowest column;
+    the leaving row is the lexicographic minimum of (rhs, slack block)
+    over the entry.  ``den`` stays positive because every pivot element
+    is, so signs of stored ints are signs of the true entries.
     """
     deadline = _deadline(timeout)
     edges = graph.edges
@@ -302,24 +305,21 @@ def dense_solve(
     den = 1
     ncols = m + n
     while True:
-        enter = next((j for j in range(ncols) if cbar[j] > 0), None)
-        if enter is None:
+        best = max(cbar[:ncols], default=0)
+        if best <= 0:
             break
+        enter = cbar.index(best)
         if deadline and time.monotonic() > deadline:
             raise SolverTimeout("fractional LP exceeded its deadline")
-        leave = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                lhs = row[-1] * rows[leave][enter]
-                rhs = rows[leave][-1] * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave is None:
+        candidates = [i for i, row in enumerate(rows) if row[enter] > 0]
+        if not candidates:
             raise ArithmeticError("LP unbounded; malformed instance")
+        leave = min(
+            candidates,
+            key=lambda i: [
+                Fraction(x, rows[i][enter]) for x in [rows[i][-1]] + rows[i][m:-1]
+            ],
+        )
         prow = rows[leave]
         piv = prow[enter]
         for i, row in enumerate(rows):

@@ -268,7 +268,7 @@ GOLDEN = {
     ),
     'frac nu-star partite': (
         0,
-        '{"value": "2/1", "weights": [{"edge": [0, 5, 6, 7], "weight": "1/1"}, {"edge": [1, 2, 3, 4], "weight": "1/1"}]}\n',
+        '{"value": "2/1", "weights": [{"edge": [0, 2, 6, 7], "weight": "1/2"}, {"edge": [0, 3, 4, 5], "weight": "1/2"}, {"edge": [1, 2, 3, 4], "weight": "1/2"}, {"edge": [1, 5, 6, 7], "weight": "1/2"}]}\n',
     ),
     'frac nu-star unknown': (
         2,
@@ -312,7 +312,7 @@ GOLDEN = {
     ),
     'shift pipeline none': (
         1,
-        '{"containment": true, "cover_value": "1/1", "edges_removed": 0, "found": false, "matching": null, "stable": true, "value_check": null}\n',
+        '{"containment": false, "cover_value": "1/1", "edges_removed": 20, "found": false, "matching": null, "stable": true, "value_check": null}\n',
     ),
     'shift pipeline unknown': (
         2,

@@ -33,7 +33,7 @@ def test_shift_suite_digest():
     report = run_shift_suite(ExperimentConfig(seed=0, trials=7))
     assert report.aggregate == "pass"
     assert report.digest() == (
-        "72dd86445ded88cbce0f4494be25bf01974fc7ff65a13c3686578fd1b204c8f8"
+        "4b100f346c83381d489c34548c7a1523763c3e27870fbe20fbc82a11343fb059"
     )
 
 

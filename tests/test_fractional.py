@@ -126,12 +126,31 @@ class TestDuality:
 
 class TestTightPartite:
     def test_eighteen_vertex_family(self):
-        # 838 Bland pivots on 24 rows: 4-8 s with the dense tableau on a
-        # shared 2-CPU box, under 0.5 s revised
+        # 56 pivots on 24 rows (test_pivot_count): well inside 5 s even
+        # on a shared 2-CPU box
         h = extremal_partite(18)
         value, fc = min_fractional_cover(h, timeout=5.0)
         assert value == Fraction(11, 2)
         assert fc.is_feasible(h) and fc.value() == value
+
+    # Pivot counts are deterministic, so they gate where wall time
+    # cannot; n = 18 must stay within 100.
+    @pytest.mark.parametrize("n, pivots", [(9, 19), (12, 25), (15, 35), (18, 56)])
+    def test_pivot_count(self, n, pivots, monkeypatch):
+        # each pivot updates the n_vertices - 1 other rows and the cost
+        # row, one _bareiss call each
+        calls = []
+        bareiss = fractional._bareiss
+
+        def counting_bareiss(*args):
+            calls.append(None)
+            return bareiss(*args)
+
+        monkeypatch.setattr(fractional, "_bareiss", counting_bareiss)
+        h = extremal_partite(n)
+        fractional._solve(h, None)
+        assert len(calls) == pivots * h.n_vertices
+        assert pivots <= 100
 
 
 class TestCertificates:

@@ -281,14 +281,38 @@ class TestStableShift:
         assert len(calls) == closure.graph.n_edges
 
     def test_removals_deterministic(self):
-        rng = random.Random(31)
-        pg = random_partite(rng, 3, 9, 0.6)
-        _, cover = min_fractional_cover(pg)
-        order = order_by_cover(pg, cover)
-        closure = cover_closure(pg, cover, order)
-        first = stable_shift(closure, threshold=25)
-        second = stable_shift(closure, threshold=25)
+        # class weights 0, 1/4, 1/2 and four of the nine P-vertices at
+        # 1/2: at threshold 30 the shift deletes some edges, not all
+        weights = {0: Fraction(0), 1: Fraction(1, 4), 2: Fraction(1, 2)}
+        weights.update({v: Fraction(1, 2) if v < 7 else Fraction(0) for v in range(3, 12)})
+        pg = PartiteHypergraph(3, 9, [])
+        cover = FractionalCover(weights=weights)
+        closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+        first = stable_shift(closure, threshold=30)
+        second = stable_shift(closure, threshold=30)
+        assert 0 < first[1].edges_removed < closure.graph.n_edges
         assert first == second
+        assert first == reference_stable_shift(closure, 30)
+
+    def test_trusted_graphs_equal_validated(self):
+        # closure and shift build their graphs without re-validating
+        # the edges; the validating constructor must agree on each
+        rng = random.Random(47)
+        for trial in range(100):
+            q = rng.randint(1, 3)
+            p = 3 * q + rng.randint(0, 3)
+            if trial % 2:
+                pg = random_partite(rng, q, p, rng.uniform(0.1, 0.9))
+                _, cover = min_fractional_cover(pg)
+            else:
+                pg = PartiteHypergraph(q, p, [])
+                cover = random_cover(rng, q + p)
+            closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+            shifted, _ = stable_shift(closure, rng.randint(0, (p - 1) * (p - 2)))
+            for graph in (closure.graph, shifted.graph):
+                validated = PartiteHypergraph(q, p, graph.edges)
+                assert graph == validated and hash(graph) == hash(validated)
+                assert type(graph.edges) is tuple
 
 
 class TestExtension:
@@ -353,7 +377,7 @@ class TestPipeline:
         assert res.value_check is (True if res.found else None)
 
     def test_shift_suite_lp_solves(self, monkeypatch):
-        # 7 pipeline cover LPs plus nu* of the shifted graph on the 4 rows
+        # 7 pipeline cover LPs plus nu* of the shifted graph on the 3 rows
         # with q <= 3 and containment; nu* of the input is the cover's value
         calls = []
         solve = fractional._solve
@@ -365,7 +389,25 @@ class TestPipeline:
         monkeypatch.setattr(fractional, "_solve", counting_solve)
         report = run_shift_suite(ExperimentConfig(seed=0, trials=7))
         assert report.aggregate == "pass"
-        assert len(calls) == 11
+        assert len(calls) == 10
+
+    def test_found_matchings_are_perfect(self):
+        # holds under any optimal cover, so under any pivot rule
+        rng = random.Random(53)
+        found = contained = 0
+        for trial in range(120):
+            q = 2 + trial % 2
+            pg = random_partite(rng, q, 3 * q, rng.uniform(0.1, 0.9))
+            res = fractional_pm_pipeline(pg)
+            if not res.found:
+                continue
+            found += 1
+            assert is_perfect_matching_of(res.shifted.graph, res.matching.edges)
+            if res.containment_ok:
+                contained += 1
+                assert res.value_check is True
+                assert res.cover_value == q
+        assert found and contained  # the sweep must reach both branches
 
     def test_value_preserved_when_contained(self):
         rng = random.Random(37)
