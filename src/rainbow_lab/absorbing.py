@@ -64,7 +64,7 @@ class BalancedSet:
     def from_vertices(
         cls, vertices: Iterable[int], graph: PartiteHypergraph
     ) -> "BalancedSet":
-        vs = sorted(set(vertices))
+        vs = _vertex_set(vertices, graph)
         q = tuple(v for v in vs if v < graph.q_size)
         p = tuple(v for v in vs if v >= graph.q_size)
         return cls(q_part=q, p_part=p)
@@ -120,11 +120,8 @@ def _induced_pm(
     found, pm = has_perfect_matching(sub, timeout=timeout)
     if not found or pm is None:
         return None
-    return Matching(
-        edges=tuple(
-            sorted(tuple(sorted(ids[v] for v in e)) for e in pm.edges)
-        )
-    )
+    # The relabel is monotone, so the sorted matching stays sorted.
+    return Matching(edges=tuple(tuple(ids[v] for v in e) for e in pm.edges))
 
 
 def is_absorbing(

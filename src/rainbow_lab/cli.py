@@ -9,7 +9,9 @@ unexpected error prints its traceback on stderr and exits 4.
 
 Each verb prints its answer through ``_outcome``.  A timeout or spent
 budget anywhere below a verb is caught once, in ``main``, which prints
-the ``unknown`` payload the verb declares next to its ``func``.
+the ``unknown`` payload the verb declares next to its ``func``.  In
+``shift pipeline`` the payload's ``found`` reports the construction,
+while the exit code reports whether tau* = q (the cover LP optimum).
 """
 
 from __future__ import annotations
@@ -210,7 +212,7 @@ def _cmd_shift(args) -> int:
         "value_check": res.value_check,
         "matching": matching_obj(res.matching),
     }
-    return _outcome(res.found, payload)
+    return _outcome(res.cover_value == graph.q_size, payload)
 
 
 def _cmd_absorb(args) -> int:

@@ -74,13 +74,9 @@ class PartiteHypergraph(Hypergraph):
     def _trusted(
         cls, q_size: int, p_size: int, edges: Iterable[tuple[int, ...]]
     ) -> "PartiteHypergraph":
-        """The graph on edges already canonical, sorted, distinct, partite
-        and in range, as those of another partite graph are; nothing is
-        re-checked."""
-        graph = object.__new__(cls)
-        object.__setattr__(graph, "k", 4)
-        object.__setattr__(graph, "n_vertices", q_size + p_size)
-        object.__setattr__(graph, "edges", tuple(edges))
+        """``Hypergraph._trusted`` with k = 4; the caller also guarantees
+        that ``e[0]`` is each edge's only class vertex."""
+        graph = super()._trusted(4, q_size + p_size, edges)
         object.__setattr__(graph, "q_size", q_size)
         object.__setattr__(graph, "p_size", p_size)
         return graph
@@ -173,12 +169,11 @@ def family_to_partite(family: HypergraphFamily) -> PartiteHypergraph:
     P = [t, t+n), shifted by t.
     """
     t = len(family.members)
-    n = family.n_vertices
     edges = []
     for i, member in enumerate(family.members):
         for e in member.edges:
             edges.append((i,) + tuple(v + t for v in e))
-    return PartiteHypergraph(t, n, edges)
+    return PartiteHypergraph._trusted(t, family.n_vertices, edges)
 
 
 def partite_to_family(graph: PartiteHypergraph) -> HypergraphFamily:
@@ -193,7 +188,7 @@ def partite_to_family(graph: PartiteHypergraph) -> HypergraphFamily:
         u = e[0]
         buckets[u].append(tuple(v - q for v in e[1:]))
     members = tuple(
-        Hypergraph(3, graph.p_size, bucket) for bucket in buckets
+        Hypergraph._trusted(3, graph.p_size, bucket) for bucket in buckets
     )
     return HypergraphFamily(n_vertices=graph.p_size, members=members)
 

@@ -422,13 +422,9 @@ def absorb_scenario(
     rest = sorted(set(range(graph.n_vertices)) - reserved)
     sub, ids = graph.induced(rest)
     m1 = max_matching(sub, timeout=timeout)
-    m1_edges = tuple(
-        sorted(tuple(sorted(ids[v] for v in e)) for e in m1.edges)
-    )
+    m1_edges = tuple(tuple(ids[v] for v in e) for e in m1.edges)
     covered = {v for e in m1_edges for v in e}
-    leftover = BalancedSet.from_vertices(
-        sorted(set(rest) - covered), graph
-    )
+    leftover = BalancedSet.from_vertices(set(rest) - covered, graph)
     absorbed = absorb(pool, leftover, graph, timeout=timeout)
     combined = Matching(edges=tuple(sorted(m1_edges + absorbed.edges)))
     if not is_perfect_matching_of(graph, combined.edges):

@@ -5,6 +5,10 @@ strictly increasing tuples and the edge list is kept sorted
 lexicographically, so equal hypergraphs have identical in-memory and
 serialized representations.  Instances are immutable after construction
 and safe to share between threads.
+
+Constructors validate every edge; a graph derived from validated ones
+(induced subgraphs, the family reduction, closures and shifts) is built
+by the private ``_trusted``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -71,6 +75,20 @@ class Hypergraph:
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "n_vertices", n_vertices)
         object.__setattr__(self, "edges", tuple(canon))
+
+    @classmethod
+    def _trusted(
+        cls, k: int, n_vertices: int, edges: Iterable[tuple[int, ...]]
+    ) -> "Hypergraph":
+        """The graph on edges the caller guarantees valid, unchecked:
+        each edge strictly increasing, of size k and in [0, n_vertices),
+        and the edge sequence strictly increasing (true of a monotone
+        relabeling of some edges of a validated graph)."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "k", k)
+        object.__setattr__(graph, "n_vertices", n_vertices)
+        object.__setattr__(graph, "edges", tuple(edges))
+        return graph
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("Hypergraph is immutable")
@@ -191,7 +209,7 @@ class Hypergraph:
             for e in self.edges
             if keep_set.issuperset(e)
         ]
-        return Hypergraph(self.k, len(keep), edges), keep
+        return Hypergraph._trusted(self.k, len(keep), edges), keep
 
     # -- serialization ----------------------------------------------------
 

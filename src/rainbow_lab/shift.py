@@ -21,9 +21,8 @@ from itertools import combinations
 from math import lcm
 from typing import Optional, Sequence
 
-from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
+from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum, partite_to_family
 from .fractional import FractionalCover, min_fractional_cover
-from .hypergraph import Hypergraph
 from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
 
 Edge = tuple[int, ...]
@@ -256,22 +255,6 @@ def stable_shift(
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 
-def link_of_lowest(order: OrderedPartite) -> tuple[Hypergraph, tuple[int, ...]]:
-    """3-graph of edge remainders over the rank-0 class vertex.
-
-    Returned on vertex set 0..p-1 together with the id map back into the
-    partite graph (position i holds the original id).
-    """
-    g = order.graph
-    u1 = order.q_order[0]
-    ids = tuple(g.p_vertices())
-    shift = g.q_size
-    remainders = [
-        tuple(v - shift for v in e if v != u1) for e in g.edges if u1 in e
-    ]
-    return Hypergraph(3, g.p_size, remainders), ids
-
-
 def extend_link_matching(
     order: OrderedPartite, link_pm: Sequence[Edge]
 ) -> Matching:
@@ -333,6 +316,11 @@ def fractional_pm_pipeline(
     number of the input must equal the class size; ``value_check``
     records that cross-check against the optimum of the cover LP, whose
     value equals the fractional matching number by LP duality.
+
+    ``found`` reports the construction only.  When the shift deletes
+    input edges, the link can lack a perfect matching although tau* = q,
+    so ``found`` false does not prove tau* < q; ``cover_value`` decides.
+    A found construction implies tau* = q, since tau* <= q always holds.
     """
     if not graph.balanced:
         raise ValueError("pipeline needs a balanced partite graph")
@@ -348,10 +336,10 @@ def fractional_pm_pipeline(
         found = True
         matching = Matching(edges=())
     else:
-        link, ids = link_of_lowest(shifted)
+        link = partite_to_family(shifted.graph).members[shifted.q_order[0]]
         found, link_pm = has_perfect_matching(link, timeout=timeout)
         if found and link_pm is not None:
-            mapped = [tuple(sorted(ids[v] for v in e)) for e in link_pm.edges]
+            mapped = [tuple(v + graph.q_size for v in e) for e in link_pm.edges]
             matching = extend_link_matching(shifted, mapped)
 
     value_check = None

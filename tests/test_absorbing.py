@@ -62,6 +62,11 @@ class TestBalanced:
         with pytest.raises(ValueError):
             BalancedSet(q_part=(0, 1), p_part=(2, 3, 4))
 
+    @pytest.mark.parametrize("vertices", [[0, 2, 2, 3, 4], [0, 2, 3, 99]])
+    def test_from_vertices_rejects_bad_ids(self, vertices):
+        with pytest.raises(ValueError):
+            BalancedSet.from_vertices(vertices, complete_partite(2, 6))
+
 
 class TestIsAbsorbing:
     def test_complete_graph_always_absorbs(self):

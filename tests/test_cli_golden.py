@@ -32,6 +32,17 @@ RAINBOW = HypergraphFamily(6, (complete_hypergraph(3, 6),) * 2).to_json()
 NO_RAINBOW = HypergraphFamily(6, (Hypergraph(3, 6, [(0, 1, 2)]),) * 2).to_json()
 PARTITE = complete_partite(2, 6).to_json()
 NO_PARTITE = PartiteHypergraph(2, 6, [(0, 2, 3, 4)]).to_json()
+# tau* = q, but the shift deletes input edges and the lowest link has no
+# perfect matching: the construction fails and the answer is still found.
+SHIFT_LOST = json.dumps({
+    "q": 3,
+    "p": 9,
+    "edges": [
+        [0, 4, 7, 11], [0, 5, 8, 10], [1, 3, 5, 7], [1, 4, 5, 10], [1, 4, 5, 11],
+        [1, 4, 8, 9], [1, 6, 7, 9], [1, 8, 9, 10], [2, 3, 4, 7], [2, 3, 4, 11],
+        [2, 4, 7, 11], [2, 4, 8, 10], [2, 4, 8, 11], [2, 5, 7, 9], [2, 7, 8, 11],
+    ],
+})
 
 # 28 vertices: the smallest partite graph a gadget fits in.
 DENSE = complete_partite(7, 21)
@@ -112,6 +123,7 @@ CASES = [
     Case("shift run", ["shift", "run", "--threshold", "12"], PARTITE),
     Case("shift pipeline found", ["shift", "pipeline"], PARTITE),
     Case("shift pipeline none", ["shift", "pipeline"], NO_PARTITE),
+    Case("shift pipeline found without construction", ["shift", "pipeline"], SHIFT_LOST),
     Case(
         "shift pipeline unknown",
         ["--timeout", "1e-9", "shift", "pipeline"],
@@ -313,6 +325,10 @@ GOLDEN = {
     'shift pipeline none': (
         1,
         '{"containment": false, "cover_value": "1/1", "edges_removed": 20, "found": false, "matching": null, "stable": true, "value_check": null}\n',
+    ),
+    'shift pipeline found without construction': (
+        0,
+        '{"containment": false, "cover_value": "3/1", "edges_removed": 171, "found": false, "matching": null, "stable": true, "value_check": null}\n',
     ),
     'shift pipeline unknown': (
         2,

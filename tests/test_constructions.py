@@ -19,8 +19,10 @@ from rainbow_lab.constructions import (
     family_to_partite,
     partite_to_family,
 )
+from rainbow_lab.experiments import random_family, random_hypergraph
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.jsonio import load_instance
+from rainbow_lab.shift import fractional_pm_pipeline
 from rainbow_lab.solvers import max_matching
 
 from _oracles import brute_max_matching_size
@@ -224,3 +226,57 @@ class TestPartiteType:
     def test_round_trip_json(self):
         pg = extremal_partite(6)
         assert load_instance(json.loads(pg.to_json())) == pg
+
+
+class TestTrustedEqualsValidated:
+    """Graphs derived without re-validation equal their validated twins."""
+
+    @staticmethod
+    def assert_same(graph, validated):
+        assert type(graph) is type(validated)
+        assert graph == validated and hash(graph) == hash(validated)
+        assert type(graph.edges) is tuple
+
+    def test_induced_subgraphs(self):
+        rng = random.Random(12)
+        for _ in range(60):
+            n = rng.randint(0, 9)
+            graph = random_hypergraph(rng, n, rng.uniform(0.1, 0.9), rng.randint(2, 4))
+            if rng.random() < 0.5:
+                q = rng.randint(1, 3)
+                graph = random_partite(rng, q, 3 * q + rng.randint(0, 2), rng.uniform(0.1, 0.9))
+            keep = rng.sample(range(graph.n_vertices), rng.randint(0, graph.n_vertices))
+            sub, ids = graph.induced(keep)
+            relabel = {v: i for i, v in enumerate(ids)}
+            kept = [
+                [relabel[v] for v in e] for e in graph.edges if set(e) <= set(keep)
+            ]
+            self.assert_same(sub, Hypergraph(graph.k, len(keep), kept))
+
+    def test_reduction_both_ways(self):
+        rng = random.Random(13)
+        for _ in range(30):
+            n = rng.randint(3, 8)
+            family = random_family(rng, n, rng.randint(0, 4), rng.uniform(0.1, 0.9))
+            pg = family_to_partite(family)
+            t = len(family)
+            edges = [
+                [i] + [v + t for v in e]
+                for i, member in enumerate(family.members)
+                for e in member.edges
+            ]
+            self.assert_same(pg, PartiteHypergraph(t, n, edges))
+            for i, member in enumerate(partite_to_family(pg).members):
+                link = [[v - t for v in e] for e in pg.link(i).edges]
+                self.assert_same(member, Hypergraph(3, n, link))
+
+    def test_pipeline_link(self):
+        rng = random.Random(14)
+        for _ in range(20):
+            q = rng.randint(1, 3)
+            pg = random_partite(rng, q, 3 * q, rng.uniform(0.1, 0.9))
+            shifted = fractional_pm_pipeline(pg).shifted
+            u = shifted.q_order[0]
+            link = partite_to_family(shifted.graph).members[u]
+            remainders = [[v - q for v in e] for e in shifted.graph.link(u).edges]
+            self.assert_same(link, Hypergraph(3, 3 * q, remainders))

@@ -124,6 +124,11 @@ class TestLink:
         h = Hypergraph(3, 5, [(1, 2, 3)])
         assert h.link(0).n_edges == 0
 
+    def test_link_of_a_2graph_is_rejected(self):
+        # a link is validated: a 1-graph is no hypergraph here
+        with pytest.raises(ValueError):
+            Hypergraph(2, 3, [(0, 1), (1, 2)]).link(1)
+
     def test_link_size_matches_degree(self):
         rng = random.Random(11)
         for _ in range(20):

@@ -13,6 +13,7 @@ from rainbow_lab.constructions import (
     PartiteHypergraph,
     complete_partite,
     extremal_partite,
+    partite_to_family,
 )
 from rainbow_lab.experiments import ExperimentConfig, run_shift_suite
 from rainbow_lab.fractional import (
@@ -29,7 +30,6 @@ from rainbow_lab.shift import (
     fractional_pm_pipeline,
     identity_order,
     is_stable,
-    link_of_lowest,
     order_by_cover,
     stable_shift,
 )
@@ -319,10 +319,10 @@ class TestExtension:
     def test_complete_graph_extends_any_link_pm(self):
         pg = complete_partite(3, 9)
         order = identity_order(pg)
-        link, ids = link_of_lowest(order)
+        link = partite_to_family(pg).members[order.q_order[0]]
         found, link_pm = has_perfect_matching(link)
         assert found
-        mapped = [tuple(sorted(ids[v] for v in e)) for e in link_pm.edges]
+        mapped = [tuple(v + pg.q_size for v in e) for e in link_pm.edges]
         pm = extend_link_matching(order, mapped)
         assert is_perfect_matching_of(pg, pm.edges)
 
