@@ -35,6 +35,7 @@ from .solvers import (
     Matching,
     RainbowMatching,
     SolverTimeout,
+    cover_refutation,
     has_perfect_matching,
     max_matching,
     partite_perfect_matching,
@@ -55,6 +56,7 @@ __all__ = [
     "SolverTimeout",
     "complete_hypergraph",
     "complete_partite",
+    "cover_refutation",
     "empty_hypergraph",
     "extremal_adjacent_degree_sum",
     "extremal_graph",

@@ -47,7 +47,7 @@ from operator import add
 from typing import Optional
 
 from .hypergraph import Hypergraph
-from .solvers import DEFAULT_TIMEOUT, SolverTimeout, _deadline
+from .kernel import DEFAULT_TIMEOUT, SolverTimeout, _deadline
 
 Edge = tuple[int, ...]
 

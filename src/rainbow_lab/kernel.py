@@ -26,6 +26,11 @@ is polled whenever the count passes a multiple of ``_DEADLINE_STRIDE``.
 Status codes: 0 = search completed (witness present for system/cover
 search, best-so-far is optimal for the max search), 1 = completed with
 no solution, 2 = node budget or deadline exhausted.
+
+The timeout contract shared by every solver and LP above the kernel
+lives here too, so that no layer imports another only for it: a
+``timeout`` in seconds (default 60 s) becomes a monotonic deadline, and
+a stage that passes it raises :class:`SolverTimeout`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ NONE = 1
 ABORTED = 2
 
 _DEADLINE_STRIDE = 4096
+
+DEFAULT_TIMEOUT = 60.0
+
+
+class SolverTimeout(RuntimeError):
+    """Search aborted before completion; existence is unknown."""
+
+
+def _deadline(timeout: Optional[float]) -> float:
+    """The monotonic time ``timeout`` seconds from now; 0.0 for none."""
+    return time.monotonic() + timeout if timeout else 0.0
 
 
 class _Abort(Exception):

@@ -1,29 +1,39 @@
 """Exact matching solvers: maximum, perfect, and rainbow matchings.
 
-All searches are exhaustive backtracking over canonically ordered edges
-with vertex-occupancy bitmasks, so results are deterministic: the same
-instance bytes always yield the same witness.  A wall-clock timeout
-(default 60 s) aborts a search with :class:`SolverTimeout`, which is an
-explicit "unknown" outcome, distinct from "no matching exists".
+Maximum and perfect matchings are exhaustive backtracking over
+canonically ordered edges with vertex-occupancy bitmasks, so results
+are deterministic: the same instance bytes always yield the same
+witness.  A rainbow matching is decided in three stages: a search probe
+bounded by the family's size, then, if the probe ran out of nodes, a
+fractional-cover certificate of ``none`` (:func:`cover_refutation`),
+and only then the full search.  The probe and the full search scan the
+same tree in the same order, so the witness is the full search's.
+
+``node_budget`` bounds the searches; the certificate spends no nodes.
+A wall-clock timeout (default 60 s) bounds every stage and aborts with
+:class:`SolverTimeout`, which is an explicit "unknown" outcome,
+distinct from "no matching exists".
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import kernel
-from .constructions import HypergraphFamily, PartiteHypergraph
+from .constructions import HypergraphFamily, PartiteHypergraph, family_to_partite
+from .fractional import FractionalCover, min_fractional_cover
 from .hypergraph import Hypergraph
+from .kernel import DEFAULT_TIMEOUT, SolverTimeout, _deadline
 
-DEFAULT_TIMEOUT = 60.0
+# Nodes per edge of the family that the rainbow probe may scan.  Found
+# instances finish within 7.5 per edge (random families, n = 9 to 24);
+# refutations of the tight families take about 1,400.
+PROBE_NODES_PER_EDGE = 16
 
 Edge = tuple[int, ...]
-
-
-class SolverTimeout(RuntimeError):
-    """Search aborted before completion; existence is unknown."""
 
 
 @dataclass(frozen=True)
@@ -77,10 +87,6 @@ def edge_mask(edge: Iterable[int]) -> int:
     for v in edge:
         mask |= 1 << v
     return mask
-
-
-def _deadline(timeout: Optional[float]) -> float:
-    return time.monotonic() + timeout if timeout else 0.0
 
 
 def is_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
@@ -156,19 +162,43 @@ def rainbow_matching(
 ) -> Optional[RainbowMatching]:
     """One edge per family member, pairwise disjoint, or None.
 
-    Backtracks over colors in index order and candidate edges in
-    canonical order, pruning any branch that starves a later color.
+    The search backtracks over colors in index order and candidate
+    edges in canonical order, pruning any branch that starves a later
+    color.  It runs first as a probe of ``PROBE_NODES_PER_EDGE`` nodes
+    per edge (or ``node_budget``, if smaller), which decides found
+    instances.  A probe that runs out of nodes hands the time left to
+    :func:`cover_refutation`, whose cover proves None; without one, the
+    search runs again in full.  ``node_budget`` bounds each search, not
+    the certificate, and ``timeout`` bounds all three stages.
+
     A family with more members than a third of its vertices has no
     room for disjoint triples and is answered without a search.
     """
     if 3 * len(family.members) > family.n_vertices:
         return None
+    deadline = _deadline(timeout)
     color_masks = [[edge_mask(e) for e in m.edges] for m in family.members]
-    status, picks, _ = kernel.rainbow_search(
-        color_masks,
-        node_budget=node_budget,
-        deadline=_deadline(timeout),
+    # At least 1: a budget of 0 would mean an unbounded probe.
+    probe = max(1, PROBE_NODES_PER_EDGE * sum(map(len, color_masks)))
+    if node_budget:
+        probe = min(probe, node_budget)
+    status, picks, nodes = kernel.rainbow_search(
+        color_masks, node_budget=probe, deadline=deadline
     )
+    # The kernel reports exactly ``probe`` nodes only when the budget,
+    # not the deadline, stopped it.
+    if status == kernel.ABORTED and nodes == probe:
+        left = None
+        if deadline:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise SolverTimeout("rainbow search exceeded its deadline")
+        if cover_refutation(family, timeout=left) is not None:
+            return None
+        if probe != node_budget:
+            status, picks, _ = kernel.rainbow_search(
+                color_masks, node_budget=node_budget, deadline=deadline
+            )
     if status == kernel.ABORTED:
         raise SolverTimeout("rainbow search exceeded its budget")
     if status == kernel.NONE:
@@ -177,6 +207,42 @@ def rainbow_matching(
         (c, family.members[c].edges[i]) for c, i in enumerate(picks)
     )
     return RainbowMatching(pairs=pairs)
+
+
+def cover_refutation(
+    family: HypergraphFamily,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
+) -> Optional[FractionalCover]:
+    """A fractional cover of value below t that proves no rainbow matching.
+
+    A rainbow matching of the t members is a matching of t edges in
+    ``family_to_partite(family)``, and no matching outgrows a fractional
+    cover, so a cover of value below t refutes it: the space barrier of
+    the paper's tight family.  Returns None when the optimal cover
+    value is at least t.
+
+    The cover is checked before it is returned, in integers and in one
+    pass over the edges: with L the common denominator of its weights
+    and y = L * weights, 0 <= y <= L, every edge sums to at least L, and
+    sum(y) < t * L.  A failed check raises :class:`AssertionError`; an
+    LP that outlasts ``timeout`` raises :class:`SolverTimeout`.
+    """
+    t = len(family.members)
+    graph = family_to_partite(family)
+    value, cover = min_fractional_cover(graph, timeout)
+    if value >= t:
+        return None
+    scale = lcm(*(w.denominator for w in cover.weights.values()))
+    y = [0] * graph.n_vertices
+    for v, w in cover.weights.items():
+        y[v] = w.numerator * (scale // w.denominator)
+    if not (
+        all(0 <= x <= scale for x in y)
+        and all(sum(map(y.__getitem__, e)) >= scale for e in graph.edges)
+        and sum(y) < t * scale
+    ):
+        raise AssertionError("fractional cover failed its integer check")
+    return cover
 
 
 def partite_perfect_matching(

@@ -20,7 +20,12 @@ from rainbow_lab.cli import (
     EXIT_UNKNOWN,
     main,
 )
-from rainbow_lab.constructions import PartiteHypergraph, complete_partite
+from rainbow_lab.constructions import (
+    HypergraphFamily,
+    PartiteHypergraph,
+    complete_partite,
+    extremal_graph,
+)
 from rainbow_lab.hypergraph import complete_hypergraph, empty_hypergraph
 
 INSTANCE = complete_hypergraph(3, 6).to_json()
@@ -291,6 +296,17 @@ def test_gadget_deadline_is_unknown(monkeypatch, capsys, tmp_path):
     assert time.monotonic() - start < 2.0
     assert code == EXIT_UNKNOWN
     assert json.loads(out) == {"found": "unknown"}
+
+
+def test_tight_rainbow_n18_is_none(monkeypatch, capsys):
+    # Its cover value is 11/2 < 6: the certificate answers where the
+    # search alone ran past the default timeout.
+    family = HypergraphFamily(18, (extremal_graph(18, 6, 2),) * 6)
+    start = time.monotonic()
+    code, out, err = run_raw(monkeypatch, capsys, family.to_json(), "solve", "rainbow")
+    assert time.monotonic() - start < 10.0
+    assert code == EXIT_NONE and err == ""
+    assert json.loads(out) == {"found": False, "witness": None}
 
 
 def _crash(args):

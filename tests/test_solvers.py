@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import random
 import time
+from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 
+from rainbow_lab import kernel, solvers
 from rainbow_lab.constructions import (
     HypergraphFamily,
     PartiteHypergraph,
@@ -20,6 +23,7 @@ from rainbow_lab.solvers import (
     Matching,
     RainbowMatching,
     SolverTimeout,
+    cover_refutation,
     has_perfect_matching,
     is_matching_of,
     is_perfect_matching_of,
@@ -39,6 +43,24 @@ def random_3graph(rng, n, prob):
     return Hypergraph(
         3, n, [e for e in combinations(range(n), 3) if rng.random() < prob]
     )
+
+
+def tight_family(n):
+    return HypergraphFamily(n, (extremal_graph(n, n // 3, 2),) * (n // 3))
+
+
+def parity_family(n=12):
+    """n/3 copies of the triples meeting A = {0..4} in 0 or 2 vertices.
+
+    A divisibility barrier: t disjoint triples would cover the odd set A
+    by even parts.  Its cover value is t, so no cover refutes it, and the
+    search takes 452,130 nodes at n = 12.
+    """
+    inside = set(range(5))
+    member = Hypergraph(
+        3, n, [e for e in combinations(range(n), 3) if len(inside & set(e)) in (0, 2)]
+    )
+    return HypergraphFamily(n, (member,) * (n // 3))
 
 
 class TestTypes:
@@ -219,15 +241,22 @@ class TestTimeout:
             has_perfect_matching(h, node_budget=50)
 
     def test_budget_exhaustion_rainbow(self):
-        fam = HypergraphFamily(12, (extremal_graph(12, 4, 2),) * 4)
         with pytest.raises(SolverTimeout):
-            rainbow_matching(fam, node_budget=50)
+            rainbow_matching(parity_family(), node_budget=50)
 
     def test_deadline_stops_rainbow_refutation(self):
-        fam = HypergraphFamily(12, (extremal_graph(12, 4, 3),) * 4)
         start = time.monotonic()
         with pytest.raises(SolverTimeout):
-            rainbow_matching(fam, timeout=1e-3)
+            rainbow_matching(parity_family(), timeout=1e-3)
+        assert time.monotonic() - start < 0.5
+
+    def test_certificate_spends_no_nodes(self):
+        assert rainbow_matching(tight_family(12), node_budget=50) is None
+
+    def test_deadline_stops_cover_refutation(self):
+        start = time.monotonic()
+        with pytest.raises(SolverTimeout):
+            cover_refutation(tight_family(18), timeout=1e-3)
         assert time.monotonic() - start < 0.5
 
     def test_deadline_stops_partite_refutation(self):
@@ -240,3 +269,156 @@ class TestTimeout:
         h = complete_hypergraph(3, 12)
         with pytest.raises(SolverTimeout):
             max_matching(h, node_budget=10)
+
+
+def integer_cover_check(family, cover) -> bool:
+    """The cover's weights as integers over one denominator L: each in
+    [0, L], each edge of the partite graph at least L, the sum below t*L."""
+    graph = family_to_partite(family)
+    weights = [Fraction(cover.weights.get(v, 0)) for v in range(graph.n_vertices)]
+    scale = 1
+    for w in weights:
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    y = [w.numerator * scale // w.denominator for w in weights]
+    t = len(family.members)
+    return (
+        min(y) >= 0
+        and max(y) <= scale
+        and all(y[a] + y[b] + y[c] + y[d] >= scale for a, b, c, d in graph.edges)
+        and sum(y) < t * scale
+    )
+
+
+def dropped_copies(n, seed):
+    """n/3 copies of the tight member, each missing about 5% of its edges."""
+    rng = random.Random(seed)
+    member = extremal_graph(n, n // 3, 2)
+    return HypergraphFamily(
+        n,
+        tuple(
+            Hypergraph(3, n, [e for e in member.edges if rng.random() >= 0.05])
+            for _ in range(n // 3)
+        ),
+    )
+
+
+class TestCoverRefutation:
+    @pytest.mark.parametrize("n", [12, 15, 18])
+    def test_tight_family_is_certified(self, n):
+        fam = tight_family(n)
+        cover = cover_refutation(fam)
+        assert cover is not None and cover.value() == Fraction(2 * (n // 3) - 1, 2)
+        assert integer_cover_check(fam, cover)
+        assert rainbow_matching(fam) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dropped_copies_are_certified(self, seed):
+        fam = dropped_copies(12, seed)
+        cover = cover_refutation(fam)
+        assert cover is not None and integer_cover_check(fam, cover)
+        assert rainbow_matching(fam) is None
+
+    def test_no_cover_below_t_on_parity_barrier(self):
+        assert cover_refutation(parity_family()) is None
+        assert rainbow_matching(parity_family()) is None
+
+    def test_sound_against_oracle(self):
+        rng = random.Random(13)
+        certified = refuted = 0
+        for trial in range(320):
+            n, t = (6, 2) if trial % 2 else (9, 3)
+            fam = HypergraphFamily(
+                n,
+                tuple(random_3graph(rng, n, rng.uniform(0.05, 0.5)) for _ in range(t)),
+            )
+            exists = brute_rainbow_exists([m.edges for m in fam.members])
+            cover = cover_refutation(fam)
+            if cover is not None:
+                assert not exists
+                assert integer_cover_check(fam, cover)
+                certified += 1
+            refuted += not exists
+            assert (rainbow_matching(fam) is not None) == exists
+            # A one-node probe leaves the answer to the certificate.
+            try:
+                rm = rainbow_matching(fam, node_budget=1)
+            except SolverTimeout:
+                assert cover is None
+            else:
+                assert (rm is not None) == exists
+        # Both kinds of none occur: certified ones and integrality gaps.
+        assert 0 < certified < refuted
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this stage must not run")
+
+
+class TestRainbowStages:
+    """Probe, then the cover certificate, then the full search."""
+
+    def record_budgets(self, monkeypatch):
+        budgets = []
+        search = kernel.rainbow_search
+
+        def recording(color_masks, node_budget=0, deadline=0.0):
+            budgets.append(node_budget)
+            return search(color_masks, node_budget=node_budget, deadline=deadline)
+
+        monkeypatch.setattr(kernel, "rainbow_search", recording)
+        return budgets
+
+    def test_found_instance_decided_by_probe(self, monkeypatch):
+        budgets = self.record_budgets(monkeypatch)
+        monkeypatch.setattr(solvers, "cover_refutation", forbidden)
+        fam = HypergraphFamily(9, (complete_hypergraph(3, 9),) * 3)
+        assert rainbow_matching(fam) is not None
+        assert budgets == [solvers.PROBE_NODES_PER_EDGE * 3 * 84]
+
+    def test_uncertified_refutation_searched_in_full(self, monkeypatch):
+        budgets = self.record_budgets(monkeypatch)
+        assert rainbow_matching(parity_family()) is None
+        assert budgets == [solvers.PROBE_NODES_PER_EDGE * 4 * 105, 0]
+
+    def test_caller_budget_caps_the_probe_and_is_not_spent_twice(self, monkeypatch):
+        budgets = self.record_budgets(monkeypatch)
+        with pytest.raises(SolverTimeout):
+            rainbow_matching(parity_family(), node_budget=50)
+        assert budgets == [50]
+
+    def test_edgeless_family_gets_a_bounded_probe(self, monkeypatch):
+        budgets = self.record_budgets(monkeypatch)
+        fam = HypergraphFamily(6, (empty_hypergraph(3, 6),) * 2)
+        assert rainbow_matching(fam) is None
+        assert budgets == [1]
+
+    def test_certificate_gets_the_time_left(self, monkeypatch):
+        timeouts = []
+
+        def recording(family, timeout):
+            timeouts.append(timeout)
+            return cover_refutation(family, timeout)
+
+        monkeypatch.setattr(solvers, "cover_refutation", recording)
+        assert rainbow_matching(tight_family(12), timeout=30.0) is None
+        assert rainbow_matching(tight_family(12), timeout=None) is None
+        assert 0 < timeouts[0] <= 30.0 and timeouts[1] is None
+
+    def test_no_time_left_skips_the_lp(self, monkeypatch):
+        def slow_probe(color_masks, node_budget=0, deadline=0.0):
+            while time.monotonic() <= deadline:
+                time.sleep(1e-3)
+            return kernel.ABORTED, None, node_budget
+
+        monkeypatch.setattr(kernel, "rainbow_search", slow_probe)
+        monkeypatch.setattr(solvers, "min_fractional_cover", forbidden)
+        with pytest.raises(SolverTimeout):
+            rainbow_matching(tight_family(12), timeout=0.01)
+
+    def test_probe_stopped_by_deadline_raises(self, monkeypatch):
+        monkeypatch.setattr(
+            kernel, "rainbow_search", lambda *a, **k: (kernel.ABORTED, None, 4096)
+        )
+        monkeypatch.setattr(solvers, "min_fractional_cover", forbidden)
+        with pytest.raises(SolverTimeout):
+            rainbow_matching(tight_family(12), timeout=30.0)
