@@ -10,14 +10,14 @@ about the induced perfect matchings, not the wiring.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .constructions import HypergraphFamily, PartiteHypergraph
 from .hypergraph import Hypergraph
-from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, _deadline, has_perfect_matching
+from .kernel import _deadline, _time_left
+from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, has_perfect_matching, is_matching_of
 
 Edge = tuple[int, ...]
 
@@ -64,7 +64,7 @@ class BalancedSet:
     def from_vertices(
         cls, vertices: Iterable[int], graph: PartiteHypergraph
     ) -> "BalancedSet":
-        vs = _vertex_set(vertices, graph)
+        vs = graph._check_vertices(vertices)
         q = tuple(v for v in vs if v < graph.q_size)
         p = tuple(v for v in vs if v >= graph.q_size)
         return cls(q_part=q, p_part=p)
@@ -86,27 +86,15 @@ class AbsorberGadget:
             raise ValueError("gadget body overlaps its target")
         if len(self.target) != 4 or len(self.body) != BODY_SIZE:
             raise ValueError("gadget must pair a 4-set with a 24-set")
-        if set(v for e in self.pm_body.edges for v in e) != bv:
+        if self.pm_body.vertices() != bv:
             raise ValueError("reserved matching must cover exactly the body")
-        if set(v for e in self.pm_joint.edges for v in e) != tv | bv:
+        if self.pm_joint.vertices() != tv | bv:
             raise ValueError("joint matching must cover body and target")
-
-
-def _vertex_set(
-    vertices: Iterable[int], graph: PartiteHypergraph, name: str = "vertex set"
-) -> list[int]:
-    """The sorted ids of a vertex set: each a vertex of the graph, none twice."""
-    vs = sorted(vertices)
-    if vs and not 0 <= vs[0] <= vs[-1] < graph.n_vertices:
-        raise ValueError(f"{name} has a vertex out of range [0, {graph.n_vertices})")
-    if len(set(vs)) != len(vs):
-        raise ValueError(f"{name} repeats a vertex id")
-    return vs
 
 
 def is_balanced(vertices: Iterable[int], graph: PartiteHypergraph) -> bool:
     """Three non-class vertices per class vertex."""
-    vs = _vertex_set(vertices, graph)
+    vs = graph._check_vertices(vertices)
     in_q = sum(1 for v in vs if v < graph.q_size)
     return 3 * in_q == len(vs) - in_q
 
@@ -131,8 +119,9 @@ def is_absorbing(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[bool, Optional[tuple[Matching, Matching]]]:
     """Do both induced subgraphs (body, body+target) have perfect matchings?"""
-    body_v = _vertex_set(body, graph, "body")
-    target_v = _vertex_set(target, graph, "target")
+    deadline = _deadline(timeout)
+    body_v = graph._check_vertices(body, "body")
+    target_v = graph._check_vertices(target, "target")
     if len(body_v) != BODY_SIZE:
         raise ValueError(f"body must have {BODY_SIZE} vertices, got {len(body_v)}")
     if len(target_v) != 4:
@@ -144,7 +133,8 @@ def is_absorbing(
     pm_body = _induced_pm(graph, body_v, timeout)
     if pm_body is None:
         return False, None
-    pm_joint = _induced_pm(graph, sorted(body_v + target_v), timeout)
+    left = _time_left(deadline, "absorbing check")
+    pm_joint = _induced_pm(graph, sorted(body_v + target_v), left)
     if pm_joint is None:
         return False, None
     return True, (pm_body, pm_joint)
@@ -201,7 +191,7 @@ def build_gadget(
     choices are explored in canonical order under a node budget, so the
     result is deterministic.
     """
-    target_v = _vertex_set(target, graph, "target")
+    target_v = graph._check_vertices(target, "target")
     if len(target_v) != 4 or not is_balanced(target_v, graph):
         raise ValueError("target must be a balanced 4-set")
     if graph.q_size < 1 + BODY_Q or graph.p_size < 3 + BODY_P:
@@ -212,7 +202,7 @@ def build_gadget(
     u_target = [v for v in target_v if v < graph.q_size][0]
     a_part = [v for v in target_v if v >= graph.q_size]
 
-    pool = sorted(set(_vertex_set(candidates, graph, "candidates")) - set(target_v))
+    pool = sorted(set(graph._check_vertices(candidates, "candidates")) - set(target_v))
     pool = [v for v in pool if v >= graph.q_size]
     edge_set = set(graph.edges)
     q_free_all = [u for u in graph.q_vertices() if u != u_target]
@@ -226,8 +216,7 @@ def build_gadget(
         nodes_left -= 1
         if nodes_left < 0:
             raise SolverTimeout(f"gadget search exceeded {node_budget} nodes")
-        if deadline and time.monotonic() > deadline:
-            raise SolverTimeout("gadget search exceeded its deadline")
+        _time_left(deadline, "gadget search")
 
     def bridge_candidates(
         lv: int, rv: int, used_p: set
@@ -362,6 +351,8 @@ def absorb(
     gadgets keep their reserved matchings.  Raises
     :class:`AbsorptionError` when some 4-set finds no gadget.
     """
+    deadline = _deadline(timeout)
+    left = timeout
     body_vertices: set[int] = set()
     for g in pool:
         bv = set(g.body.vertices())
@@ -385,9 +376,8 @@ def absorb(
                 continue
             # Only the joint matching is kept: the body's own matching
             # is already reserved in g.pm_body.
-            joint = _induced_pm(
-                graph, sorted(g.body.vertices() + piece), timeout
-            )
+            joint = _induced_pm(graph, sorted(g.body.vertices() + piece), left)
+            left = _time_left(deadline, "absorption")
             if joint is not None:
                 used[gi] = True
                 chosen.append((gi, joint))
@@ -403,10 +393,7 @@ def absorb(
         if not used[gi]:
             edges.extend(g.pm_body.edges)
     result = Matching(edges=tuple(sorted(edges)))
-    expect = leftover_v | body_vertices
-    if set(v for e in result.edges for v in e) != expect:
-        raise AssertionError("assembled matching does not span leftover + bodies")
-    for e in result.edges:
-        if not graph.has_edge(e):
-            raise AssertionError(f"assembled matching uses non-edge {e}")
+    spans = result.vertices() == leftover_v | body_vertices
+    if not spans or not is_matching_of(graph, result.edges):
+        raise AssertionError("assembled matching does not match leftover + bodies in the graph")
     return result

@@ -39,6 +39,7 @@ from . import fractional
 from .fractional import max_fractional_matching
 from .hypergraph import Hypergraph
 from .jsonio import canonical_json, sha256_of, vertex_count
+from .kernel import _deadline, _time_left
 from .shift import fractional_pm_pipeline
 from .solvers import (
     DEFAULT_TIMEOUT,
@@ -404,28 +405,29 @@ def absorb_scenario(
     remaining vertices exhaustively, and absorbs the leftover through
     the pool.  Returns the assembled perfect matching and the pool.
     """
+    deadline = _deadline(timeout)
+    left = timeout
     candidates = [
         v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
     ]
     pool = []
     reserved: set[int] = set()
     for target in targets:
-        gadget = build_gadget(target, graph, candidates, timeout=timeout)
+        gadget = build_gadget(target, graph, candidates, timeout=left)
         if gadget is None:
             raise AbsorptionError(tuple(sorted(target)))
-        overlap = reserved & set(gadget.body.vertices())
-        if overlap:
-            raise ValueError(f"gadget bodies overlap on {sorted(overlap)}")
         reserved |= set(gadget.body.vertices())
         pool.append(gadget)
+        left = _time_left(deadline, "absorb scenario")
 
     rest = sorted(set(range(graph.n_vertices)) - reserved)
     sub, ids = graph.induced(rest)
-    m1 = max_matching(sub, timeout=timeout)
+    m1 = max_matching(sub, timeout=left)
     m1_edges = tuple(tuple(ids[v] for v in e) for e in m1.edges)
     covered = {v for e in m1_edges for v in e}
     leftover = BalancedSet.from_vertices(set(rest) - covered, graph)
-    absorbed = absorb(pool, leftover, graph, timeout=timeout)
+    left = _time_left(deadline, "absorb scenario")
+    absorbed = absorb(pool, leftover, graph, timeout=left)
     combined = Matching(edges=tuple(sorted(m1_edges + absorbed.edges)))
     if not is_perfect_matching_of(graph, combined.edges):
         raise AssertionError("assembled matching is not perfect")

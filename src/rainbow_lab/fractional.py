@@ -30,8 +30,9 @@ graphs.
 Both certificates come from the final state: the basic edge rows give
 the matching, and the negated reduced costs of the vertex slacks give
 the cover (the LP dual).  Their optimality is not taken on trust:
-callers check that the matching and the cover are feasible and that
-their values agree, which by weak duality proves both optimal.
+callers check that the matching and the cover are feasible (the cover
+by :meth:`FractionalCover.scaled`, the package's one cover check) and
+that their values agree, which by weak duality proves both optimal.
 
 Optimal faces are generally not singletons, and which optimal vertex
 the pivot rule reaches is an accident of that rule: callers should
@@ -40,14 +41,14 @@ assert values and certificate feasibility, never specific weights.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import Optional
 
 from .hypergraph import Hypergraph
-from .kernel import DEFAULT_TIMEOUT, SolverTimeout, _deadline
+from .kernel import DEFAULT_TIMEOUT, _deadline, _time_left
 
 Edge = tuple[int, ...]
 
@@ -92,12 +93,24 @@ class FractionalCover:
         return sum(self.weights.values(), ZERO)
 
     def is_feasible(self, graph: Hypergraph) -> bool:
-        if any(w < 0 or w > 1 for w in self.weights.values()):
-            return False
-        get = self.weights.get
-        return all(
-            sum((get(v, ZERO) for v in e), ZERO) >= 1 for e in graph.edges
-        )
+        return self.scaled(graph) is not None
+
+    def scaled(self, graph: Hypergraph) -> Optional[tuple[int, list[int]]]:
+        """``(L, y)``: L the weights' common denominator, y[v] L times the
+        weight of v (0 if absent); None unless every key is a vertex,
+        0 <= y <= L and every edge sums to at least L."""
+        w = self.weights
+        if not set(w).issubset(range(graph.n_vertices)):
+            return None
+        den = lcm(*(x.denominator for x in w.values()))
+        y = [0] * graph.n_vertices
+        for v, x in w.items():
+            y[v] = x.numerator * (den // x.denominator)
+        if not all(0 <= a <= den for a in y) or any(
+            sum(map(y.__getitem__, e)) < den for e in graph.edges
+        ):
+            return None
+        return den, y
 
 
 def _solve(
@@ -154,8 +167,7 @@ def _solve(
             col = [sum([row[v] for v in e]) for row in rows]
         else:
             break
-        if deadline and time.monotonic() > deadline:
-            raise SolverTimeout("fractional LP exceeded its deadline")
+        _time_left(deadline, "fractional LP")
         leave = None
         for i, a in enumerate(col):
             if a > 0:

@@ -123,11 +123,16 @@ class Hypergraph:
         i = bisect_left(self.edges, canon)
         return i < len(self.edges) and self.edges[i] == canon
 
-    def _check_vertices(self, vertices: Iterable[int]) -> tuple[int, ...]:
-        canon = canonical_edge(vertices)
-        if canon and (canon[0] < 0 or canon[-1] >= self.n_vertices):
-            raise ValueError(f"vertex set {canon} out of range [0, {self.n_vertices})")
-        return canon
+    def _check_vertices(
+        self, vertices: Iterable[int], name: str = "vertex set"
+    ) -> tuple[int, ...]:
+        """The sorted ids of the set ``name``: each a vertex, none twice."""
+        vs = tuple(sorted(vertices))
+        if vs and (vs[0] < 0 or vs[-1] >= self.n_vertices):
+            raise ValueError(f"{name} has a vertex out of range [0, {self.n_vertices})")
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"{name} repeats a vertex id")
+        return vs
 
     def degree(self, vertices: Iterable[int]) -> int:
         """Number of edges containing every vertex of the given set.
@@ -167,9 +172,7 @@ class Hypergraph:
         return Hypergraph(self.k - 1, self.n_vertices, remainders)
 
     def adjacent(self, u: int, v: int) -> bool:
-        """True when some edge contains both u and v."""
-        if u == v:
-            raise ValueError("adjacency is defined for distinct vertices")
+        """True when some edge contains both u and v, which must differ."""
         return self.degree((u, v)) > 0
 
     def degree_sum_minima(self) -> DegreeSumMinima:

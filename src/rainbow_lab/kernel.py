@@ -27,10 +27,11 @@ Status codes: 0 = search completed (witness present for system/cover
 search, best-so-far is optimal for the max search), 1 = completed with
 no solution, 2 = node budget or deadline exhausted.
 
-The timeout contract shared by every solver and LP above the kernel
-lives here too, so that no layer imports another only for it: a
-``timeout`` in seconds (default 60 s) becomes a monotonic deadline, and
-a stage that passes it raises :class:`SolverTimeout`.
+The timeout contract of every solver and LP lives here too, so no layer
+imports another only for it and no other module reads the clock.  A
+public call's ``timeout`` (default 60 s) is one monotonic deadline: its
+first stage gets ``timeout``, each later one :func:`_time_left`, and a
+stage past the deadline raises :class:`SolverTimeout`.
 """
 
 from __future__ import annotations
@@ -55,6 +56,17 @@ class SolverTimeout(RuntimeError):
 def _deadline(timeout: Optional[float]) -> float:
     """The monotonic time ``timeout`` seconds from now; 0.0 for none."""
     return time.monotonic() + timeout if timeout else 0.0
+
+
+def _time_left(deadline: float, what: str) -> Optional[float]:
+    """Seconds to ``deadline`` (None without one), a next stage's timeout;
+    raises :class:`SolverTimeout` naming ``what`` once it has passed."""
+    if not deadline:
+        return None
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise SolverTimeout(f"{what} exceeded its deadline")
+    return left
 
 
 class _Abort(Exception):

@@ -18,11 +18,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from math import lcm
 from typing import Optional, Sequence
 
 from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum, partite_to_family
 from .fractional import FractionalCover, min_fractional_cover
+from .kernel import _deadline, _time_left
 from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
 
 Edge = tuple[int, ...]
@@ -144,18 +144,15 @@ def cover_closure(
 
     With ranks ascending in weight this edge set is upward closed, hence
     stable, and it contains every edge of the covered graph.  Weights are
-    compared as integer numerators over their common denominator.  The
-    edges are generated in canonical sorted order, so the graph is built
-    without re-validation.
+    compared as the integers of :meth:`FractionalCover.scaled`, where an
+    absent weight counts as 0; a cover it rejects raises ``ValueError``.
+    The edges are generated in canonical sorted order, so the graph is
+    built without re-validation.
     """
-    w = cover.weights
-    den = lcm(*(x.denominator for x in w.values()))
-    num = {v: x.numerator * (den // x.denominator) for v, x in w.items()}
-    at = [num[v] for v in range(graph.n_vertices)]
-    if any(not 0 <= x <= den for x in num.values()) or any(
-        sum(at[v] for v in e) < den for e in graph.edges
-    ):
+    scaled = cover.scaled(graph)
+    if scaled is None:
         raise ValueError("weights do not form a fractional cover of the graph")
+    den, at = scaled
     trios = [
         (trio, at[trio[0]] + at[trio[1]] + at[trio[2]])
         for trio in combinations(graph.p_vertices(), 3)
@@ -326,6 +323,7 @@ def fractional_pm_pipeline(
         raise ValueError("pipeline needs a balanced partite graph")
     if threshold is None:
         threshold = extremal_adjacent_degree_sum(graph.p_size)
+    deadline = _deadline(timeout)
     tau, cover = min_fractional_cover(graph, timeout=timeout)
     closure = cover_closure(graph, cover, order_by_cover(graph, cover))
     shifted, trace = stable_shift(closure, threshold)
@@ -337,7 +335,8 @@ def fractional_pm_pipeline(
         matching = Matching(edges=())
     else:
         link = partite_to_family(shifted.graph).members[shifted.q_order[0]]
-        found, link_pm = has_perfect_matching(link, timeout=timeout)
+        left = _time_left(deadline, "shift pipeline")
+        found, link_pm = has_perfect_matching(link, timeout=left)
         if found and link_pm is not None:
             mapped = [tuple(v + graph.q_size for v in e) for e in link_pm.edges]
             matching = extend_link_matching(shifted, mapped)

@@ -10,23 +10,22 @@ and only then the full search.  The probe and the full search scan the
 same tree in the same order, so the witness is the full search's.
 
 ``node_budget`` bounds the searches; the certificate spends no nodes.
-A wall-clock timeout (default 60 s) bounds every stage and aborts with
-:class:`SolverTimeout`, which is an explicit "unknown" outcome,
-distinct from "no matching exists".
+A wall-clock timeout (default 60 s) bounds the whole call, all stages
+together, and aborts with :class:`SolverTimeout`, which is an explicit
+"unknown" outcome, distinct from "no matching exists".
 """
 
 from __future__ import annotations
 
-import time
+from bisect import bisect_left
 from dataclasses import dataclass
-from math import lcm
 from typing import Iterable, Optional, Sequence
 
 from . import kernel
 from .constructions import HypergraphFamily, PartiteHypergraph, family_to_partite
 from .fractional import FractionalCover, min_fractional_cover
 from .hypergraph import Hypergraph
-from .kernel import DEFAULT_TIMEOUT, SolverTimeout, _deadline
+from .kernel import DEFAULT_TIMEOUT, SolverTimeout, _deadline, _time_left
 
 # Nodes per edge of the family that the rainbow probe may scan.  Found
 # instances finish within 7.5 per edge (random families, n = 9 to 24);
@@ -90,17 +89,14 @@ def edge_mask(edge: Iterable[int]) -> int:
 
 
 def is_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
-    """Check pairwise disjointness and membership in the graph."""
-    seen: set[int] = set()
-    edge_set = set(graph.edges)
-    for e in edges:
-        if tuple(e) not in edge_set:
+    """Check pairwise disjointness and membership in the graph, finding
+    each edge by bisection in the sorted ``graph.edges``."""
+    all_edges = graph.edges
+    for e in map(tuple, edges):
+        i = bisect_left(all_edges, e)
+        if i == len(all_edges) or all_edges[i] != e:
             return False
-        for v in e:
-            if v in seen:
-                return False
-            seen.add(v)
-    return True
+    return len({v for e in edges for v in e}) == sum(map(len, edges))
 
 
 def is_perfect_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
@@ -188,12 +184,7 @@ def rainbow_matching(
     # The kernel reports exactly ``probe`` nodes only when the budget,
     # not the deadline, stopped it.
     if status == kernel.ABORTED and nodes == probe:
-        left = None
-        if deadline:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise SolverTimeout("rainbow search exceeded its deadline")
-        if cover_refutation(family, timeout=left) is not None:
+        if cover_refutation(family, _time_left(deadline, "rainbow search")) is not None:
             return None
         if probe != node_budget:
             status, picks, _ = kernel.rainbow_search(
@@ -221,26 +212,19 @@ def cover_refutation(
     the paper's tight family.  Returns None when the optimal cover
     value is at least t.
 
-    The cover is checked before it is returned, in integers and in one
-    pass over the edges: with L the common denominator of its weights
-    and y = L * weights, 0 <= y <= L, every edge sums to at least L, and
-    sum(y) < t * L.  A failed check raises :class:`AssertionError`; an
-    LP that outlasts ``timeout`` raises :class:`SolverTimeout`.
+    The cover is checked before it is returned by the one cover check,
+    :meth:`FractionalCover.scaled`, and by sum(y) < t * L on its integers.
+    A failed check is a fault of the LP, not of the input, and raises
+    :class:`AssertionError`; an LP that outlasts ``timeout`` raises
+    :class:`SolverTimeout`.
     """
     t = len(family.members)
     graph = family_to_partite(family)
     value, cover = min_fractional_cover(graph, timeout)
     if value >= t:
         return None
-    scale = lcm(*(w.denominator for w in cover.weights.values()))
-    y = [0] * graph.n_vertices
-    for v, w in cover.weights.items():
-        y[v] = w.numerator * (scale // w.denominator)
-    if not (
-        all(0 <= x <= scale for x in y)
-        and all(sum(map(y.__getitem__, e)) >= scale for e in graph.edges)
-        and sum(y) < t * scale
-    ):
+    scaled = cover.scaled(graph)
+    if scaled is None or sum(scaled[1]) >= t * scaled[0]:
         raise AssertionError("fractional cover failed its integer check")
     return cover
 

@@ -103,6 +103,19 @@ def brute_is_stable(order) -> bool:
     return True
 
 
+def fraction_is_cover(weights, graph: Hypergraph) -> bool:
+    """The fractional-cover definition, in Fractions: every key a vertex,
+    every weight in [0, 1], every edge weighted to at least 1, and an
+    absent weight counted as 0."""
+    if any(v not in range(graph.n_vertices) for v in weights):
+        return False
+    if any(not 0 <= w <= 1 for w in weights.values()):
+        return False
+    return all(
+        sum((weights.get(v, ZERO) for v in e), ZERO) >= 1 for e in graph.edges
+    )
+
+
 def float_lp_matching_value(edges, n_vertices: int) -> float:
     """Floating-point LP oracle for the fractional matching optimum."""
     from scipy.optimize import linprog

@@ -1,0 +1,156 @@
+"""A public call's timeout bounds the whole call, not each stage.
+
+The first stage of a call gets the caller's ``timeout``; each later
+stage gets the time left on the one deadline, from
+``kernel._time_left``, and once that deadline has passed no further
+stage starts.  The stages are stubbed by sleeps of at most 0.1 s.  A
+later stage's timeout is checked under a 1 s deadline, so that a
+stalled test machine cannot expire it first.
+"""
+
+from __future__ import annotations
+
+import time
+
+import pytest
+
+from rainbow_lab import absorbing, experiments, shift
+from rainbow_lab.absorbing import (
+    AbsorberGadget,
+    AbsorptionError,
+    BalancedSet,
+    absorb,
+    build_gadget,
+    is_absorbing,
+)
+from rainbow_lab.constructions import complete_partite
+from rainbow_lab.experiments import absorb_scenario
+from rainbow_lab.fractional import min_fractional_cover
+from rainbow_lab.kernel import _deadline, _time_left
+from rainbow_lab.shift import fractional_pm_pipeline
+from rainbow_lab.solvers import Matching, SolverTimeout, has_perfect_matching, max_matching
+
+BODY = [*range(1, 7), *range(10, 28)]  # 6 class + 18 other vertices
+TARGET = [0, 7, 8, 9]
+
+
+def found(sub):
+    return True, Matching(edges=())
+
+
+def not_found(sub):
+    return False, None
+
+
+class SlowStage:
+    """A stage stub: records its timeout, sleeps, then answers ``run(*args)``.
+
+    An ``honest`` stage stops at its timeout and raises, as the
+    package's searches and LPs do; otherwise it overruns its timeout,
+    as a search between two deadline polls can.
+    """
+
+    def __init__(self, run, honest=True, seconds=0.1):
+        self.run, self.honest, self.seconds = run, honest, seconds
+        self.timeouts: list = []
+
+    def __call__(self, *args, timeout):
+        self.timeouts.append(timeout)
+        if self.honest and timeout < self.seconds:
+            time.sleep(timeout)
+            raise SolverTimeout("stub stage exceeded its deadline")
+        time.sleep(self.seconds)
+        return self.run(*args)
+
+
+def assert_time_left(timeouts, total, stages):
+    """The first stage got ``total``, and each later one that less the
+    0.1 s sleep of every stage before it."""
+    assert len(timeouts) == stages and timeouts[0] == total
+    for i, t in enumerate(timeouts[1:], 1):
+        assert 0 < t <= total - 0.1 * i
+
+
+def test_time_left():
+    assert _time_left(_deadline(None), "stage") is None
+    assert 0 < _time_left(_deadline(30.0), "stage") <= 30.0
+    with pytest.raises(SolverTimeout, match="^stage exceeded its deadline$"):
+        _time_left(time.monotonic() - 1.0, "stage")
+
+
+def test_is_absorbing_two_slow_stages_outlast_the_timeout(monkeypatch):
+    stage = SlowStage(found)
+    monkeypatch.setattr(absorbing, "has_perfect_matching", stage)
+    with pytest.raises(SolverTimeout):
+        is_absorbing(BODY, TARGET, complete_partite(7, 21), timeout=0.15)
+    assert stage.timeouts[0] == 0.15 and all(t < 0.15 for t in stage.timeouts[1:])
+
+
+def test_is_absorbing_later_stage_gets_the_time_left(monkeypatch):
+    stage = SlowStage(found)
+    monkeypatch.setattr(absorbing, "has_perfect_matching", stage)
+    ok, _ = is_absorbing(BODY, TARGET, complete_partite(7, 21), timeout=1.0)
+    assert ok
+    assert_time_left(stage.timeouts, 1.0, 2)
+
+
+def test_is_absorbing_starts_no_stage_after_the_deadline(monkeypatch):
+    stage = SlowStage(found, honest=False)
+    monkeypatch.setattr(absorbing, "has_perfect_matching", stage)
+    with pytest.raises(SolverTimeout, match="absorbing check exceeded its deadline"):
+        is_absorbing(BODY, TARGET, complete_partite(7, 21), timeout=0.05)
+    assert stage.timeouts == [0.05]
+
+
+def test_absorb_stages_share_the_deadline(monkeypatch):
+    # two gadgets for one piece: the second joint search is a later stage
+    graph = complete_partite(14, 42)
+    pool = []
+    for q0, p0 in ((2, 20), (8, 38)):
+        body = BalancedSet(q_part=tuple(range(q0, q0 + 6)), p_part=tuple(range(p0, p0 + 18)))
+        _, (pm_body, pm_joint) = is_absorbing(body.vertices(), [0, 14, 15, 16], graph)
+        target = BalancedSet.from_vertices([0, 14, 15, 16], graph)
+        pool.append(AbsorberGadget(target, body, pm_body, pm_joint))
+    leftover = BalancedSet(q_part=(1,), p_part=(17, 18, 19))
+    stage = SlowStage(not_found)
+    monkeypatch.setattr(absorbing, "has_perfect_matching", stage)
+    with pytest.raises(AbsorptionError):
+        absorb(pool, leftover, graph, timeout=1.0)
+    assert_time_left(stage.timeouts, 1.0, 2)
+    overrun = SlowStage(not_found, honest=False)
+    monkeypatch.setattr(absorbing, "has_perfect_matching", overrun)
+    with pytest.raises(SolverTimeout, match="absorption exceeded its deadline"):
+        absorb(pool, leftover, graph, timeout=0.05)
+    assert overrun.timeouts == [0.05]
+
+
+def test_scenario_stages_share_the_deadline(monkeypatch):
+    graph = complete_partite(8, 24)
+    gadget = build_gadget((0, 8, 9, 10), graph, graph.p_vertices())
+    stages = {
+        "build_gadget": SlowStage(lambda *args: gadget, honest=False),
+        "max_matching": SlowStage(max_matching, honest=False),
+        "absorb": SlowStage(absorb, honest=False),
+    }
+    for name, stage in stages.items():
+        monkeypatch.setattr(experiments, name, stage)
+    absorb_scenario(graph, [(0, 8, 9, 10)], timeout=1.0)
+    assert_time_left([t for s in stages.values() for t in s.timeouts], 1.0, 3)
+    for stage in stages.values():
+        stage.timeouts.clear()
+    with pytest.raises(SolverTimeout, match="absorb scenario exceeded its deadline"):
+        absorb_scenario(graph, [(0, 8, 9, 10)], timeout=0.15)
+    assert stages["build_gadget"].timeouts == [0.15]
+    assert stages["absorb"].timeouts == []
+
+
+def test_pipeline_stages_share_the_deadline(monkeypatch):
+    lp = SlowStage(min_fractional_cover, honest=False)
+    link = SlowStage(has_perfect_matching, honest=False)
+    monkeypatch.setattr(shift, "min_fractional_cover", lp)
+    monkeypatch.setattr(shift, "has_perfect_matching", link)
+    assert fractional_pm_pipeline(complete_partite(3, 9), timeout=1.0).found
+    assert_time_left(lp.timeouts + link.timeouts, 1.0, 2)
+    with pytest.raises(SolverTimeout, match="shift pipeline exceeded its deadline"):
+        fractional_pm_pipeline(complete_partite(3, 9), timeout=0.05)
+    assert len(link.timeouts) == 1

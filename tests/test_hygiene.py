@@ -9,7 +9,10 @@ No package code calls ``.degree(`` inside a loop, comprehension or
 lambda: each call scans every edge, so a caller that needs many
 degrees reads one ``degrees(size)`` table.  Nothing in ``src/`` or
 ``tests/`` calls ``.as_hypergraph()``: it returns the partite graph
-itself and stays only for the benchmark.
+itself and stays only for the benchmark.  Each check has one home: only
+``fractional.py`` calls ``lcm`` (``FractionalCover.scaled`` is the one
+integer cover check) and only ``kernel.py`` reads ``time.monotonic``
+(every deadline goes through ``_deadline`` and ``_time_left``).
 """
 
 from __future__ import annotations
@@ -193,3 +196,57 @@ def test_scan_sees_a_shim_call():
 def test_no_as_hypergraph_calls(path):
     # a partite graph is a Hypergraph; the shim only serves perfbench/
     assert method_calls(ast.parse(path.read_text()), "as_hypergraph") == []
+
+
+def named_calls(tree: ast.AST, name: str) -> list[int]:
+    """Lines that call ``name``, bare or as an attribute of any receiver."""
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        }
+    )
+
+
+def test_scan_sees_an_lcm_call():
+    tree = ast.parse(
+        "import math\n"
+        "from math import lcm\n"
+        "den = lcm(*ds)\n"
+        "den = math.lcm(2, 3)\n"
+        "f(lcm)\n"
+    )
+    assert named_calls(tree, "lcm") == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parent.name == "rainbow_lab" and p.name != "fractional.py"],
+    ids=lambda p: p.name,
+)
+def test_no_lcm_outside_the_cover_check(path):
+    # FractionalCover.scaled is the one integer cover check
+    assert named_calls(ast.parse(path.read_text()), "lcm") == []
+
+
+def test_scan_sees_a_clock_read():
+    tree = ast.parse(
+        "import time\n"
+        "from time import monotonic\n"
+        "t = time.monotonic()\n"
+        "u = monotonic() + 1\n"
+        "v = time.perf_counter()\n"
+    )
+    assert named_calls(tree, "monotonic") == [3, 4]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parent.name == "rainbow_lab" and p.name != "kernel.py"],
+    ids=lambda p: p.name,
+)
+def test_no_clock_reads_outside_the_kernel(path):
+    # deadlines are taken by kernel._deadline and checked by kernel._time_left
+    assert named_calls(ast.parse(path.read_text()), "monotonic") == []
