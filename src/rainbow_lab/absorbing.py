@@ -10,6 +10,7 @@ about the induced perfect matchings, not the wiring.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Iterable, Optional, Sequence
@@ -161,11 +162,9 @@ def popular_vertices(
     """Vertices adjacent to at least ``threshold`` members' anchors."""
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
-    counts: dict[int, int] = {}
-    for member in family.members:
-        _, reach = low_degree_anchor(member)
-        for v in reach:
-            counts[v] = counts.get(v, 0) + 1
+    counts = Counter(
+        v for member in family.members for v in low_degree_anchor(member)[1]
+    )
     return tuple(sorted(v for v, c in counts.items() if c >= threshold))
 
 
@@ -187,9 +186,11 @@ def build_gadget(
     one edge of the target class vertex's link for the rewire, then six
     bridge edges (one fresh class vertex + two fresh others each), where
     bridge i must form an edge with both its left partner (target or
-    helper vertex) and its right partner (helper or rewire vertex).  All
-    choices are explored in canonical order under a node budget, so the
-    result is deterministic.
+    helper vertex) and its right partner (helper or rewire vertex).  The
+    bridges are placed by a recursive search, and the body is the vertex
+    set of the bridges' reserved matching ``pm_body``.  All choices are
+    explored in canonical order under a node budget, so the result is
+    deterministic.
     """
     target_v = graph._check_vertices(target, "target")
     if len(target_v) != 4 or not is_balanced(target_v, graph):
@@ -232,105 +233,62 @@ def build_gadget(
                     out.append((u, x, y))
         return out
 
-    def bridges(
-        left: list[int],
-        right: list[int],
-        used_p: set[int],
-    ) -> Optional[list[tuple[int, int, int]]]:
-        # One pick per bridge, pairwise disjoint.  The most constrained
+    def place(
+        live: dict[int, list[tuple[int, int, int]]],
+    ) -> Optional[dict[int, tuple[int, int, int]]]:
+        # One pick per open bridge in ``live``, pairwise disjoint, by
+        # recursion: each pick hands the rest a freshly filtered copy,
+        # so a failed pick has nothing to undo.  The most constrained
         # bridge is filled first and candidates are ordered by how
         # little they collide with the other bridges' remaining options
         # (ties canonical); scarce vertices then get rationed greedily
         # instead of being discovered by exponential backtracking.
-        live: dict[int, list[tuple[int, int, int]]] = {
-            j: bridge_candidates(left[j], right[j], used_p)
-            for j in range(6)
-        }
-        chosen: dict[int, tuple[int, int, int]] = {}
-
-        def place() -> bool:
-            if len(chosen) == 6:
-                return True
-            open_bridges = [j for j in range(6) if j not in chosen]
-            pivot = min(open_bridges, key=lambda j: (len(live[j]), j))
-            if not live[pivot]:
-                return False
-            usage: dict[int, int] = {}
-            for j in open_bridges:
-                if j == pivot:
-                    continue
-                for cand in live[j]:
-                    for v in cand:
-                        usage[v] = usage.get(v, 0) + 1
-            ordered = sorted(
-                live[pivot],
-                key=lambda c: (usage.get(c[0], 0) + usage.get(c[1], 0)
-                               + usage.get(c[2], 0), c),
-            )
-            for cand in ordered:
-                spend()
-                taken = set(cand)
-                saved = {
-                    j: live[j]
-                    for j in open_bridges
-                    if j != pivot
-                }
-                for j in saved:
-                    live[j] = [
-                        c for c in saved[j] if not taken.intersection(c)
-                    ]
-                chosen[pivot] = cand
-                if place():
-                    return True
-                del chosen[pivot]
-                for j, old in saved.items():
-                    live[j] = old
-            return False
-
-        if not place():
-            return None
-        return [chosen[j] for j in range(6)]
+        if not live:
+            return {}
+        pivot = min(live, key=lambda j: (len(live[j]), j))
+        rest = {j: cands for j, cands in live.items() if j != pivot}
+        usage = Counter(v for cands in rest.values() for c in cands for v in c)
+        for cand in sorted(
+            live[pivot],
+            key=lambda c: (usage[c[0]] + usage[c[1]] + usage[c[2]], c),
+        ):
+            spend()
+            taken = set(cand)
+            got = place({
+                j: [c for c in cands if taken.isdisjoint(c)]
+                for j, cands in rest.items()
+            })
+            if got is not None:
+                got[pivot] = cand
+                return got
+        return None
 
     for helpers in permutations(pool, 3):
-        c1, c2, c3 = helpers
+        left = (*a_part, *helpers)
         for e in link_edges:
-            if set(e) & set(helpers) or set(e) & set(a_part):
+            if not set(e).isdisjoint(left):
                 continue
+            used_p = {*left, *e}
             for rewire in permutations(e):
                 spend()
-                r1, r2, r3 = rewire
-                left = [a_part[0], a_part[1], a_part[2], c1, c2, c3]
-                right = [c1, c2, c3, r1, r2, r3]
-                used_p = set(helpers) | set(e) | set(a_part)
-                got = bridges(left, right, used_p)
+                right = helpers + rewire
+                got = place({
+                    j: bridge_candidates(left[j], right[j], used_p)
+                    for j in range(6)
+                })
                 if got is None:
                     continue
-                body_q = tuple(sorted(u for u, _, _ in got))
-                body_p = tuple(
-                    sorted(
-                        set(helpers)
-                        | set(e)
-                        | {v for _, x, y in got for v in (x, y)}
-                    )
-                )
-                body = BalancedSet(q_part=body_q, p_part=body_p)
-                pm_body = Matching(
-                    edges=tuple(
-                        sorted(
-                            tuple(sorted((u, x, y, rv)))
-                            for (u, x, y), rv in zip(got, right)
-                        )
-                    )
-                )
-                joint = [
-                    tuple(sorted((u, x, y, lv)))
-                    for (u, x, y), lv in zip(got, left)
-                ]
-                joint.append(tuple(sorted((u_target,) + e)))
-                pm_joint = Matching(edges=tuple(sorted(joint)))
+                pm_body = Matching(edges=tuple(sorted(
+                    tuple(sorted(b + (right[j],))) for j, b in got.items()
+                )))
+                # u_target is below every other vertex, so its edge is sorted.
+                pm_joint = Matching(edges=tuple(sorted(
+                    [tuple(sorted(b + (left[j],))) for j, b in got.items()]
+                    + [(u_target,) + e]
+                )))
                 return AbsorberGadget(
                     target=BalancedSet.from_vertices(target_v, graph),
-                    body=body,
+                    body=BalancedSet.from_vertices(pm_body.vertices(), graph),
                     pm_body=pm_body,
                     pm_joint=pm_joint,
                 )
@@ -367,31 +325,22 @@ def absorb(
         (leftover.q_part[t],) + leftover.p_part[3 * t : 3 * t + 3]
         for t in range(len(leftover.q_part))
     ]
-    used = [False] * len(pool)
-    chosen: list[tuple[int, Matching]] = []
+    free = list(pool)  # unused gadgets, in pool order
+    edges: list[Edge] = []
     for piece in pieces:
-        placed = False
-        for gi, g in enumerate(pool):
-            if used[gi]:
-                continue
+        for i, g in enumerate(free):
             # Only the joint matching is kept: the body's own matching
             # is already reserved in g.pm_body.
             joint = _induced_pm(graph, sorted(g.body.vertices() + piece), left)
             left = _time_left(deadline, "absorption")
             if joint is not None:
-                used[gi] = True
-                chosen.append((gi, joint))
-                placed = True
+                del free[i]
+                edges.extend(joint.edges)
                 break
-        if not placed:
+        else:
             raise AbsorptionError(tuple(piece))
-
-    edges: list[Edge] = []
-    for gi, joint in chosen:
-        edges.extend(joint.edges)
-    for gi, g in enumerate(pool):
-        if not used[gi]:
-            edges.extend(g.pm_body.edges)
+    for g in free:
+        edges.extend(g.pm_body.edges)
     result = Matching(edges=tuple(sorted(edges)))
     spans = result.vertices() == leftover_v | body_vertices
     if not spans or not is_matching_of(graph, result.edges):

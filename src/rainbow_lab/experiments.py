@@ -3,10 +3,12 @@
 Every suite consumes an :class:`ExperimentConfig` and emits an
 :class:`ExperimentReport` whose rows are deterministic functions of the
 seed: instances come from a Mersenne-Twister stream (algorithm id
-recorded in the header) keyed by ``seed * 2**32 + trial``.  Timeouts
-mark a row "unknown" and spoil the aggregate instead of passing
-silently.  Wall-clock runtimes appear in rows but are excluded from the
-determinism digest.
+recorded in the header) keyed by ``seed * 2**32 + trial``.  A trial
+has one deadline, ``timeout_seconds`` from its start: its first solver
+call gets the whole timeout and each later call the time left.
+Timeouts mark a row "unknown" and spoil the aggregate instead of
+passing silently.  Wall-clock runtimes appear in rows but are excluded
+from the determinism digest.
 """
 
 from __future__ import annotations
@@ -228,12 +230,15 @@ def _sizes(cfg: ExperimentConfig, default: tuple[int, ...], suite: str) -> tuple
 
 
 def _sharpness_trial(cfg: ExperimentConfig, n: int) -> Verdict:
+    deadline = _deadline(cfg.timeout_seconds)
     member = extremal_graph(n, n // 3, 2)
     family = HypergraphFamily(n, (member,) * (n // 3))
     bound = extremal_adjacent_degree_sum(n)
     stats = member.degree_sum_minima()
     rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
-    pm = partite_perfect_matching(extremal_partite(n), timeout=cfg.timeout_seconds)
+    pm = partite_perfect_matching(
+        extremal_partite(n), timeout=_time_left(deadline, "sharpness trial")
+    )
     ok = rb is None and pm is None and stats.adjacent == bound
     detail = (
         f"degree-sum bound {bound}, rainbow "
@@ -257,12 +262,13 @@ def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _equivalence_trial(cfg: ExperimentConfig, i: int, n: int, t: int) -> Verdict:
+    deadline = _deadline(cfg.timeout_seconds)
     rng = trial_rng(cfg.seed, i)
     prob = _prob_ladder(t, cfg.trials)
     family = random_family(rng, n, n // 3, prob)
     rb = rainbow_matching(family, timeout=cfg.timeout_seconds)
     pm = partite_perfect_matching(
-        family_to_partite(family), timeout=cfg.timeout_seconds
+        family_to_partite(family), timeout=_time_left(deadline, "equivalence trial")
     )
     agree = (rb is None) == (pm is None)
     detail = (
@@ -290,15 +296,17 @@ def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
 
 
 def _duality_trial(cfg: ExperimentConfig, i: int) -> Verdict:
+    deadline = _deadline(cfg.timeout_seconds)
     rng = trial_rng(cfg.seed, i)
     n = rng.randint(4, 10)
     prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
     graph = random_hypergraph(rng, n, prob)
     # One solve gives both certificates; feasible with equal values,
     # they prove nu* = tau*.
-    value, fm, fc = fractional._solve(graph, cfg.timeout_seconds)
+    value, fm, fc = fractional._solve(graph, timeout=cfg.timeout_seconds)
     nu, tau = fm.value(), fc.value()
-    integral = len(max_matching(graph, timeout=cfg.timeout_seconds))
+    left = _time_left(deadline, "duality trial")
+    integral = len(max_matching(graph, timeout=left))
     ok = (
         nu == tau == value
         and fm.is_feasible(graph)
@@ -327,6 +335,7 @@ def _codegree_floor(graph: PartiteHypergraph, threshold: int) -> bool:
 
 
 def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
+    deadline = _deadline(cfg.timeout_seconds)
     rng = trial_rng(cfg.seed, i)
     q_size = 2 + (i % 3)  # cycles 2, 3, 4
     p_size = 3 * q_size
@@ -363,7 +372,7 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     if q_size <= 3 and res.containment_ok:
         # the cover LP optimum equals nu* of the input by LP duality
         nu_out, _ = max_fractional_matching(
-            res.shifted.graph, timeout=cfg.timeout_seconds
+            res.shifted.graph, timeout=_time_left(deadline, "shift trial")
         )
         checks["value_preserved"] = res.cover_value == nu_out
     ok = all(checks.values())

@@ -41,6 +41,7 @@ assert values and certificate feasibility, never specific weights.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -67,16 +68,20 @@ class FractionalMatching:
     def vertex_load(self, graph: Hypergraph) -> list[Fraction]:
         load = [ZERO] * graph.n_vertices
         for e, w in self.weights.items():
-            for v in e:
-                load[v] += w
+            if w:
+                for v in e:
+                    load[v] += w
         return load
 
     def is_feasible(self, graph: Hypergraph) -> bool:
-        edge_set = set(graph.edges)
-        if any(e not in edge_set for e in self.weights):
-            return False
-        if any(w < 0 or w > 1 for w in self.weights.values()):
-            return False
+        """Every key an edge of the graph (found by bisection in the
+        sorted ``graph.edges``), every weight in [0, 1] and every vertex
+        load at most 1."""
+        edges = graph.edges
+        for e, w in self.weights.items():
+            i = bisect_left(edges, e)
+            if i == len(edges) or edges[i] != e or not 0 <= w <= 1:
+                return False
         return all(l <= 1 for l in self.vertex_load(graph))
 
     def saturates(self, graph: Hypergraph) -> bool:

@@ -74,9 +74,6 @@ class RainbowMatching:
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def matching(self) -> Matching:
-        return Matching(edges=tuple(e for _, e in self.pairs))
-
     def to_list(self) -> list[dict]:
         return [{"color": c, "edge": list(e)} for c, e in self.pairs]
 

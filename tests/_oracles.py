@@ -116,6 +116,21 @@ def fraction_is_cover(weights, graph: Hypergraph) -> bool:
     )
 
 
+def fraction_is_matching(weights, graph: Hypergraph) -> bool:
+    """The fractional-matching definition, in Fractions: every key an
+    edge, every weight in [0, 1], and every vertex's load, summed over
+    all its weighted edges, at most 1."""
+    edge_set = set(graph.edges)
+    if any(e not in edge_set for e in weights):
+        return False
+    if any(not 0 <= w <= 1 for w in weights.values()):
+        return False
+    return all(
+        sum((w for e, w in weights.items() if v in e), ZERO) <= 1
+        for v in range(graph.n_vertices)
+    )
+
+
 def float_lp_matching_value(edges, n_vertices: int) -> float:
     """Floating-point LP oracle for the fractional matching optimum."""
     from scipy.optimize import linprog

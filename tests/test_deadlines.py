@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from rainbow_lab import absorbing, experiments, shift
+from rainbow_lab import absorbing, experiments, fractional, shift
 from rainbow_lab.absorbing import (
     AbsorberGadget,
     AbsorptionError,
@@ -154,3 +154,66 @@ def test_pipeline_stages_share_the_deadline(monkeypatch):
     with pytest.raises(SolverTimeout, match="shift pipeline exceeded its deadline"):
         fractional_pm_pipeline(complete_partite(3, 9), timeout=0.05)
     assert len(link.timeouts) == 1
+
+
+# An experiment trial takes one deadline too: the first solver call gets
+# ``timeout_seconds`` and the second the time left.  Keyed by the suite,
+# which names the trial's deadline error: the trial on a config and its
+# two stages as (module, name, stub answer).
+REAL_SOLVE = fractional._solve
+REAL_PIPELINE = experiments.fractional_pm_pipeline
+RAINBOW_THEN_PARTITE = [
+    (experiments, "rainbow_matching", lambda family: None),
+    (experiments, "partite_perfect_matching", lambda graph: None),
+]
+TRIALS = {
+    "sharpness": (lambda cfg: experiments._sharpness_trial(cfg, 6), RAINBOW_THEN_PARTITE),
+    "equivalence": (
+        lambda cfg: experiments._equivalence_trial(cfg, 0, 6, 0),
+        RAINBOW_THEN_PARTITE,
+    ),
+    "duality": (
+        lambda cfg: experiments._duality_trial(cfg, 0),
+        [
+            (fractional, "_solve", lambda graph: REAL_SOLVE(graph, None)),
+            (experiments, "max_matching", lambda graph: Matching(edges=())),
+        ],
+    ),
+    # trial 3 is a q=2 instance whose closure contains the shift, so
+    # its value check runs a second LP
+    "shift": (
+        lambda cfg: experiments._shift_trial(cfg, 3),
+        [
+            (
+                experiments,
+                "fractional_pm_pipeline",
+                lambda graph, threshold: REAL_PIPELINE(graph, threshold=threshold, timeout=None),
+            ),
+            (experiments, "max_fractional_matching", lambda graph: (0, None)),
+        ],
+    ),
+}
+
+
+def stub_trial_stages(monkeypatch, stages, honest):
+    """Replace each stage by a SlowStage; a keyword argument other than
+    the timeout (the pipeline's threshold) reaches ``run`` positionally."""
+    slow = [SlowStage(run, honest=honest) for _, _, run in stages]
+    for (module, name, _), stage in zip(stages, slow):
+        def call(*args, timeout, stage=stage, **kwargs):
+            return stage(*args, *kwargs.values(), timeout=timeout)
+
+        monkeypatch.setattr(module, name, call)
+    return slow
+
+
+@pytest.mark.parametrize("suite", sorted(TRIALS))
+def test_trial_stages_share_the_deadline(monkeypatch, suite):
+    trial, stages = TRIALS[suite]
+    slow = stub_trial_stages(monkeypatch, stages, honest=True)
+    trial(experiments.ExperimentConfig(timeout_seconds=1.0))
+    assert_time_left([t for s in slow for t in s.timeouts], 1.0, 2)
+    overrun = stub_trial_stages(monkeypatch, stages, honest=False)
+    with pytest.raises(SolverTimeout, match=f"{suite} trial exceeded its deadline"):
+        trial(experiments.ExperimentConfig(timeout_seconds=0.05))
+    assert overrun[0].timeouts == [0.05] and overrun[1].timeouts == []

@@ -35,6 +35,7 @@ from _oracles import (
     dense_solve,
     float_lp_cover_value,
     float_lp_matching_value,
+    fraction_is_matching,
 )
 
 
@@ -223,6 +224,62 @@ class TestDeadline:
         # no pivot, so no deadline check: an empty graph always answers
         value, _ = max_fractional_matching(empty_hypergraph(3, 4), timeout=1e-9)
         assert value == 0
+
+
+CLEAN, NON_EDGE, OUT_OF_UNIT, OVERLOADED = range(4)
+
+
+def seeded_fractional_matching(seed):
+    """A 3-graph and edge weights over it, with one kind of fault.
+
+    Every edge has a key, as in the LP's certificates, and about a third
+    carry a non-zero weight, scaled so that the largest vertex load is at
+    most 1.  The fault (by ``seed % 4``) is none, a key that is not an
+    edge (a missing 3-set, an edge reversed, or one off the graph), a
+    weight outside [0, 1], or one vertex loaded above 1.
+    """
+    rng = random.Random(seed)
+    n = rng.randint(4, 8)
+    graph = random_3graph(rng, n, rng.uniform(0.2, 0.8))
+    den = rng.randint(1, 6)
+    w = {
+        e: Fraction(rng.randint(1, den), den) if rng.random() < 0.35 else Fraction(0)
+        for e in graph.edges
+    }
+    top = max(FractionalMatching(weights=w).vertex_load(graph))
+    if top > 1:
+        w = {e: x / top for e, x in w.items()}
+    fault = seed % 4
+    if fault == NON_EDGE:
+        missing = [e for e in combinations(range(n), 3) if not graph.has_edge(e)]
+        keys = [(0, 1, n)] + missing[:1] + [e[::-1] for e in graph.edges[:1]]
+        w[rng.choice(keys)] = rng.choice([Fraction(0), Fraction(1, 2)])
+    elif fault == OUT_OF_UNIT and graph.edges:
+        w[rng.choice(graph.edges)] = rng.choice([Fraction(-1, den), Fraction(den + 1, den)])
+    elif fault == OVERLOADED:
+        v = rng.randrange(n)
+        through = [e for e in graph.edges if v in e]
+        for e in through[:2]:
+            w[e] = Fraction(2, 3)
+    return graph, FractionalMatching(weights=w)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_matching_feasibility_agrees_with_the_fraction_oracle(seed):
+    graph, fm = seeded_fractional_matching(seed)
+    assert fm.is_feasible(graph) == fraction_is_matching(fm.weights, graph)
+
+
+def test_matching_feasibility_faults():
+    h = complete_hypergraph(3, 5)
+    zero = {e: Fraction(0) for e in h.edges}
+    assert FractionalMatching(weights=zero).is_feasible(h)
+    assert not FractionalMatching(weights={**zero, (0, 1, 5): Fraction(0)}).is_feasible(h)
+    assert not FractionalMatching(weights={**zero, (2, 1, 0): Fraction(0)}).is_feasible(h)
+    assert not FractionalMatching(weights={**zero, (0, 1, 2): Fraction(-1, 3)}).is_feasible(h)
+    assert not FractionalMatching(weights={**zero, (0, 1, 2): Fraction(4, 3)}).is_feasible(h)
+    overloaded = {**zero, (0, 1, 2): Fraction(1, 2), (0, 3, 4): Fraction(2, 3)}
+    assert not FractionalMatching(weights=overloaded).is_feasible(h)
 
 
 # -- agreement with the dense tableau ------------------------------------------
