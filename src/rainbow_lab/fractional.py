@@ -28,8 +28,9 @@ terminates without Bland's smallest-index rule (Math. Oper. Res. 2(2),
 graphs.
 
 Both certificates come from the final state: the basic edge rows give
-the matching, and the negated reduced costs of the vertex slacks give
-the cover (the LP dual).  Their optimality is not taken on trust:
+the matching (only their non-zero weights, so at most n edges), and the
+negated reduced costs of the vertex slacks give the cover (the LP
+dual).  Their optimality is not taken on trust:
 callers check that the matching and the cover are feasible (the cover
 by :meth:`FractionalCover.scaled`, the package's one cover check) and
 that their values agree, which by weak duality proves both optimal.
@@ -58,7 +59,8 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class FractionalMatching:
-    """Edge weights in [0,1] with per-vertex load at most 1."""
+    """Edge weights in [0,1] with per-vertex load at most 1; an absent
+    edge weighs 0."""
 
     weights: dict[Edge, Fraction]
 
@@ -199,10 +201,11 @@ def _solve(
         basis[leave] = enter
         den = piv
 
-    weights = {e: ZERO for e in edges}
-    for i, b in enumerate(basis):
-        if b < m:
-            weights[edges[b]] = Fraction(rows[i][-1], den)
+    weights = {
+        edges[b]: Fraction(rows[i][-1], den)
+        for i, b in enumerate(basis)
+        if b < m and rows[i][-1]
+    }
     cover = {v: Fraction(-cbar[v], den) for v in range(n)}
     return (
         Fraction(-cbar[-1], den),

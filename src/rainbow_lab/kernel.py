@@ -23,6 +23,16 @@ stay those of a scan that visits every candidate.  The exact-cover
 search counts only disjoint candidates of its pivot vertex.  A deadline
 is polled whenever the count passes a multiple of ``_DEADLINE_STRIDE``.
 
+In the rainbow and exact-cover searches everything below a node
+depends only on the vertices already covered (and, in the rainbow
+search, on the level, since edges may differ in size), yet many orders
+of placement reach the same covered set.  So each call of either keeps
+a dead-end table of the states it has searched without a solution, and
+skips a state found there.  The table lives for one call.  A node count
+is that of the full scan minus the subtrees in the table; the witness
+is the full scan's, and an abort still reports exactly
+``node_budget``, because the scan is a subsequence of the full one.
+
 Status codes: 0 = search completed (witness present for system/cover
 search, best-so-far is optimal for the max search), 1 = completed with
 no solution, 2 = node budget or deadline exhausted.
@@ -153,16 +163,20 @@ def rainbow_search(
         for lst, every in zip(lists, everything)
     ]
     picks = [-1] * t
+    # dead[level]: the vertex sets covered by colors < level known to
+    # leave no rainbow completion.
+    dead: list[set[int]] = [set() for _ in range(t + 1)]
     nodes = 0
     due = _next_check(0, node_budget, deadline)
 
-    def search(level: int, cands: int, later: list[int]) -> bool:
-        # cands: alive candidates of this color; later: alive sets of the
-        # colors after it, in order.
+    def search(level: int, occ: int, cands: int, later: list[int]) -> bool:
+        # occ: vertices covered so far; cands: alive candidates of this
+        # color; later: alive sets of the colors after it, in order.
         nonlocal nodes, due
         edge_verts = verts[level]
         masks = lists[level]
         later_avoid = avoid[level + 1 :]
+        dead_next = dead[level + 1]
         last = -1
         while cands:
             low = cands & -cands
@@ -172,6 +186,9 @@ def rainbow_search(
             last = idx
             if nodes >= due:
                 due = _checkpoint(nodes, node_budget, deadline)
+            nxt_occ = occ | masks[idx]
+            if nxt_occ in dead_next:
+                continue
             vs = edge_verts[idx]
             if vs is None:
                 vs = edge_verts[idx] = _vertices(masks[idx])
@@ -180,19 +197,21 @@ def rainbow_search(
                 for v in vs:
                     alive &= rows[v]
                 if not alive:
+                    dead_next.add(nxt_occ)
                     break
                 nxt.append(alive)
             else:
                 picks[level] = idx
-                if not nxt or search(level + 1, nxt[0], nxt[1:]):
+                if not nxt or search(level + 1, nxt_occ, nxt[0], nxt[1:]):
                     return True
         nodes += sizes[level] - 1 - last
         if nodes >= due:
             due = _checkpoint(nodes, node_budget, deadline)
+        dead[level].add(occ)
         return False
 
     try:
-        if search(0, everything[0], everything[1:]):
+        if search(0, 0, everything[0], everything[1:]):
             return FOUND, picks, nodes
         return NONE, None, nodes
     except _Abort as stop:
@@ -220,6 +239,9 @@ def exact_cover(
     # Vertices of an edge, filled in when it is first placed.
     verts: list[Optional[tuple[int, ...]]] = [None] * len(lists)
     picks: list[int] = []
+    # Covered vertex sets known to leave no exact cover; ``alive`` and
+    # the pivot follow from ``occ``, so it alone is the key.
+    dead: set[int] = set()
     nodes = 0
     due = _next_check(0, node_budget, deadline)
 
@@ -227,6 +249,8 @@ def exact_cover(
         nonlocal nodes, due
         if occ == full:
             return True
+        if occ in dead:
+            return False
         pivot = -1
         pivot_count = inf
         for v in range(n_vertices):
@@ -234,6 +258,7 @@ def exact_cover(
                 continue
             count = (by_bits[v] & alive).bit_count()
             if count == 0:
+                dead.add(occ)
                 return False
             if count < pivot_count:
                 pivot = v
@@ -256,6 +281,7 @@ def exact_cover(
             if search(occ | lists[i], rest):
                 return True
             picks.pop()
+        dead.add(occ)
         return False
 
     try:

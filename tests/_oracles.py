@@ -4,8 +4,8 @@ These recompute expected values by plain enumeration with no pruning
 beyond disjointness, so they stay honest cross-checks for the solvers.
 Only usable at small sizes.  The exceptions are the reference search
 kernel, the dense LP tableau and the reference shift at the end, which
-fix the exact output of the kernel, the LP and the shift rather than
-just their verdicts.
+fix the search tree of the kernel and the exact output of the LP and
+the shift rather than just their verdicts.
 """
 
 from __future__ import annotations
@@ -172,9 +172,10 @@ def float_lp_cover_value(edges, n_vertices: int) -> float:
 #
 # The scalar searches that ``rainbow_lab.kernel`` replaced with bitset
 # candidate sets, kept verbatim: they rescan every candidate list at
-# every node.  ``tests/test_kernel.py`` requires the kernel to return
-# exactly their ``(status, picks, nodes)``, so candidate order and node
-# accounting cannot drift unseen.
+# every node and keep no dead-end table.  They specify the search tree:
+# ``tests/test_kernel.py`` requires the kernel to return their status
+# and picks in at most their nodes, and to abort only where they do, so
+# candidate order and node accounting cannot drift unseen.
 
 KERNEL_FOUND = 0
 KERNEL_NONE = 1
@@ -357,10 +358,11 @@ def dense_solve(
         basis[leave] = enter
         den = piv
 
-    weights = {e: ZERO for e in edges}
-    for i, b in enumerate(basis):
-        if b < m:
-            weights[edges[b]] = Fraction(rows[i][-1], den)
+    weights = {
+        edges[b]: Fraction(rows[i][-1], den)
+        for i, b in enumerate(basis)
+        if b < m and rows[i][-1]
+    }
     cover = {v: Fraction(-cbar[m + v], den) for v in range(n)}
     return (
         Fraction(-cbar[-1], den),

@@ -21,6 +21,11 @@ def test_sharpness_suite_digest():
     )
 
 
+def test_sharpness_passes_at_eighteen():
+    report = run_sharpness(ExperimentConfig(seed=0, n_values=(18,)))
+    assert report.aggregate == "pass"
+
+
 def test_equivalence_suite_digest():
     report = run_equivalence(ExperimentConfig(seed=0, trials=3))
     assert report.aggregate == "pass"

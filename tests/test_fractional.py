@@ -18,7 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rainbow_lab import fractional
-from rainbow_lab.constructions import PartiteHypergraph, extremal_graph, extremal_partite
+from rainbow_lab.constructions import (
+    PartiteHypergraph,
+    complete_partite,
+    extremal_graph,
+    extremal_partite,
+)
 from rainbow_lab.fractional import (
     FractionalCover,
     FractionalMatching,
@@ -168,6 +173,15 @@ class TestCertificates:
             h = random_3graph(rng, 8, 0.4)
             _, fc = min_fractional_cover(h)
             assert all(0 <= w <= 1 for w in fc.weights.values())
+
+    def test_matching_stores_only_nonzero_basic_weights(self):
+        h = complete_partite(4, 12)
+        value, fm, _ = fractional._solve(h, None)
+        assert len(fm.weights) <= h.n_vertices
+        assert all(fm.weights.values())
+        assert fm.value() == value
+        assert fm.is_feasible(h)
+        assert verify_duality(h)
 
     def test_feasibility_rejects_bad_certificates(self):
         h = complete_hypergraph(3, 6)

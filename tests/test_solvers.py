@@ -54,7 +54,7 @@ def parity_family(n=12):
 
     A divisibility barrier: t disjoint triples would cover the odd set A
     by even parts.  Its cover value is t, so no cover refutes it, and the
-    search takes 452,130 nodes at n = 12.
+    search takes 59,640 nodes at n = 12.
     """
     inside = set(range(5))
     member = Hypergraph(
@@ -188,6 +188,9 @@ class TestPartitePerfectMatching:
         pm = partite_perfect_matching(family_to_partite(fam))
         assert pm is not None and len(pm) == 2
 
+    def test_tight_partite_blocked_at_eighteen(self):
+        assert partite_perfect_matching(extremal_partite(18)) is None
+
     def test_tight_partite_blocked(self):
         assert partite_perfect_matching(extremal_partite(6)) is None
 
@@ -260,9 +263,10 @@ class TestTimeout:
         assert time.monotonic() - start < 0.5
 
     def test_deadline_stops_partite_refutation(self):
+        # About 9.3M nodes without a deadline.
         start = time.monotonic()
         with pytest.raises(SolverTimeout):
-            partite_perfect_matching(extremal_partite(12), timeout=1e-3)
+            partite_perfect_matching(extremal_partite(21), timeout=1e-3)
         assert time.monotonic() - start < 0.5
 
     def test_budget_exhaustion_max_matching(self):
@@ -321,6 +325,10 @@ class TestCoverRefutation:
     def test_no_cover_below_t_on_parity_barrier(self):
         assert cover_refutation(parity_family()) is None
         assert rainbow_matching(parity_family()) is None
+
+    def test_parity_barrier_searched_in_full_at_fifteen(self):
+        assert cover_refutation(parity_family(15)) is None
+        assert rainbow_matching(parity_family(15)) is None
 
     def test_sound_against_oracle(self):
         rng = random.Random(13)
