@@ -5,14 +5,17 @@ one induced on A union T have perfect matchings: the matching reserved
 on T can be locally rewired to also cover A.  The constructor follows a
 fixed double-matching wiring (six edges covering T, seven covering
 A union T, overlapping on six class vertices); the verifier only cares
-about the induced perfect matchings, not the wiring.
+about the induced perfect matchings, not the wiring.  Each induced
+subgraph is searched on the graph itself, through the solvers'
+``vertices`` input, so no subgraph is built or relabelled.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from functools import cache, partial
+from itertools import chain, combinations, permutations
 from typing import Iterable, Optional, Sequence
 
 from .constructions import HypergraphFamily, PartiteHypergraph
@@ -105,12 +108,10 @@ def _induced_pm(
     vertices: Sequence[int],
     timeout: Optional[float],
 ) -> Optional[Matching]:
-    sub, ids = graph.induced(vertices)
-    found, pm = has_perfect_matching(sub, timeout=timeout)
-    if not found or pm is None:
-        return None
-    # The relabel is monotone, so the sorted matching stays sorted.
-    return Matching(edges=tuple(tuple(ids[v] for v in e) for e in pm.edges))
+    """A perfect matching of the subgraph induced on ``vertices``, in
+    the graph's own ids, or None."""
+    found, pm = has_perfect_matching(graph, timeout=timeout, vertices=vertices)
+    return pm if found else None
 
 
 def is_absorbing(
@@ -149,8 +150,8 @@ def low_degree_anchor(member: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """
     if member.n_vertices == 0:
         raise ValueError("anchor needs at least one vertex")
-    deg = member.degrees(1)
-    anchor = min(range(member.n_vertices), key=lambda v: (deg[(v,)], v))
+    deg = Counter(chain.from_iterable(member.edges))
+    anchor = min(range(member.n_vertices), key=lambda v: (deg[v], v))
     reach = {v for e in member.edges if anchor in e for v in e}
     reach.discard(anchor)
     return anchor, tuple(sorted(reach))
@@ -224,12 +225,16 @@ def build_gadget(
     ) -> list[tuple[int, int, int]]:
         free = [p for p in graph.p_vertices() if p not in used_p]
         out = []
+        # Each edge is sorted by placing lv or rv among x < y: the class
+        # vertex u lies below every other vertex, and lv, rv outside
+        # ``free``.
         for u in q_free_all:
             for x, y in combinations(free, 2):
-                if (
-                    tuple(sorted((u, x, y, lv))) in edge_set
-                    and tuple(sorted((u, x, y, rv))) in edge_set
-                ):
+                left_edge = (u, lv, x, y) if lv < x else (u, x, lv, y) if lv < y else (u, x, y, lv)
+                if left_edge not in edge_set:
+                    continue
+                right_edge = (u, rv, x, y) if rv < x else (u, x, rv, y) if rv < y else (u, x, y, rv)
+                if right_edge in edge_set:
                     out.append((u, x, y))
         return out
 
@@ -247,7 +252,7 @@ def build_gadget(
             return {}
         pivot = min(live, key=lambda j: (len(live[j]), j))
         rest = {j: cands for j, cands in live.items() if j != pivot}
-        usage = Counter(v for cands in rest.values() for c in cands for v in c)
+        usage = Counter(chain.from_iterable(chain.from_iterable(rest.values())))
         for cand in sorted(
             live[pivot],
             key=lambda c: (usage[c[0]] + usage[c[1]] + usage[c[2]], c),
@@ -268,13 +273,14 @@ def build_gadget(
         for e in link_edges:
             if not set(e).isdisjoint(left):
                 continue
-            used_p = {*left, *e}
+            # The six orders of the rewire edge share ``used_p``, and so
+            # the candidates of each (left, right) pair: 12 pairs in all.
+            pair_candidates = cache(partial(bridge_candidates, used_p={*left, *e}))
             for rewire in permutations(e):
                 spend()
                 right = helpers + rewire
                 got = place({
-                    j: bridge_candidates(left[j], right[j], used_p)
-                    for j in range(6)
+                    j: pair_candidates(left[j], right[j]) for j in range(6)
                 })
                 if got is None:
                     continue

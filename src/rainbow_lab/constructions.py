@@ -184,9 +184,8 @@ def partite_to_family(graph: PartiteHypergraph) -> HypergraphFamily:
     """
     q = graph.q_size
     buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
-    for e in graph.edges:
-        u = e[0]
-        buckets[u].append(tuple(v - q for v in e[1:]))
+    for u, a, b, c in graph.edges:
+        buckets[u].append((a - q, b - q, c - q))
     members = tuple(
         Hypergraph._trusted(3, graph.p_size, bucket) for bucket in buckets
     )

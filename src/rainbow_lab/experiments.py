@@ -429,15 +429,12 @@ def absorb_scenario(
         pool.append(gadget)
         left = _time_left(deadline, "absorb scenario")
 
-    rest = sorted(set(range(graph.n_vertices)) - reserved)
-    sub, ids = graph.induced(rest)
-    m1 = max_matching(sub, timeout=left)
-    m1_edges = tuple(tuple(ids[v] for v in e) for e in m1.edges)
-    covered = {v for e in m1_edges for v in e}
-    leftover = BalancedSet.from_vertices(set(rest) - covered, graph)
+    rest = set(range(graph.n_vertices)) - reserved
+    m1 = max_matching(graph, timeout=left, vertices=rest)
+    leftover = BalancedSet.from_vertices(rest - m1.vertices(), graph)
     left = _time_left(deadline, "absorb scenario")
     absorbed = absorb(pool, leftover, graph, timeout=left)
-    combined = Matching(edges=tuple(sorted(m1_edges + absorbed.edges)))
+    combined = Matching(edges=tuple(sorted(m1.edges + absorbed.edges)))
     if not is_perfect_matching_of(graph, combined.edges):
         raise AssertionError("assembled matching is not perfect")
     return combined, pool

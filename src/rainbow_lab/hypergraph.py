@@ -7,8 +7,10 @@ serialized representations.  Instances are immutable after construction
 and safe to share between threads.
 
 Constructors validate every edge; a graph derived from validated ones
-(induced subgraphs, the family reduction, closures and shifts) is built
-by the private ``_trusted``, which checks nothing again.
+(the family reduction, closures, shifts and :meth:`Hypergraph.induced`)
+is built by the private ``_trusted``, which checks nothing again.  The
+solvers search an induced subproblem on the parent graph itself, given
+its vertex set, so they build no graph for it.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class DegreeSumMinima:
 class Hypergraph:
     """Immutable k-uniform hypergraph; degrees are counted on demand.
 
-    No degree index is kept: most graphs (induced subproblems, closures,
-    links) are only searched.  ``degree(vertices)`` scans the edges once
+    No degree index is kept: most derived graphs (closures, links) are
+    only searched.  ``degree(vertices)`` scans the edges once
     for one set; ``degrees(size)`` counts every ``size``-set in one pass,
     for callers that need many degrees.
     """

@@ -84,13 +84,6 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
     )
 
 
-def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
-    """The shift order: ranks of e bound those of f componentwise."""
-    qi, ep = order.rank_key(e)
-    qj, fp = order.rank_key(f)
-    return qi <= qj and all(a <= b for a, b in zip(ep, fp))
-
-
 def _immediate_successors(i, triple, q_size, p_size):
     j1, j2, j3 = triple
     if i + 1 < q_size:
@@ -114,12 +107,6 @@ def _upward_closed(keys, q_size: int, p_size: int) -> bool:
         for i, triple in keys
         for succ in _immediate_successors(i, triple, q_size, p_size)
     )
-
-
-def is_stable(order: OrderedPartite) -> bool:
-    """Upward closure of the edge set under the shift order."""
-    g = order.graph
-    return _upward_closed({order.rank_key(e) for e in g.edges}, g.q_size, g.p_size)
 
 
 def order_by_cover(

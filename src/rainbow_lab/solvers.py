@@ -9,16 +9,25 @@ fractional-cover certificate of ``none`` (:func:`cover_refutation`),
 and only then the full search.  The probe and the full search scan the
 same tree in the same order, so the witness is the full search's.
 
+Maximum and perfect matchings of an induced subgraph are searched on
+the parent graph, given the subgraph's ``vertices``: the kernel sees
+the parent's edges inside the set, in order, each as a bitmask over
+the positions of its vertices in the sorted set.  That relabel is
+monotone, so the masks, the picks and the witness are those of the
+relabelled induced graph, and no graph is built for the subproblem.
+
 ``node_budget`` bounds the searches; the certificate spends no nodes.
 A wall-clock timeout (default 60 s) bounds the whole call, all stages
 together, and aborts with :class:`SolverTimeout`, which is an explicit
-"unknown" outcome, distinct from "no matching exists".
+"unknown" outcome, distinct from "no matching exists".  Its message
+names what stopped the search: the budget or the deadline.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Optional, Sequence
 
 from . import kernel
@@ -104,50 +113,88 @@ def is_perfect_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
     ) == graph.n_vertices
 
 
+def _subproblem(
+    graph: Hypergraph, vertices: Optional[Iterable[int]]
+) -> tuple[Sequence[Edge], list[int], int]:
+    """The edges of ``graph`` inside ``vertices`` (all vertices when None),
+    in order, their bitmasks over the positions of their vertices in the
+    sorted set, and the size of the set."""
+    if vertices is None:
+        keep: Sequence[int] = range(graph.n_vertices)
+        edges: Sequence[Edge] = graph.edges
+    else:
+        keep = graph._check_vertices(vertices, "vertices")
+        edges = list(filter(set(keep).issuperset, graph.edges))
+    bit = [0] * graph.n_vertices
+    for i, v in enumerate(keep):
+        bit[v] = 1 << i
+    # The bits of one edge are distinct powers of two, so their sum is
+    # the mask; the flat stream of bits is cut into edges k at a time.
+    flat = map(bit.__getitem__, chain.from_iterable(edges))
+    return edges, list(map(sum, zip(*[flat] * graph.k))), len(keep)
+
+
+def _aborted(search: str, nodes: int, node_budget: int) -> SolverTimeout:
+    """The error of a search the kernel aborted.  The kernel reports
+    exactly ``node_budget`` nodes only when the budget stopped it, and
+    fewer when the deadline did."""
+    cause = "budget" if node_budget and nodes == node_budget else "deadline"
+    return SolverTimeout(f"{search} exceeded its {cause}")
+
+
 def max_matching(
     graph: Hypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     node_budget: int = 0,
+    vertices: Optional[Iterable[int]] = None,
 ) -> Matching:
-    """A maximum-cardinality matching, by exhaustive branch and bound."""
-    masks = [edge_mask(e) for e in graph.edges]
-    status, picks, _ = kernel.max_disjoint_edges(
+    """A maximum-cardinality matching, by exhaustive branch and bound.
+
+    With ``vertices``, a maximum matching of the subgraph induced on
+    them, in the graph's own vertex ids; a repeated or out-of-range
+    vertex raises ``ValueError``.
+    """
+    edges, masks, n = _subproblem(graph, vertices)
+    status, picks, nodes = kernel.max_disjoint_edges(
         masks,
         graph.k,
-        graph.n_vertices,
+        n,
         node_budget=node_budget,
         deadline=_deadline(timeout),
     )
     if status == kernel.ABORTED:
-        raise SolverTimeout("maximum-matching search exceeded its budget")
-    return Matching(edges=tuple(graph.edges[i] for i in picks))
+        raise _aborted("maximum-matching search", nodes, node_budget)
+    return Matching(edges=tuple(edges[i] for i in picks))
 
 
 def has_perfect_matching(
     graph: Hypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     node_budget: int = 0,
+    vertices: Optional[Iterable[int]] = None,
 ) -> tuple[bool, Optional[Matching]]:
     """Perfect-matching decision with witness.
 
     A perfect matching is an exact cover of the vertex set by edges;
-    the search branches on the most constrained uncovered vertex.
+    the search branches on the most constrained uncovered vertex.  With
+    ``vertices``, the decision is for the subgraph induced on them and
+    the witness is in the graph's own vertex ids; a repeated or
+    out-of-range vertex raises ``ValueError``.
     """
-    n = graph.n_vertices
+    edges, masks, n = _subproblem(graph, vertices)
     if n % graph.k != 0:
         return False, None
-    masks = [edge_mask(e) for e in graph.edges]
-    status, picks, _ = kernel.exact_cover(
+    status, picks, nodes = kernel.exact_cover(
         masks,
         n_vertices=n,
         node_budget=node_budget,
         deadline=_deadline(timeout),
     )
     if status == kernel.ABORTED:
-        raise SolverTimeout("perfect-matching search exceeded its budget")
+        raise _aborted("perfect-matching search", nodes, node_budget)
     if status == kernel.NONE:
         return False, None
-    return True, Matching(edges=tuple(sorted(graph.edges[i] for i in picks)))
+    return True, Matching(edges=tuple(sorted(edges[i] for i in picks)))
 
 
 def rainbow_matching(
@@ -186,11 +233,11 @@ def rainbow_matching(
         if cover_refutation(family, _time_left(deadline, "rainbow search")) is not None:
             return None
         if probe != node_budget:
-            status, picks, _ = kernel.rainbow_search(
+            status, picks, nodes = kernel.rainbow_search(
                 color_masks, node_budget=node_budget, deadline=deadline
             )
     if status == kernel.ABORTED:
-        raise SolverTimeout("rainbow search exceeded its budget")
+        raise _aborted("rainbow search", nodes, node_budget)
     if status == kernel.NONE:
         return None
     pairs = tuple(

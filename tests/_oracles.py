@@ -5,7 +5,8 @@ beyond disjointness, so they stay honest cross-checks for the solvers.
 Only usable at small sizes.  The exceptions are the reference search
 kernel, the dense LP tableau and the reference shift at the end, which
 fix the search tree of the kernel and the exact output of the LP and
-the shift rather than just their verdicts.
+the shift rather than just their verdicts, and the shift order with its
+stability check, which specify what the shift preserves.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from rainbow_lab.shift import (
     OrderedPartite,
     ShiftStep,
     ShiftTrace,
-    edge_precedes,
-    is_stable,
+    _upward_closed,
 )
 from rainbow_lab.solvers import SolverTimeout, _deadline
 
@@ -89,6 +89,20 @@ def all_partite_four_sets(q_size: int, p_size: int):
     for u in range(q_size):
         for trio in combinations(range(q_size, q_size + p_size), 3):
             yield (u,) + trio
+
+
+def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
+    """The shift order: ranks of e bound those of f componentwise."""
+    qi, ep = order.rank_key(e)
+    qj, fp = order.rank_key(f)
+    return qi <= qj and all(a <= b for a, b in zip(ep, fp))
+
+
+def is_stable(order: OrderedPartite) -> bool:
+    """Upward closure of the edge set under the shift order, checked
+    through the single-rank steps that ``stable_shift`` uses."""
+    g = order.graph
+    return _upward_closed({order.rank_key(e) for e in g.edges}, g.q_size, g.p_size)
 
 
 def brute_is_stable(order) -> bool:

@@ -34,16 +34,17 @@ BODY = [*range(1, 7), *range(10, 28)]  # 6 class + 18 other vertices
 TARGET = [0, 7, 8, 9]
 
 
-def found(sub):
+def found(sub, **kwargs):
     return True, Matching(edges=())
 
 
-def not_found(sub):
+def not_found(sub, **kwargs):
     return False, None
 
 
 class SlowStage:
-    """A stage stub: records its timeout, sleeps, then answers ``run(*args)``.
+    """A stage stub: records its timeout, sleeps, then answers
+    ``run(*args, **kwargs)``.
 
     An ``honest`` stage stops at its timeout and raises, as the
     package's searches and LPs do; otherwise it overruns its timeout,
@@ -54,13 +55,13 @@ class SlowStage:
         self.run, self.honest, self.seconds = run, honest, seconds
         self.timeouts: list = []
 
-    def __call__(self, *args, timeout):
+    def __call__(self, *args, timeout, **kwargs):
         self.timeouts.append(timeout)
         if self.honest and timeout < self.seconds:
             time.sleep(timeout)
             raise SolverTimeout("stub stage exceeded its deadline")
         time.sleep(self.seconds)
-        return self.run(*args)
+        return self.run(*args, **kwargs)
 
 
 def assert_time_left(timeouts, total, stages):

@@ -61,3 +61,12 @@ def test_witness_and_smallest_deciding_budget(seed, prob, kept, nodes, digest):
     assert gadget_digest(gadget) == digest
     with pytest.raises(SolverTimeout, match=f"exceeded {nodes - 1} nodes"):
         build_gadget(target, graph, candidates, node_budget=nodes - 1, timeout=None)
+
+
+def test_long_search_is_stopped_by_its_budget():
+    # Seed 3 at p = 0.06 is undecided after 3,000 nodes.  Each bridge's
+    # candidates are computed once per rewire edge, so those nodes take
+    # well under the deadline, and the budget names the stop.
+    target, graph, candidates = seeded_case(3, 0.06, None)
+    with pytest.raises(SolverTimeout, match="exceeded 3000 nodes"):
+        build_gadget(target, graph, candidates, node_budget=3000, timeout=30)

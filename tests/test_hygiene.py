@@ -4,7 +4,8 @@ Stdlib ``ast`` scans.  Every imported name is used in the module that
 imports it; package ``__init__.py`` files are skipped, because their
 imports are the package's re-exports, and so are ``from __future__``
 imports.  Every function and class of the package is named somewhere
-in ``src/``, ``tests/`` or ``perfbench/`` besides its own definition.
+in ``src/`` or ``perfbench/`` besides its own definition: code that
+only tests call belongs in the tests.
 No package code calls ``.degree(`` inside a loop, comprehension or
 lambda: each call scans every edge, so a caller that needs many
 degrees reads one ``degrees(size)`` table.  Nothing in ``src/`` or
@@ -114,11 +115,7 @@ def test_no_unreferenced_definitions():
         p.name: ast.parse(p.read_text())
         for p in sorted((ROOT / "src" / "rainbow_lab").glob("*.py"))
     }
-    others = [
-        ast.parse(p.read_text())
-        for d in ("tests", "perfbench")
-        for p in sorted((ROOT / d).rglob("*.py"))
-    ]
+    others = [ast.parse(p.read_text()) for p in sorted((ROOT / "perfbench").rglob("*.py"))]
     assert unreferenced(package, others) == []
 
 

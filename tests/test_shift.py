@@ -25,11 +25,9 @@ from rainbow_lab.shift import (
     ContractViolation,
     OrderedPartite,
     cover_closure,
-    edge_precedes,
     extend_link_matching,
     fractional_pm_pipeline,
     identity_order,
-    is_stable,
     order_by_cover,
     stable_shift,
 )
@@ -39,7 +37,13 @@ from rainbow_lab.solvers import (
     is_perfect_matching_of,
 )
 
-from _oracles import all_partite_four_sets, brute_is_stable, reference_stable_shift
+from _oracles import (
+    all_partite_four_sets,
+    brute_is_stable,
+    edge_precedes,
+    is_stable,
+    reference_stable_shift,
+)
 
 
 def random_partite(rng, q, p, prob):

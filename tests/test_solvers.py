@@ -9,6 +9,8 @@ from itertools import combinations
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rainbow_lab import kernel, solvers
 from rainbow_lab.constructions import (
@@ -33,6 +35,7 @@ from rainbow_lab.solvers import (
 )
 
 from _oracles import (
+    all_partite_four_sets,
     brute_max_matching_size,
     brute_pm_exists,
     brute_rainbow_exists,
@@ -273,6 +276,71 @@ class TestTimeout:
         h = complete_hypergraph(3, 12)
         with pytest.raises(SolverTimeout):
             max_matching(h, node_budget=10)
+
+    def test_abort_names_the_deadline(self, monkeypatch):
+        with pytest.raises(SolverTimeout, match="perfect-matching search exceeded its deadline"):
+            has_perfect_matching(extremal_partite(21), timeout=1e-3)
+        # a probe stopped short of its budget: only the deadline does that
+        monkeypatch.setattr(
+            kernel, "rainbow_search", lambda *a, **k: (kernel.ABORTED, None, 4096)
+        )
+        with pytest.raises(SolverTimeout, match="rainbow search exceeded its deadline"):
+            rainbow_matching(tight_family(12), timeout=30.0)
+
+    def test_abort_names_the_budget(self):
+        with pytest.raises(SolverTimeout, match="perfect-matching search exceeded its budget"):
+            has_perfect_matching(extremal_partite(21), node_budget=1)
+        with pytest.raises(SolverTimeout, match="rainbow search exceeded its budget"):
+            rainbow_matching(parity_family(), node_budget=50)
+        with pytest.raises(SolverTimeout, match="maximum-matching search exceeded its budget"):
+            max_matching(complete_hypergraph(3, 12), node_budget=10)
+
+
+@st.composite
+def graphs_and_vertex_sets(draw):
+    """A random 3-graph or partite 4-graph, and a vertex set of it (in
+    any order, of any size, empty and full included)."""
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 9))
+        edges = draw(st.lists(st.sampled_from(list(combinations(range(n), 3))), unique=True))
+        graph = Hypergraph(3, n, edges)
+    else:
+        q, p = draw(st.integers(1, 3)), draw(st.integers(3, 9))
+        edges = draw(st.lists(st.sampled_from(list(all_partite_four_sets(q, p))), unique=True))
+        graph = PartiteHypergraph(q, p, edges)
+    everything = list(range(graph.n_vertices))
+    vertices = draw(st.one_of(st.just(everything), st.sets(st.sampled_from(everything))))
+    return graph, draw(st.permutations(sorted(vertices)))
+
+
+class TestInducedSubproblems:
+    """The solvers on ``vertices`` against ``Hypergraph.induced``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(graphs_and_vertex_sets())
+    @example((complete_hypergraph(3, 6), []))
+    @example((complete_hypergraph(3, 6), range(6)))
+    @example((complete_hypergraph(3, 7), [6, 0, 1, 2, 3]))
+    def test_same_edges_in_the_same_order_as_the_induced_graph(self, case):
+        graph, vertices = case
+        sub, ids = graph.induced(vertices)
+
+        def back(matching):
+            return tuple(tuple(ids[v] for v in e) for e in matching.edges)
+
+        found, pm = has_perfect_matching(sub)
+        got_found, got_pm = has_perfect_matching(graph, vertices=vertices)
+        assert got_found == found
+        assert (got_pm and got_pm.edges) == (pm and back(pm))
+        assert max_matching(graph, vertices=vertices).edges == back(max_matching(sub))
+
+    @pytest.mark.parametrize("vertices", [[0, 0, 1], [-1, 0, 1], [0, 1, 6]])
+    def test_bad_vertex_set_rejected(self, vertices):
+        graph = complete_hypergraph(3, 6)
+        with pytest.raises(ValueError):
+            has_perfect_matching(graph, vertices=vertices)
+        with pytest.raises(ValueError):
+            max_matching(graph, vertices=vertices)
 
 
 def integer_cover_check(family, cover) -> bool:
