@@ -12,6 +12,7 @@ subgraph is searched on the graph itself, through the solvers'
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
@@ -211,7 +212,11 @@ def build_gadget(
     nodes_left = node_budget
     deadline = _deadline(timeout)
 
-    link_edges = [e[1:] for e in graph.edges if e[0] == u_target]
+    # The edges are sorted with the class vertex first, so the link of
+    # u_target is one contiguous run of them.
+    edges = graph.edges
+    link = edges[bisect_left(edges, (u_target,)) : bisect_left(edges, (u_target + 1,))]
+    link_edges = [e[1:] for e in link]
 
     def spend() -> None:
         nonlocal nodes_left

@@ -14,9 +14,15 @@ The simplex is revised (Azulay and Pique, ACM TOMS 27(3), 2001): of
 the n x (m + n + 1) tableau it keeps only the n x (n + 1) block
 ``den * B^-1 | den * rhs`` and the n + 1 slack reduced costs.  Each of
 the m edge columns has k ones, so its column and its reduced cost are
-sums over its k vertices: every edge is priced at each pivot in O(k * m)
-integer additions, and only the entering edge's column is formed, so a
-pivot costs O(n^2 + k * m) instead of O(n * m).
+sums over its k vertices, and only the entering edge's column is formed.
+While no slack's reduced cost is positive, no edge's exceeds ``den``,
+and an edge's equals ``den`` exactly when all k of its vertices have
+reduced cost 0.  So the entering edge is the first one inside that zero
+set, found by a scan that stops there; every edge is priced, in
+O(k * m) integer additions, only when no edge lies inside it or a slack
+prices positive.  Either way the column that full pricing picks enters,
+so the pivot path and every stored integer are those of full pricing,
+and a pivot costs at most O(n^2 + k * m) instead of O(n * m).
 
 Pivots follow Dantzig's rule, the largest reduced cost enters, with
 the lexicographic ratio test of Dantzig, Orden and Wolfe (Pacific J.
@@ -45,8 +51,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
-from operator import add
+from operator import add, not_
 from typing import Optional
 
 from .hypergraph import Hypergraph
@@ -136,17 +143,21 @@ def _solve(
     computed when it is priced and never stored.  A basic edge prices to
     0, so the basis needs no membership set.
 
-    Every edge, then every slack, is priced; the largest positive
-    reduced cost enters, ties to the lowest column.  All stored ints
-    share the factor ``den``, so they compare as they are.  The leaving
-    row is the lexicographic minimum of ``(rhs, den * B^-1 row) / entry``
-    over the positive entries: rhs ratios first, then the B^-1 entries
-    in column order only on a tie.  B^-1 is nonsingular, so no two rows
-    are proportional and the minimum is unique.  That is the pivot path
-    of the dense tableau under the same rule, with the same integers.
-    ``den`` stays positive because every pivot element is, so signs of
-    stored ints are signs of the true entries and ratios compare by
-    cross-multiplication.
+    The largest positive reduced cost enters, ties to the lowest column
+    (edges before slacks).  All stored ints share the factor ``den``, so
+    they compare as they are.  When no slack's reduced cost is positive,
+    an edge's is at most ``den``, with equality exactly when its vertices
+    all have reduced cost 0, so the first edge inside that zero set
+    enters and no other edge is priced.  Otherwise, or when no edge lies
+    inside the zero set, every edge, then every slack, is priced.  The
+    leaving row is the lexicographic minimum of
+    ``(rhs, den * B^-1 row) / entry`` over the positive entries: rhs
+    ratios first, then the B^-1 entries in column order only on a tie.
+    B^-1 is nonsingular, so no two rows are proportional and the minimum
+    is unique.  That is the pivot path of the dense tableau under the
+    same rule, with the same integers.  ``den`` stays positive because
+    every pivot element is, so signs of stored ints are signs of the
+    true entries and ratios compare by cross-multiplication.
     """
     deadline = _deadline(timeout)
     edges = graph.edges
@@ -158,22 +169,33 @@ def _solve(
     den = 1
     ends = list(zip(*edges))  # ends[i][j] is vertex i of edge j
     while True:
-        price = [den] * m
-        for end in ends:
-            price = list(map(add, price, map(cbar.__getitem__, end)))
-        f = max(price, default=0)
-        slack = max(cbar[:n], default=0)
-        if slack > f:
-            f = slack
-            v = cbar.index(slack)
-            enter = m + v
-            col = [row[v] for row in rows]
-        elif f > 0:
-            enter = price.index(f)
-            e = edges[enter]
-            col = [sum([row[v] for v in e]) for row in rows]
+        costs = cbar[:n]
+        slack = max(costs, default=0)
+        enter = None
+        if slack <= 0:
+            # No edge prices above den, and one prices at den exactly
+            # when its vertices all have reduced cost 0: the first such
+            # edge is the one full pricing would pick.
+            zero = set(compress(range(n), map(not_, costs)))
+            enter = next(compress(range(m), map(zero.issuperset, edges)), None)
+        if enter is not None:
+            f = den
         else:
-            break
+            price = [den] * m
+            for end in ends:
+                price = list(map(add, price, map(cbar.__getitem__, end)))
+            f = max(price, default=0)
+            if slack > f:
+                f = slack
+                enter = m + costs.index(slack)
+            elif f > 0:
+                enter = price.index(f)
+            else:
+                break
+        if enter < m:
+            col = [sum([row[v] for v in edges[enter]]) for row in rows]
+        else:
+            col = [row[enter - m] for row in rows]
         _time_left(deadline, "fractional LP")
         leave = None
         for i, a in enumerate(col):

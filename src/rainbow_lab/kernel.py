@@ -27,10 +27,12 @@ In the rainbow and exact-cover searches everything below a node
 depends only on the vertices already covered (and, in the rainbow
 search, on the level, since edges may differ in size), yet many orders
 of placement reach the same covered set.  So each call of either keeps
-a dead-end table of the states it has searched without a solution, and
-skips a state found there.  The table lives for one call.  A node count
-is that of the full scan minus the subtrees in the table; the witness
-is the full scan's, and an abort still reports exactly
+a dead-end table of the states it has searched without a solution.
+Both check a candidate's next state against the table before
+descending, after counting the candidate, so a state found there costs
+no call and no intersections.  The table lives for one call.  A node
+count is that of the full scan minus the subtrees in the table; the
+witness is the full scan's, and an abort still reports exactly
 ``node_budget``, because the scan is a subsequence of the full one.
 
 Status codes: 0 = search completed (witness present for system/cover
@@ -249,8 +251,6 @@ def exact_cover(
         nonlocal nodes, due
         if occ == full:
             return True
-        if occ in dead:
-            return False
         pivot = -1
         pivot_count = inf
         for v in range(n_vertices):
@@ -271,6 +271,9 @@ def exact_cover(
             nodes += 1
             if nodes >= due:
                 due = _checkpoint(nodes, node_budget, deadline)
+            nxt = occ | lists[i]
+            if nxt in dead:
+                continue
             picks.append(i)
             vs = verts[i]
             if vs is None:
@@ -278,7 +281,7 @@ def exact_cover(
             rest = alive
             for v in vs:
                 rest &= avoid[v]
-            if search(occ | lists[i], rest):
+            if search(nxt, rest):
                 return True
             picks.pop()
         dead.add(occ)

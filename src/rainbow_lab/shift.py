@@ -8,15 +8,19 @@ repeatedly deletes the edges through the lowest-ranked codegree-deficient
 triple until none remains, which preserves stability; on inputs whose
 own edges all meet the codegree bound it also never deletes an original
 edge, so the fractional matching number is preserved along the way.
-It ranks each edge once into one table: rank key -> edge, with the keys
+It ranks each edge once into one table: rank key -> edge.  The keys are
 bucketed by (class rank, rank pair) triple, so a round's doomed edges
-are one bucket and stability is checked on the keys already held.
+are one bucket, but only at the class ranks whose triples can ever be
+deficient; on most closures there are none, and the shift runs no round
+and builds no bucket.  Stability of the result is read off the deleted
+keys' immediate predecessors, not rescanned.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from heapq import nsmallest
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -61,15 +65,21 @@ class OrderedPartite:
         return self._p_rank[v]
 
     def rank_key(self, edge: Edge) -> tuple[int, tuple[int, int, int]]:
-        """(class rank, sorted other-class ranks) of a partite 4-edge."""
-        q = [v for v in edge if v < self.graph.q_size]
-        p = [v for v in edge if v >= self.graph.q_size]
-        if len(edge) == 4 and len(q) == 1 and len(set(edge)) == 4:
-            try:
-                j1, j2, j3 = sorted(self._p_rank[v] for v in p)
-                return self._q_rank[q[0]], (j1, j2, j3)
-            except KeyError:  # an id outside the graph
-                pass
+        """(class rank, sorted other-class ranks) of a partite 4-edge.
+
+        Any vertex order is accepted.  Sorted, the class vertex comes
+        first, so the rank lookups also check that it is the only one
+        and that every id lies in the graph; anything else raises
+        ``ValueError``.
+        """
+        try:
+            u, a, b, c = sorted(edge)
+            if a < b < c:
+                rank = self._p_rank
+                j1, j2, j3 = sorted((rank[a], rank[b], rank[c]))
+                return self._q_rank[u], (j1, j2, j3)
+        except (ValueError, KeyError):  # not four ids, or one out of place
+            pass
         raise ValueError(f"{edge} is not a partite 4-edge")
 
     def with_graph(self, graph: PartiteHypergraph) -> "OrderedPartite":
@@ -84,29 +94,37 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
     )
 
 
-def _immediate_successors(i, triple, q_size, p_size):
-    j1, j2, j3 = triple
-    if i + 1 < q_size:
-        yield i + 1, triple
-    if j1 + 1 < j2:
-        yield i, (j1 + 1, j2, j3)
-    if j2 + 1 < j3:
-        yield i, (j1, j2 + 1, j3)
-    if j3 + 1 < p_size:
-        yield i, (j1, j2, j3 + 1)
-
-
 def _upward_closed(keys, q_size: int, p_size: int) -> bool:
     """Upward closure of a collection of rank keys under the shift order.
 
     Checked through single-rank-step successors, which generate the
     order, so this is equivalent to the all-pairs definition.
     """
-    return all(
-        succ in keys
-        for i, triple in keys
-        for succ in _immediate_successors(i, triple, q_size, p_size)
-    )
+    top = q_size - 1
+    for i, (a, b, c) in keys:
+        if (
+            i < top and (i + 1, (a, b, c)) not in keys
+            or a + 1 < b and (i, (a + 1, b, c)) not in keys
+            or b + 1 < c and (i, (a, b + 1, c)) not in keys
+            or c + 1 < p_size and (i, (a, b, c + 1)) not in keys
+        ):
+            return False
+    return True
+
+
+def _exposed(deleted, keys) -> bool:
+    """Whether a key of ``keys`` is a single-rank-step predecessor of a
+    deleted key: the only way deleting keys from an upward-closed
+    collection can leave it not upward closed."""
+    for i, (a, b, c) in deleted:
+        if (
+            i and (i - 1, (a, b, c)) in keys
+            or a and (i, (a - 1, b, c)) in keys
+            or a + 1 < b and (i, (a, b - 1, c)) in keys
+            or b + 1 < c and (i, (a, b, c - 1)) in keys
+        ):
+            return True
+    return False
 
 
 def order_by_cover(
@@ -199,22 +217,36 @@ def stable_shift(
     surviving edges to the edges, and ``through[i, a, b]`` buckets those
     keys by triple (class rank i, other-class ranks a < b): a triple
     spans an edge while its bucket is non-empty, and the bucket of the
-    selected triple is exactly the edges a round deletes.  The survivors
-    are edges of the validated input, so the result is built without
-    re-validation.
+    selected triple is exactly the edges a round deletes.  Buckets are
+    built only at *weak* class ranks, whose two smallest pair degrees sum
+    to at most ``threshold``: no triple elsewhere is deficient, and pair
+    degrees fall only in rounds at a deficient triple's class rank, so
+    none becomes deficient later.  The survivors are edges of the
+    validated input, so the result is built without re-validation.
+
+    The input is checked to be upward closed, and so are the survivors
+    unless one is an immediate predecessor of a deleted key: every
+    immediate successor of a survivor is in the input, hence a survivor
+    or deleted.  ``stable`` is decided from the deleted keys alone.
     """
     g = start.graph
     edge_of = {start.rank_key(e): e for e in g.edges}
     if not _upward_closed(edge_of, g.q_size, g.p_size):
         raise ValueError("shift input must be stable under the given order")
     pair_deg = Counter((i, j) for i, ranks in edge_of for j in ranks)
+    degs_at: dict[int, list[int]] = {}
+    for (i, _), d in pair_deg.items():
+        degs_at.setdefault(i, []).append(d)
+    weak = {i for i, degs in degs_at.items() if sum(nsmallest(2, degs)) <= threshold}
     through: dict[tuple[int, int, int], set] = {}
     for key in edge_of:
         i, ranks = key
-        for a, b in combinations(ranks, 2):
-            through.setdefault((i, a, b), set()).add(key)
+        if i in weak:
+            for a, b in combinations(ranks, 2):
+                through.setdefault((i, a, b), set()).add(key)
 
     steps: list[ShiftStep] = []
+    deleted = []
     while True:
         deficient = [
             (i + j + k, i, j, k)
@@ -230,12 +262,13 @@ def stable_shift(
             pair_deg.subtract((i, x) for x in key[1])
             for a, b in combinations(key[1], 2):
                 through[i, a, b].remove(key)
+        deleted.extend(doomed)
         steps.append(ShiftStep(i, j, k, removed=len(doomed)))
 
     shifted = start.with_graph(
         PartiteHypergraph._trusted(g.q_size, g.p_size, sorted(edge_of.values()))
     )
-    stable = _upward_closed(edge_of, g.q_size, g.p_size)
+    stable = not _exposed(deleted, edge_of)
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from rainbow_lab import fractional
 from rainbow_lab.constructions import (
+    HypergraphFamily,
     PartiteHypergraph,
     complete_partite,
     extremal_graph,
     extremal_partite,
+    family_to_partite,
 )
 from rainbow_lab.fractional import (
     FractionalCover,
@@ -324,6 +326,39 @@ def lp_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(lp_graphs())
 def test_solve_matches_dense_tableau(graph):
+    value, matching, cover = fractional._solve(graph, None)
+    want_value, want_matching, want_cover = dense_solve(graph, None)
+    assert value == want_value
+    assert matching.weights == want_matching.weights
+    assert cover.weights == want_cover.weights
+
+
+def _dropped_tight_partite(seed: int) -> PartiteHypergraph:
+    """The tight n=12 family (l=2, four members) with about 5% of each
+    member's edges dropped, as a partite graph."""
+    rng = random.Random(seed)
+    tight = extremal_graph(12, 4, 2)
+    members = tuple(
+        Hypergraph(3, 12, [e for e in tight.edges if rng.random() >= 0.05])
+        for _ in range(4)
+    )
+    return family_to_partite(HypergraphFamily(12, members))
+
+
+# The shapes the shift-pipeline and refute-tight benchmarks solve: most
+# of their pivots enter an edge through the zero set of reduced costs.
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_partite(3, 9),
+        lambda: extremal_partite(9),
+        lambda: extremal_partite(12),
+        lambda: _dropped_tight_partite(5),
+    ],
+    ids=["complete-3-9", "extremal-9", "extremal-12", "dropped-tight-12"],
+)
+def test_solve_matches_dense_tableau_on_benchmark_shapes(build):
+    graph = build()
     value, matching, cover = fractional._solve(graph, None)
     want_value, want_matching, want_cover = dense_solve(graph, None)
     assert value == want_value

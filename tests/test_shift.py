@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -107,6 +107,37 @@ class TestEdgeOrder:
                 for g in sets:
                     if ef and edge_precedes(f, g, order):
                         assert edge_precedes(e, g, order)
+
+
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            (0, 2, 2, 3),  # repeated other-class vertex
+            (0, 0, 2, 3),  # repeated class vertex
+            (0, 2, 3),
+            (0, 2, 3, 4, 5),
+            (0, 1, 2, 3),  # two class vertices
+            (2, 3, 4, 5),  # no class vertex
+            (0, 2, 3, 8),  # ids outside the graph
+            (-1, 2, 3, 4),
+            (1, 3, 2, 99),
+        ],
+    )
+    def test_rank_key_rejects(self, edge):
+        with pytest.raises(ValueError):
+            self.order.rank_key(edge)
+
+    def test_rank_key_accepts_any_vertex_order(self):
+        pg = complete_partite(2, 6)
+        order = OrderedPartite(pg, q_order=(1, 0), p_order=(5, 2, 7, 3, 6, 4))
+        for e in pg.edges:
+            want = (
+                order.q_order.index(e[0]),
+                tuple(sorted(order.p_order.index(v) for v in e[1:])),
+            )
+            for shuffled in permutations(e):
+                assert order.rank_key(shuffled) == want
+            assert order.rank_key(list(reversed(e))) == want
 
 
 class TestStability:
@@ -267,6 +298,37 @@ class TestStableShift:
             want, want_trace = reference_stable_shift(closure, threshold)
             assert shifted.graph.edges == want.graph.edges
             assert trace == want_trace
+
+    def test_matches_reference_at_bucket_boundary(self):
+        # A class rank's triples can be deficient only when the sum of
+        # its two smallest pair degrees is at most the threshold, so the
+        # shift builds buckets for it only then: try each class rank's
+        # sum and one less.
+        rng = random.Random(53)
+        closures = []
+        for _ in range(6):
+            pg = PartiteHypergraph(3, 9, [])
+            cover = random_cover(rng, 12)
+            closures.append(cover_closure(pg, cover, order_by_cover(pg, cover)))
+        pg = extremal_partite(9)
+        _, cover = min_fractional_cover(pg)
+        closures.append(cover_closure(pg, cover, order_by_cover(pg, cover)))
+        rounds = set()
+        for closure in closures:
+            g = closure.graph
+            for u in g.q_vertices():
+                degs = sorted(
+                    d for d in (g.degree((u, v)) for v in g.p_vertices()) if d
+                )
+                if len(degs) < 2:
+                    continue
+                for threshold in (degs[0] + degs[1], degs[0] + degs[1] - 1):
+                    shifted, trace = stable_shift(closure, threshold)
+                    want, want_trace = reference_stable_shift(closure, threshold)
+                    assert shifted.graph.edges == want.graph.edges
+                    assert trace == want_trace
+                    rounds.add(bool(trace.steps))
+        assert rounds == {False, True}
 
     def test_ranks_each_edge_once(self, monkeypatch):
         pg = extremal_partite(9)
