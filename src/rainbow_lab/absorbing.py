@@ -5,9 +5,11 @@ one induced on A union T have perfect matchings: the matching reserved
 on T can be locally rewired to also cover A.  The constructor follows a
 fixed double-matching wiring (six edges covering T, seven covering
 A union T, overlapping on six class vertices); the verifier only cares
-about the induced perfect matchings, not the wiring.  Each induced
-subgraph is searched on the graph itself, through the solvers'
-``vertices`` input, so no subgraph is built or relabelled.
+about the induced perfect matchings, not the wiring.  Every body and
+target is built by ``BalancedSet.from_vertices``, the one check of
+their ids and balance.  Each induced subgraph is searched on the graph
+itself, through the solvers' ``vertices`` input, so no subgraph is
+built or relabelled.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ BODY_Q = 6
 BODY_P = 18
 BODY_SIZE = BODY_Q + BODY_P  # 24 vertices: 6 class + 18 others
 
-DEFAULT_NODE_BUDGET = 10**6
+# A gadget search node costs 0.24-0.29 ms on a sparse n = 24, q = 8
+# graph (p = 0.06; one Intel Xeon core), so this budget runs out in ~27 s,
+# within ``DEFAULT_TIMEOUT``; 10**6 nodes would take ~270 s.
+DEFAULT_NODE_BUDGET = 10**5
 
 
 class AbsorptionError(RuntimeError):
@@ -67,9 +72,10 @@ class BalancedSet:
 
     @classmethod
     def from_vertices(
-        cls, vertices: Iterable[int], graph: PartiteHypergraph
+        cls, vertices: Iterable[int], graph: PartiteHypergraph, name: str = "vertex set"
     ) -> "BalancedSet":
-        vs = graph._check_vertices(vertices)
+        """``name`` labels the set in the id check's messages."""
+        vs = graph._check_vertices(vertices, name)
         q = tuple(v for v in vs if v < graph.q_size)
         p = tuple(v for v in vs if v >= graph.q_size)
         return cls(q_part=q, p_part=p)
@@ -97,13 +103,6 @@ class AbsorberGadget:
             raise ValueError("joint matching must cover body and target")
 
 
-def is_balanced(vertices: Iterable[int], graph: PartiteHypergraph) -> bool:
-    """Three non-class vertices per class vertex."""
-    vs = graph._check_vertices(vertices)
-    in_q = sum(1 for v in vs if v < graph.q_size)
-    return 3 * in_q == len(vs) - in_q
-
-
 def _induced_pm(
     graph: PartiteHypergraph,
     vertices: Sequence[int],
@@ -123,16 +122,14 @@ def is_absorbing(
 ) -> tuple[bool, Optional[tuple[Matching, Matching]]]:
     """Do both induced subgraphs (body, body+target) have perfect matchings?"""
     deadline = _deadline(timeout)
-    body_v = graph._check_vertices(body, "body")
-    target_v = graph._check_vertices(target, "target")
+    body_v = BalancedSet.from_vertices(body, graph, "body").vertices()
+    target_v = BalancedSet.from_vertices(target, graph, "target").vertices()
     if len(body_v) != BODY_SIZE:
         raise ValueError(f"body must have {BODY_SIZE} vertices, got {len(body_v)}")
     if len(target_v) != 4:
         raise ValueError(f"target must have 4 vertices, got {len(target_v)}")
     if set(body_v) & set(target_v):
         raise ValueError("body and target overlap")
-    if not is_balanced(body_v, graph) or not is_balanced(target_v, graph):
-        raise ValueError("body and target must both be balanced")
     pm_body = _induced_pm(graph, body_v, timeout)
     if pm_body is None:
         return False, None
@@ -194,18 +191,17 @@ def build_gadget(
     explored in canonical order under a node budget, so the result is
     deterministic.
     """
-    target_v = graph._check_vertices(target, "target")
-    if len(target_v) != 4 or not is_balanced(target_v, graph):
+    target_set = BalancedSet.from_vertices(target, graph, "target")
+    if len(target_set) != 4:
         raise ValueError("target must be a balanced 4-set")
     if graph.q_size < 1 + BODY_Q or graph.p_size < 3 + BODY_P:
         raise ValueError(
             f"graph too small for a gadget: need >= {1 + BODY_Q} class and "
             f">= {3 + BODY_P} other vertices"
         )
-    u_target = [v for v in target_v if v < graph.q_size][0]
-    a_part = [v for v in target_v if v >= graph.q_size]
+    (u_target,), a_part = target_set.q_part, target_set.p_part
 
-    pool = sorted(set(graph._check_vertices(candidates, "candidates")) - set(target_v))
+    pool = sorted(set(graph._check_vertices(candidates, "candidates")) - set(a_part))
     pool = [v for v in pool if v >= graph.q_size]
     edge_set = set(graph.edges)
     q_free_all = [u for u in graph.q_vertices() if u != u_target]
@@ -298,7 +294,7 @@ def build_gadget(
                     + [(u_target,) + e]
                 )))
                 return AbsorberGadget(
-                    target=BalancedSet.from_vertices(target_v, graph),
+                    target=target_set,
                     body=BalancedSet.from_vertices(pm_body.vertices(), graph),
                     pm_body=pm_body,
                     pm_joint=pm_joint,

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 
 def canonical_edge(vertices: Iterable[int]) -> tuple[int, ...]:
@@ -116,9 +116,6 @@ class Hypergraph:
     @property
     def n_edges(self) -> int:
         return len(self.edges)
-
-    def vertices(self) -> Iterator[int]:
-        return iter(range(self.n_vertices))
 
     def has_edge(self, edge: Iterable[int]) -> bool:
         canon = canonical_edge(edge)

@@ -8,12 +8,15 @@ repeatedly deletes the edges through the lowest-ranked codegree-deficient
 triple until none remains, which preserves stability; on inputs whose
 own edges all meet the codegree bound it also never deletes an original
 edge, so the fractional matching number is preserved along the way.
-It ranks each edge once into one table: rank key -> edge.  The keys are
-bucketed by (class rank, rank pair) triple, so a round's doomed edges
-are one bucket, but only at the class ranks whose triples can ever be
-deficient; on most closures there are none, and the shift runs no round
-and builds no bucket.  Stability of the result is read off the deleted
-keys' immediate predecessors, not rescanned.
+In the pipeline the shift's input is a cover closure: every partite
+4-set of cover weight at least 1, each class ranked by cover weight, so
+it is stable by construction.  The shift ranks each edge once into one
+table: rank key -> edge.  The keys are bucketed by (class rank, rank
+pair) triple, so a round's doomed edges are one bucket, but only at the
+class ranks whose triples can ever be deficient; on most closures there
+are none, and the shift runs no round and builds no bucket.  Stability
+of the result is read off the deleted keys' immediate predecessors, not
+rescanned.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from heapq import nsmallest
 from itertools import combinations
 from typing import Optional, Sequence
 
-from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum, partite_to_family
+from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
 from .fractional import FractionalCover, min_fractional_cover
 from .kernel import _deadline, _time_left
 from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
@@ -127,32 +130,19 @@ def _exposed(deleted, keys) -> bool:
     return False
 
 
-def order_by_cover(
+def cover_closure(
     graph: PartiteHypergraph, cover: FractionalCover
 ) -> OrderedPartite:
-    """Rank each class by ascending cover weight, ties by vertex id."""
-    w = cover.weights
-    missing = [v for v in range(graph.n_vertices) if v not in w]
-    if missing:
-        raise ValueError(f"cover has no weight for vertices {missing}")
-    q_order = tuple(sorted(graph.q_vertices(), key=lambda v: (w[v], v)))
-    p_order = tuple(sorted(graph.p_vertices(), key=lambda v: (w[v], v)))
-    return OrderedPartite(graph=graph, q_order=q_order, p_order=p_order)
+    """All partite 4-sets whose cover weight reaches 1, each class ranked
+    by ascending cover weight, ties by vertex id.
 
-
-def cover_closure(
-    graph: PartiteHypergraph,
-    cover: FractionalCover,
-    order: OrderedPartite,
-) -> OrderedPartite:
-    """All partite 4-sets whose cover weight reaches 1.
-
-    With ranks ascending in weight this edge set is upward closed, hence
-    stable, and it contains every edge of the covered graph.  Weights are
-    compared as the integers of :meth:`FractionalCover.scaled`, where an
-    absent weight counts as 0; a cover it rejects raises ``ValueError``.
-    The edges are generated in canonical sorted order, so the graph is
-    built without re-validation.
+    Weights are compared as the integers of :meth:`FractionalCover.scaled`,
+    where an absent weight counts as 0; a cover it rejects raises
+    ``ValueError``.  Raising a vertex's rank never lowers its weight, so
+    the edge set is upward closed, hence stable under the order returned
+    with it, and it contains every edge of the covered graph.  The edges
+    are generated in canonical sorted order, so the graph is built
+    without re-validation.
     """
     scaled = cover.scaled(graph)
     if scaled is None:
@@ -167,7 +157,11 @@ def cover_closure(
         need = den - at[u]
         edges.extend((u,) + trio for trio, total in trios if total >= need)
     closed = PartiteHypergraph._trusted(graph.q_size, graph.p_size, edges)
-    return order.with_graph(closed)
+    return OrderedPartite(
+        graph=closed,
+        q_order=tuple(sorted(graph.q_vertices(), key=lambda v: (at[v], v))),
+        p_order=tuple(sorted(graph.p_vertices(), key=lambda v: (at[v], v))),
+    )
 
 
 @dataclass(frozen=True)
@@ -325,9 +319,10 @@ def fractional_pm_pipeline(
 ) -> PipelineResult:
     """Decide fractional perfect matchability constructively.
 
-    Computes a minimum fractional cover, orders vertices by weight,
-    closes the graph upward, shifts it to the codegree threshold, and
-    extends a perfect matching of the lowest class vertex's link.  A
+    Computes a minimum fractional cover, closes the graph upward under
+    the cover's own order, shifts it to the codegree threshold, and
+    extends a perfect matching of the lowest class vertex's link, which
+    is searched on the other class's vertices in the graph's own ids.  A
     perfect matching of the shifted graph has full fractional value, and
     when the original edges survived the shift the fractional matching
     number of the input must equal the class size; ``value_check``
@@ -345,7 +340,7 @@ def fractional_pm_pipeline(
         threshold = extremal_adjacent_degree_sum(graph.p_size)
     deadline = _deadline(timeout)
     tau, cover = min_fractional_cover(graph, timeout=timeout)
-    closure = cover_closure(graph, cover, order_by_cover(graph, cover))
+    closure = cover_closure(graph, cover)
     shifted, trace = stable_shift(closure, threshold)
     containment_ok = set(graph.edges) <= set(shifted.graph.edges)
 
@@ -354,12 +349,13 @@ def fractional_pm_pipeline(
         found = True
         matching = Matching(edges=())
     else:
-        link = partite_to_family(shifted.graph).members[shifted.q_order[0]]
+        link = shifted.graph.link(shifted.q_order[0])
         left = _time_left(deadline, "shift pipeline")
-        found, link_pm = has_perfect_matching(link, timeout=left)
+        found, link_pm = has_perfect_matching(
+            link, timeout=left, vertices=graph.p_vertices()
+        )
         if found and link_pm is not None:
-            mapped = [tuple(v + graph.q_size for v in e) for e in link_pm.edges]
-            matching = extend_link_matching(shifted, mapped)
+            matching = extend_link_matching(shifted, link_pm.edges)
 
     value_check = None
     if found and containment_ok:

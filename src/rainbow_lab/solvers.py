@@ -89,13 +89,6 @@ class RainbowMatching:
         return [{"color": c, "edge": list(e)} for c, e in self.pairs]
 
 
-def edge_mask(edge: Iterable[int]) -> int:
-    mask = 0
-    for v in edge:
-        mask |= 1 << v
-    return mask
-
-
 def is_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
     """Check pairwise disjointness and membership in the graph, finding
     each edge by bisection in the sorted ``graph.edges``."""
@@ -219,7 +212,7 @@ def rainbow_matching(
     if 3 * len(family.members) > family.n_vertices:
         return None
     deadline = _deadline(timeout)
-    color_masks = [[edge_mask(e) for e in m.edges] for m in family.members]
+    color_masks = [_subproblem(m, None)[1] for m in family.members]
     # At least 1: a budget of 0 would mean an unbounded probe.
     probe = max(1, PROBE_NODES_PER_EDGE * sum(map(len, color_masks)))
     if node_budget:

@@ -5,8 +5,9 @@ beyond disjointness, so they stay honest cross-checks for the solvers.
 Only usable at small sizes.  The exceptions are the reference search
 kernel, the dense LP tableau and the reference shift at the end, which
 fix the search tree of the kernel and the exact output of the LP and
-the shift rather than just their verdicts, and the shift order with its
-stability check, which specify what the shift preserves.
+the shift rather than just their verdicts, the shift order with its
+stability check, which specify what the shift preserves, and the cover
+order that a closure must carry.
 """
 
 from __future__ import annotations
@@ -115,6 +116,20 @@ def brute_is_stable(order) -> bool:
                 if tuple(sorted(f)) not in edge_set:
                     return False
     return True
+
+
+def cover_order(
+    graph: PartiteHypergraph, cover: FractionalCover
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(Q order, P order): each class by ascending Fraction weight, ties
+    by vertex id, an absent weight ranking as 0."""
+    def rank(v):
+        return cover.weights.get(v, ZERO), v
+
+    return (
+        tuple(sorted(graph.q_vertices(), key=rank)),
+        tuple(sorted(graph.p_vertices(), key=rank)),
+    )
 
 
 def fraction_is_cover(weights, graph: Hypergraph) -> bool:

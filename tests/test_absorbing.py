@@ -14,7 +14,6 @@ from rainbow_lab.absorbing import (
     absorb,
     build_gadget,
     is_absorbing,
-    is_balanced,
     low_degree_anchor,
     popular_vertices,
 )
@@ -50,13 +49,15 @@ LONE_CLASS = PartiteHypergraph(8, 24, [(0,) + t for t in combinations(range(8, 3
 
 class TestBalanced:
     def test_empty(self):
-        assert is_balanced([], complete_partite(2, 6))
+        assert len(BalancedSet.from_vertices([], complete_partite(2, 6))) == 0
 
     def test_one_to_three(self):
-        assert is_balanced([0, 2, 3, 4], complete_partite(2, 6))
+        got = BalancedSet.from_vertices([4, 0, 3, 2], complete_partite(2, 6))
+        assert got == BalancedSet(q_part=(0,), p_part=(2, 3, 4))
 
     def test_two_to_three(self):
-        assert not is_balanced([0, 1, 2, 3, 4], complete_partite(2, 6))
+        with pytest.raises(ValueError, match="unbalanced"):
+            BalancedSet.from_vertices([0, 1, 2, 3, 4], complete_partite(2, 6))
 
     def test_balanced_set_type_enforces_ratio(self):
         with pytest.raises(ValueError):
@@ -222,6 +223,12 @@ class TestBuildGadget:
         graph = complete_partite(8, 24)
         with pytest.raises(ValueError, match="target repeats"):
             build_gadget([0, 8, 8, 9, 10], graph, graph.p_vertices())
+
+    @pytest.mark.parametrize("target", [[8, 9, 10, 11], [0, 1, 8, 9, 10, 11, 12, 13]])
+    def test_target_not_a_balanced_four_set_rejected(self, target):
+        graph = complete_partite(8, 24)
+        with pytest.raises(ValueError):
+            build_gadget(target, graph, graph.p_vertices())
 
     def test_too_small_graph_rejected(self):
         graph = complete_partite(6, 24)

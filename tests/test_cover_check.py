@@ -23,7 +23,7 @@ from rainbow_lab.constructions import (
     family_to_partite,
 )
 from rainbow_lab.fractional import FractionalCover
-from rainbow_lab.shift import cover_closure, identity_order
+from rainbow_lab.shift import cover_closure
 from rainbow_lab.solvers import cover_refutation
 
 from _oracles import all_partite_four_sets, fraction_is_cover
@@ -68,7 +68,7 @@ def test_feasibility_and_closure_agree_with_the_fraction_oracle(seed):
     expect = fraction_is_cover(cover.weights, graph)
     assert cover.is_feasible(graph) == expect
     try:
-        closed = cover_closure(graph, cover, identity_order(graph))
+        closed = cover_closure(graph, cover)
     except ValueError:
         assert not expect
     else:
@@ -97,7 +97,7 @@ def test_sparse_cover_closes_to_its_one_edge():
     cover = FractionalCover(weights={0: Fraction(1)})
     assert cover.is_feasible(pg)
     assert cover.scaled(pg) == (1, [1, 0, 0, 0])
-    closed = cover_closure(pg, cover, identity_order(pg))
+    closed = cover_closure(pg, cover)
     assert closed.graph.edges == ((0, 1, 2, 3),)
 
 

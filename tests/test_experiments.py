@@ -42,6 +42,16 @@ def test_shift_suite_digest():
     )
 
 
+def test_shift_suite_digest_at_forty_trials():
+    # every seventh trial is a tight graph: 6 alone at 7 trials, here
+    # also 13, 20, 27 and 34, whose shifts delete input edges
+    report = run_shift_suite(ExperimentConfig(seed=0, trials=40))
+    assert report.aggregate == "pass"
+    assert report.digest() == (
+        "798981f8f559f918e07dd355f96934f9f62a6729d37034e52694c725ea0ed3bb"
+    )
+
+
 def test_duality_suite_digest():
     report = run_duality(ExperimentConfig(seed=0, trials=5))
     assert report.aggregate == "pass"
@@ -55,6 +65,14 @@ def test_absorb_suite_digest():
     assert report.aggregate == "pass"
     assert report.digest() == (
         "9288e5125727631a967eac1160f50c0e8b3d80ffabf43b87ace3f8034e3638f7"
+    )
+
+
+def test_absorb_suite_digest_at_twenty_trials():
+    report = run_absorb_suite(ExperimentConfig(seed=0, trials=20))
+    assert report.aggregate == "pass"
+    assert report.digest() == (
+        "de716a413e779901772ee315b97b8d68545a6a02cf8bca0eaea5209fa669d105"
     )
 
 

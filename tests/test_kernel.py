@@ -21,9 +21,12 @@ from hypothesis import strategies as st
 from rainbow_lab import kernel
 from rainbow_lab.constructions import complete_partite, extremal_graph, extremal_partite
 from rainbow_lab.hypergraph import Hypergraph
-from rainbow_lab.solvers import edge_mask
 
 from _oracles import scalar_exact_cover, scalar_rainbow_search
+
+
+def edge_mask(edge):
+    return sum(1 << v for v in edge)
 
 
 def masks_of(graph):

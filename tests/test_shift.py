@@ -28,7 +28,6 @@ from rainbow_lab.shift import (
     extend_link_matching,
     fractional_pm_pipeline,
     identity_order,
-    order_by_cover,
     stable_shift,
 )
 from rainbow_lab.solvers import (
@@ -40,6 +39,7 @@ from rainbow_lab.solvers import (
 from _oracles import (
     all_partite_four_sets,
     brute_is_stable,
+    cover_order,
     edge_precedes,
     is_stable,
     reference_stable_shift,
@@ -161,54 +161,59 @@ class TestStability:
 
 
 class TestOrderByCover:
+    """``cover_closure`` ranks each class by its cover's weights."""
+
     def test_uniform_weights_give_identity(self):
         pg = complete_partite(2, 6)
-        order = order_by_cover(pg, uniform_cover(pg, Fraction(1, 4)))
-        assert order.q_order == (0, 1)
-        assert order.p_order == tuple(range(2, 8))
+        closed = cover_closure(pg, uniform_cover(pg, Fraction(1, 4)))
+        assert closed.q_order == (0, 1)
+        assert closed.p_order == tuple(range(2, 8))
 
     def test_sorts_ascending(self):
         pg = PartiteHypergraph(1, 3, [(0, 1, 2, 3)])
         cover = FractionalCover(
             weights={
-                0: Fraction(0),
+                0: Fraction(1, 10),
                 1: Fraction(1, 2),
                 2: Fraction(1, 10),
                 3: Fraction(3, 10),
             }
         )
-        order = order_by_cover(pg, cover)
-        assert order.p_order == (2, 3, 1)
+        closed = cover_closure(pg, cover)
+        assert closed.p_order == (2, 3, 1)
 
     def test_blockers_of_tight_instance_rank_last(self):
         pg = extremal_partite(6)
         _, cover = min_fractional_cover(pg)
-        order = order_by_cover(pg, cover)
+        closed = cover_closure(pg, cover)
         # the three blocking vertices carry all the cover weight
-        assert set(order.p_order[-3:]) == {2, 3, 4}
+        assert set(closed.p_order[-3:]) == {2, 3, 4}
 
-    def test_missing_weight_rejected(self):
+    def test_missing_weight_ranks_as_zero(self):
+        # an absent weight counts as 0, as in FractionalCover.scaled
         pg = complete_partite(1, 3)
-        with pytest.raises(ValueError):
-            order_by_cover(pg, FractionalCover(weights={0: Fraction(1)}))
+        cover = FractionalCover(weights={0: Fraction(1, 2), 2: Fraction(1, 2)})
+        closed = cover_closure(pg, cover)
+        assert closed.p_order == (1, 3, 2)
+        assert (closed.q_order, closed.p_order) == cover_order(pg, cover)
 
 
 class TestCoverClosure:
     def test_quarter_weights_close_to_complete(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4)])
         cover = uniform_cover(pg, Fraction(1, 4))
-        closed = cover_closure(pg, cover, identity_order(pg))
+        closed = cover_closure(pg, cover)
         assert closed.graph.n_edges == complete_partite(2, 6).n_edges
 
     def test_zero_weights_on_empty_graph(self):
         pg = PartiteHypergraph(2, 6, [])
-        closed = cover_closure(pg, uniform_cover(pg, 0), identity_order(pg))
+        closed = cover_closure(pg, uniform_cover(pg, 0))
         assert closed.graph.n_edges == 0
 
     def test_zero_weights_rejected_on_nonempty(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4)])
         with pytest.raises(ValueError):
-            cover_closure(pg, uniform_cover(pg, 0), identity_order(pg))
+            cover_closure(pg, uniform_cover(pg, 0))
 
     def test_matches_fraction_brute_force(self):
         # LP covers, and arbitrary covers over mixed denominators
@@ -224,11 +229,13 @@ class TestCoverClosure:
                     f for f in all_partite_four_sets(q, p)
                     if sum(cover.weights[v] for v in f) >= 1 and rng.random() < 0.5
                 ])
-            closed = cover_closure(pg, cover, order_by_cover(pg, cover))
+            closed = cover_closure(pg, cover)
             w = cover.weights
             assert list(closed.graph.edges) == [
                 f for f in all_partite_four_sets(q, p) if sum(w[v] for v in f) >= 1
             ]
+            assert (closed.q_order, closed.p_order) == cover_order(pg, cover)
+            assert is_stable(closed)
 
     @pytest.mark.parametrize("bad", [Fraction(-1, 3), Fraction(4, 3)])
     def test_weight_outside_unit_interval_rejected(self, bad):
@@ -236,15 +243,14 @@ class TestCoverClosure:
         cover = uniform_cover(pg, 0)
         cover.weights[2] = bad
         with pytest.raises(ValueError):
-            cover_closure(pg, cover, identity_order(pg))
+            cover_closure(pg, cover)
 
     def test_contains_input_and_stable(self):
         rng = random.Random(29)
         for _ in range(10):
             pg = random_partite(rng, 2, 6, rng.uniform(0.2, 0.8))
             _, cover = min_fractional_cover(pg)
-            order = order_by_cover(pg, cover)
-            closed = cover_closure(pg, cover, order)
+            closed = cover_closure(pg, cover)
             assert set(pg.edges) <= set(closed.graph.edges)
             assert is_stable(closed)
 
@@ -269,8 +275,7 @@ class TestStableShift:
     def test_postconditions_on_tight_closure(self):
         pg = extremal_partite(6)
         _, cover = min_fractional_cover(pg)
-        order = order_by_cover(pg, cover)
-        closure = cover_closure(pg, cover, order)
+        closure = cover_closure(pg, cover)
         shifted, trace = stable_shift(closure, threshold=10)
         assert trace.stable and is_stable(shifted)
         assert set(shifted.graph.edges) <= set(closure.graph.edges)
@@ -291,7 +296,7 @@ class TestStableShift:
             p = 3 * q + rng.randint(0, 3)
             pg = PartiteHypergraph(q, p, [])
             cover = random_cover(rng, q + p)
-            closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+            closure = cover_closure(pg, cover)
             top = 3 * p * p if trial % 4 == 0 else (p - 1) * (p - 2)
             threshold = rng.randint(0, top)
             shifted, trace = stable_shift(closure, threshold)
@@ -309,10 +314,10 @@ class TestStableShift:
         for _ in range(6):
             pg = PartiteHypergraph(3, 9, [])
             cover = random_cover(rng, 12)
-            closures.append(cover_closure(pg, cover, order_by_cover(pg, cover)))
+            closures.append(cover_closure(pg, cover))
         pg = extremal_partite(9)
         _, cover = min_fractional_cover(pg)
-        closures.append(cover_closure(pg, cover, order_by_cover(pg, cover)))
+        closures.append(cover_closure(pg, cover))
         rounds = set()
         for closure in closures:
             g = closure.graph
@@ -333,7 +338,7 @@ class TestStableShift:
     def test_ranks_each_edge_once(self, monkeypatch):
         pg = extremal_partite(9)
         _, cover = min_fractional_cover(pg)
-        closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+        closure = cover_closure(pg, cover)
         calls = []
         rank_key = OrderedPartite.rank_key
 
@@ -353,7 +358,7 @@ class TestStableShift:
         weights.update({v: Fraction(1, 2) if v < 7 else Fraction(0) for v in range(3, 12)})
         pg = PartiteHypergraph(3, 9, [])
         cover = FractionalCover(weights=weights)
-        closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+        closure = cover_closure(pg, cover)
         first = stable_shift(closure, threshold=30)
         second = stable_shift(closure, threshold=30)
         assert 0 < first[1].edges_removed < closure.graph.n_edges
@@ -373,7 +378,7 @@ class TestStableShift:
             else:
                 pg = PartiteHypergraph(q, p, [])
                 cover = random_cover(rng, q + p)
-            closure = cover_closure(pg, cover, order_by_cover(pg, cover))
+            closure = cover_closure(pg, cover)
             shifted, _ = stable_shift(closure, rng.randint(0, (p - 1) * (p - 2)))
             for graph in (closure.graph, shifted.graph):
                 validated = PartiteHypergraph(q, p, graph.edges)
@@ -502,8 +507,7 @@ class TestPipeline:
         for _ in range(20):
             pg = random_partite(rng, 2, 6, rng.uniform(0.25, 0.7))
             _, cover = min_fractional_cover(pg)
-            order = order_by_cover(pg, cover)
-            closure = cover_closure(pg, cover, order)
+            closure = cover_closure(pg, cover)
             threshold = 10
             shifted, trace = stable_shift(closure, threshold)
             if not set(pg.edges) <= set(shifted.graph.edges):
@@ -541,8 +545,7 @@ class TestPipeline:
             pg = random_partite(rng, 2, 6, rng.uniform(0.2, 0.6))
             nu_in, _ = max_fractional_matching(pg)
             _, cover = min_fractional_cover(pg)
-            order = order_by_cover(pg, cover)
-            closure = cover_closure(pg, cover, order)
+            closure = cover_closure(pg, cover)
             slack = sorted(set(closure.graph.edges) - set(pg.edges))
             if not slack:
                 continue
