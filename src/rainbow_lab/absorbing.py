@@ -9,7 +9,10 @@ about the induced perfect matchings, not the wiring.  Every body and
 target is built by ``BalancedSet.from_vertices``, the one check of
 their ids and balance.  Each induced subgraph is searched on the graph
 itself, through the solvers' ``vertices`` input, so no subgraph is
-built or relabelled.
+built or relabelled.  Absorption searches only where no proof is
+stored: a leftover piece equal to a gadget's own target takes the
+joint matching the gadget already holds, and any other piece is
+searched on the gadget's body plus the piece.
 """
 
 from __future__ import annotations
@@ -312,14 +315,21 @@ def absorb(
 
     The leftover is split into balanced 4-sets by pairing the t-th
     smallest class vertex with the next three unused others; each 4-set
-    greedily takes the first unused gadget whose body absorbs it.  Unused
-    gadgets keep their reserved matchings.  Raises
-    :class:`AbsorptionError` when some 4-set finds no gadget.
+    greedily takes the first unused gadget whose body absorbs it.  A
+    4-set equal to a gadget's target is absorbed by that gadget's stored
+    ``pm_joint``, with no search; for any other 4-set, the subgraph
+    induced on the body plus the 4-set is searched for a perfect
+    matching.  Unused gadgets keep their reserved matchings.  Raises
+    :class:`AbsorptionError` when some 4-set finds no gadget, and
+    ``ValueError`` when a gadget's matchings are not matchings of the
+    graph, or when bodies or leftover overlap.
     """
     deadline = _deadline(timeout)
     left = timeout
     body_vertices: set[int] = set()
-    for g in pool:
+    for i, g in enumerate(pool):
+        if not all(is_matching_of(graph, m.edges) for m in (g.pm_body, g.pm_joint)):
+            raise ValueError(f"gadget {i} of the pool has a matching edge outside the graph")
         bv = set(g.body.vertices())
         if bv & body_vertices:
             raise ValueError("gadget bodies must be pairwise disjoint")
@@ -337,9 +347,14 @@ def absorb(
     for piece in pieces:
         for i, g in enumerate(free):
             # Only the joint matching is kept: the body's own matching
-            # is already reserved in g.pm_body.
-            joint = _induced_pm(graph, sorted(g.body.vertices() + piece), left)
-            left = _time_left(deadline, "absorption")
+            # is already reserved in g.pm_body.  The gadget's own target
+            # takes the rewiring it stores, checked against the graph
+            # above; any other piece is searched.
+            if piece == g.target.vertices():
+                joint = g.pm_joint
+            else:
+                joint = _induced_pm(graph, sorted(g.body.vertices() + piece), left)
+                left = _time_left(deadline, "absorption")
             if joint is not None:
                 del free[i]
                 edges.extend(joint.edges)

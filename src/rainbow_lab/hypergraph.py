@@ -7,7 +7,8 @@ serialized representations.  Instances are immutable after construction
 and safe to share between threads.
 
 Constructors validate every edge; a graph derived from validated ones
-(the family reduction, closures, shifts and :meth:`Hypergraph.induced`)
+(the family reduction, closures, shifts, links and
+:meth:`Hypergraph.induced`)
 is built by the private ``_trusted``, which checks nothing again.  The
 solvers search an induced subproblem on the parent graph itself, given
 its vertex set, so they build no graph for it.
@@ -84,8 +85,12 @@ class Hypergraph:
     ) -> "Hypergraph":
         """The graph on edges the caller guarantees valid, unchecked:
         each edge strictly increasing, of size k and in [0, n_vertices),
-        and the edge sequence strictly increasing (true of a monotone
-        relabeling of some edges of a validated graph)."""
+        and the edge sequence strictly increasing.  Both hold for a
+        monotone relabeling of some edges of a validated graph, and for
+        the edges of a validated graph through one vertex with that
+        vertex removed (:meth:`link`): removing a vertex that every
+        edge shares keeps a strictly increasing list of sorted tuples
+        strictly increasing."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "k", k)
         object.__setattr__(graph, "n_vertices", n_vertices)
@@ -162,13 +167,16 @@ class Hypergraph:
         """The (k-1)-graph of edge remainders over edges containing u.
 
         Vertex ids are preserved; u itself becomes isolated in the link.
+        A graph of uniformity below 3 has no link (``ValueError``).
         """
+        if self.k < 3:
+            raise ValueError(f"a link needs uniformity >= 3, got {self.k}")
         if not 0 <= u < self.n_vertices:
             raise ValueError(f"vertex {u} out of range")
         remainders = [
             tuple(v for v in e if v != u) for e in self.edges if u in e
         ]
-        return Hypergraph(self.k - 1, self.n_vertices, remainders)
+        return Hypergraph._trusted(self.k - 1, self.n_vertices, remainders)
 
     def adjacent(self, u: int, v: int) -> bool:
         """True when some edge contains both u and v, which must differ."""

@@ -8,7 +8,9 @@ from itertools import combinations
 
 import pytest
 
+from rainbow_lab import absorbing
 from rainbow_lab.absorbing import (
+    AbsorberGadget,
     AbsorptionError,
     BalancedSet,
     absorb,
@@ -26,7 +28,12 @@ from rainbow_lab.constructions import (
 )
 from rainbow_lab.experiments import absorb_scenario
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
-from rainbow_lab.solvers import SolverTimeout, is_perfect_matching_of, max_matching
+from rainbow_lab.solvers import (
+    SolverTimeout,
+    has_perfect_matching,
+    is_perfect_matching_of,
+    max_matching,
+)
 
 from _oracles import brute_degree
 
@@ -40,6 +47,19 @@ def standard_body(graph):
 
 def first_target(graph):
     return [0] + list(graph.p_vertices())[:3]
+
+
+def wide_pool(graph):
+    """Two gadgets on ``complete_partite(14, 42)``, both for the target
+    (0, 14, 15, 16), with disjoint bodies."""
+    target = BalancedSet.from_vertices([0, 14, 15, 16], graph)
+    pool = []
+    for q0, p0 in ((2, 20), (8, 38)):
+        body = BalancedSet(q_part=tuple(range(q0, q0 + 6)), p_part=tuple(range(p0, p0 + 18)))
+        ok, pms = is_absorbing(body.vertices(), target.vertices(), graph)
+        assert ok
+        pool.append(AbsorberGadget(target=target, body=body, pm_body=pms[0], pm_joint=pms[1]))
+    return pool
 
 
 # Only class vertex 0 lies on edges: every helper and rewire choice is
@@ -266,38 +286,64 @@ class TestAbsorb:
         assert len(result.edges) == 7
         covered = {v for e in result.edges for v in e}
         assert covered == set(gadget.body.vertices()) | set(target)
+        assert result == gadget.pm_joint
+
+    def test_own_target_runs_no_search(self, monkeypatch):
+        graph = complete_partite(7, 21)
+        target = first_target(graph)
+        gadget = build_gadget(target, graph, graph.p_vertices())
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a gadget's own target")
+
+        monkeypatch.setattr(absorbing, "has_perfect_matching", no_search)
+        leftover = BalancedSet.from_vertices(target, graph)
+        assert absorb([gadget], leftover, graph) == gadget.pm_joint
+
+    def test_foreign_piece_searched_once_per_gadget_tried(self, monkeypatch):
+        graph = complete_partite(14, 42)
+        pool = wide_pool(graph)
+        searched = []
+
+        def counted(g, **kwargs):
+            searched.append(tuple(kwargs["vertices"]))
+            return has_perfect_matching(g, **kwargs)
+
+        monkeypatch.setattr(absorbing, "has_perfect_matching", counted)
+        # (0, 14, 15, 16) is the first gadget's own target, (1, 17, 18, 19)
+        # no gadget's: only the second piece is searched, on the one
+        # gadget left, which absorbs it.
+        leftover = BalancedSet(q_part=(0, 1), p_part=(14, 15, 16, 17, 18, 19))
+        absorb(pool, leftover, graph)
+        assert searched == [tuple(sorted(pool[1].body.vertices() + (1, 17, 18, 19)))]
+        # A foreign piece alone tries the first gadget, which absorbs it.
+        searched.clear()
+        absorb(pool, BalancedSet(q_part=(1,), p_part=(17, 18, 19)), graph)
+        assert searched == [tuple(sorted(pool[0].body.vertices() + (1, 17, 18, 19)))]
+
+    @pytest.mark.parametrize("own_target", [False, True])
+    @pytest.mark.parametrize("missing", ["pm_body", "pm_joint"])
+    def test_gadget_of_another_graph_rejected(self, own_target, missing):
+        graph = complete_partite(7, 21)
+        target = first_target(graph)
+        gadget = build_gadget(target, graph, graph.p_vertices())
+        # an edge of the reserved matching, or one that only the joint
+        # matching holds
+        only_joint = set(gadget.pm_joint.edges) - set(gadget.pm_body.edges)
+        drop = min(gadget.pm_body.edges) if missing == "pm_body" else min(only_joint)
+        other = PartiteHypergraph(7, 21, [e for e in graph.edges if e != drop])
+        leftover = BalancedSet.from_vertices(target if own_target else [], graph)
+        with pytest.raises(ValueError, match="gadget 0 of the pool"):
+            absorb([gadget], leftover, other)
 
     def test_two_pieces_on_wide_complete_graph(self):
-        from rainbow_lab.absorbing import AbsorberGadget
-
         graph = complete_partite(14, 42)
-        bodies = [
-            BalancedSet(
-                q_part=tuple(range(2, 8)),
-                p_part=tuple(range(20, 38)),
-            ),
-            BalancedSet(
-                q_part=tuple(range(8, 14)),
-                p_part=tuple(range(38, 56)),
-            ),
-        ]
-        gadgets = []
-        for body in bodies:
-            ok, pms = is_absorbing(body.vertices(), [0, 14, 15, 16], graph)
-            assert ok
-            gadgets.append(
-                AbsorberGadget(
-                    target=BalancedSet.from_vertices([0, 14, 15, 16], graph),
-                    body=body,
-                    pm_body=pms[0],
-                    pm_joint=pms[1],
-                )
-            )
+        gadgets = wide_pool(graph)
         leftover = BalancedSet(q_part=(0, 1), p_part=(14, 15, 16, 17, 18, 19))
         result = absorb(gadgets, leftover, graph)
         expect = set(leftover.vertices())
-        for body in bodies:
-            expect |= set(body.vertices())
+        for g in gadgets:
+            expect |= set(g.body.vertices())
         assert {v for e in result.edges for v in e} == expect
         assert len(result.edges) == len(expect) // 4
 

@@ -125,9 +125,22 @@ class TestLink:
         assert h.link(0).n_edges == 0
 
     def test_link_of_a_2graph_is_rejected(self):
-        # a link is validated: a 1-graph is no hypergraph here
+        # a 2-graph has no link: a 1-graph is no hypergraph here
         with pytest.raises(ValueError):
             Hypergraph(2, 3, [(0, 1), (1, 2)]).link(1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_link_equals_the_validated_remainders(self, data):
+        # the link is built unchecked; the validating constructor must
+        # accept its remainders and give the same graph
+        k = data.draw(st.sampled_from([3, 4]))
+        n = data.draw(st.integers(min_value=k, max_value=8))
+        edges = data.draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True))
+        h = Hypergraph(k, n, edges)
+        u = data.draw(st.integers(0, n - 1))
+        remainders = [tuple(v for v in e if v != u) for e in h.edges if u in e]
+        assert h.link(u) == Hypergraph(k - 1, n, remainders)
 
     def test_link_size_matches_degree(self):
         rng = random.Random(11)

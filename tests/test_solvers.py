@@ -334,6 +334,19 @@ class TestInducedSubproblems:
         assert (got_pm and got_pm.edges) == (pm and back(pm))
         assert max_matching(graph, vertices=vertices).edges == back(max_matching(sub))
 
+    def test_runs_of_the_kept_vertices_only(self):
+        # (0, 3, 4) and (2, 3, 4) have their least vertex outside the set
+        # and the rest inside; (1, 2, 3) its least vertex inside and
+        # another outside; 4 and 5 are kept but no edge starts at either.
+        graph = Hypergraph(3, 6, [
+            (0, 1, 3), (0, 3, 4), (1, 2, 3), (1, 3, 4), (1, 3, 5), (2, 3, 4), (3, 4, 5),
+        ])
+        edges, masks, n = solvers._subproblem(graph, [5, 4, 3, 1])
+        assert list(edges) == [(1, 3, 4), (1, 3, 5), (3, 4, 5)]
+        assert masks == [0b0111, 0b1011, 0b1110] and n == 4
+        edges, masks, n = solvers._subproblem(graph, [4, 5])
+        assert list(edges) == [] and masks == [] and n == 2
+
     @pytest.mark.parametrize("vertices", [[0, 0, 1], [-1, 0, 1], [0, 1, 6]])
     def test_bad_vertex_set_rejected(self, vertices):
         graph = complete_hypergraph(3, 6)
