@@ -10,9 +10,11 @@ target is built by ``BalancedSet.from_vertices``, the one check of
 their ids and balance.  Each induced subgraph is searched on the graph
 itself, through the solvers' ``vertices`` input, so no subgraph is
 built or relabelled.  Absorption searches only where no proof is
-stored: a leftover piece equal to a gadget's own target takes the
-joint matching the gadget already holds, and any other piece is
-searched on the gadget's body plus the piece.
+stored: a leftover piece that is an unused gadget's own target takes
+the joint matching that gadget already holds, before any other gadget
+is tried, and any other piece is searched on a gadget's body plus the
+piece.  Stored and assembled matchings are checked against the graph
+by the one matching check, :func:`~rainbow_lab.solvers.is_matching_of`.
 """
 
 from __future__ import annotations
@@ -106,17 +108,6 @@ class AbsorberGadget:
             raise ValueError("joint matching must cover body and target")
 
 
-def _induced_pm(
-    graph: PartiteHypergraph,
-    vertices: Sequence[int],
-    timeout: Optional[float],
-) -> Optional[Matching]:
-    """A perfect matching of the subgraph induced on ``vertices``, in
-    the graph's own ids, or None."""
-    found, pm = has_perfect_matching(graph, timeout=timeout, vertices=vertices)
-    return pm if found else None
-
-
 def is_absorbing(
     body: Iterable[int],
     target: Iterable[int],
@@ -133,12 +124,14 @@ def is_absorbing(
         raise ValueError(f"target must have 4 vertices, got {len(target_v)}")
     if set(body_v) & set(target_v):
         raise ValueError("body and target overlap")
-    pm_body = _induced_pm(graph, body_v, timeout)
-    if pm_body is None:
+    found, pm_body = has_perfect_matching(graph, timeout=timeout, vertices=body_v)
+    if not found:
         return False, None
     left = _time_left(deadline, "absorbing check")
-    pm_joint = _induced_pm(graph, sorted(body_v + target_v), left)
-    if pm_joint is None:
+    found, pm_joint = has_perfect_matching(
+        graph, timeout=left, vertices=sorted(body_v + target_v)
+    )
+    if not found:
         return False, None
     return True, (pm_body, pm_joint)
 
@@ -314,21 +307,22 @@ def absorb(
     """Perfect matching of the leftover plus all gadget bodies.
 
     The leftover is split into balanced 4-sets by pairing the t-th
-    smallest class vertex with the next three unused others; each 4-set
-    greedily takes the first unused gadget whose body absorbs it.  A
-    4-set equal to a gadget's target is absorbed by that gadget's stored
-    ``pm_joint``, with no search; for any other 4-set, the subgraph
-    induced on the body plus the 4-set is searched for a perfect
-    matching.  Unused gadgets keep their reserved matchings.  Raises
-    :class:`AbsorptionError` when some 4-set finds no gadget, and
-    ``ValueError`` when a gadget's matchings are not matchings of the
-    graph, or when bodies or leftover overlap.
+    smallest class vertex with the next three unused others.  A 4-set
+    that is the target of an unused gadget takes the first such
+    gadget's stored ``pm_joint``, with no search.  Any other 4-set
+    greedily takes the first unused gadget, in pool order, whose body
+    absorbs it: the subgraph induced on the body plus the 4-set has a
+    perfect matching.  Unused gadgets keep their reserved matchings.
+    Every gadget matching and the result pass :func:`is_matching_of`.
+    Raises :class:`AbsorptionError` when some 4-set finds no gadget,
+    and ``ValueError`` when a gadget's matchings are not matchings of
+    the graph, or when bodies or leftover overlap.
     """
     deadline = _deadline(timeout)
     left = timeout
     body_vertices: set[int] = set()
     for i, g in enumerate(pool):
-        if not all(is_matching_of(graph, m.edges) for m in (g.pm_body, g.pm_joint)):
+        if not all(is_matching_of(graph, m) for m in (g.pm_body, g.pm_joint)):
             raise ValueError(f"gadget {i} of the pool has a matching edge outside the graph")
         bv = set(g.body.vertices())
         if bv & body_vertices:
@@ -345,26 +339,29 @@ def absorb(
     free = list(pool)  # unused gadgets, in pool order
     edges: list[Edge] = []
     for piece in pieces:
-        for i, g in enumerate(free):
-            # Only the joint matching is kept: the body's own matching
-            # is already reserved in g.pm_body.  The gadget's own target
-            # takes the rewiring it stores, checked against the graph
-            # above; any other piece is searched.
-            if piece == g.target.vertices():
-                joint = g.pm_joint
-            else:
-                joint = _induced_pm(graph, sorted(g.body.vertices() + piece), left)
-                left = _time_left(deadline, "absorption")
-            if joint is not None:
-                del free[i]
-                edges.extend(joint.edges)
-                break
+        # Only the joint matching is kept: the body's own matching is
+        # already reserved in g.pm_body.  A gadget whose own target the
+        # piece is takes the rewiring it stores, checked against the
+        # graph above; otherwise the free gadgets are searched in order.
+        i = next((i for i, g in enumerate(free) if piece == g.target.vertices()), None)
+        if i is not None:
+            joint = free[i].pm_joint
         else:
-            raise AbsorptionError(tuple(piece))
+            for i, g in enumerate(free):
+                found, joint = has_perfect_matching(
+                    graph, timeout=left, vertices=sorted(g.body.vertices() + piece)
+                )
+                left = _time_left(deadline, "absorption")
+                if found:
+                    break
+            else:
+                raise AbsorptionError(tuple(piece))
+        del free[i]
+        edges.extend(joint.edges)
     for g in free:
         edges.extend(g.pm_body.edges)
     result = Matching(edges=tuple(sorted(edges)))
     spans = result.vertices() == leftover_v | body_vertices
-    if not spans or not is_matching_of(graph, result.edges):
+    if not spans or not is_matching_of(graph, result):
         raise AssertionError("assembled matching does not match leftover + bodies in the graph")
     return result

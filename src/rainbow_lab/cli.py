@@ -269,7 +269,6 @@ def _cmd_exp(args) -> int:
     ignored = {
         "--n-values": args.n_values is not None
         and args.what in ("duality", "shift", "absorb"),
-        "--threshold": args.threshold is not None and args.what != "shift",
         "--trials": args.trials != 1 and args.what == "sharpness",
     }
     for option, given in ignored.items():
@@ -280,7 +279,6 @@ def _cmd_exp(args) -> int:
         n_values=tuple(args.n_values or ()),
         trials=args.trials,
         timeout_seconds=args.timeout,
-        threshold_override=args.threshold,
     )
     runner = {
         "sharpness": run_sharpness,
@@ -393,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     exp.add_argument("--n-values", type=_int_list, default=None)
     exp.add_argument("--trials", type=int, default=1)
-    exp.add_argument("--threshold", type=int, default=None)
     exp.set_defaults(func=_cmd_exp)
 
     return parser

@@ -10,7 +10,6 @@ the reduction, which is what the solvers exploit.  The reduction is a
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -43,9 +42,6 @@ class HypergraphFamily:
             "n": self.n_vertices,
             "members": [m.to_dict() for m in self.members],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 class PartiteHypergraph(Hypergraph):

@@ -70,7 +70,6 @@ class ExperimentConfig:
     n_values: tuple[int, ...] = ()
     trials: int = 1
     timeout_seconds: float = DEFAULT_TIMEOUT
-    threshold_override: Optional[int] = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -347,11 +346,7 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     else:
         prob = _prob_ladder(i % 5, 5, 0.15, 0.9)
         graph = random_partite(rng, q_size, p_size, prob)
-    threshold = (
-        cfg.threshold_override
-        if cfg.threshold_override is not None
-        else extremal_adjacent_degree_sum(p_size)
-    )
+    threshold = extremal_adjacent_degree_sum(p_size)
     res = fractional_pm_pipeline(
         graph,
         threshold=threshold,
@@ -366,9 +361,7 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
         == res.closure.graph.n_edges - res.shifted.graph.n_edges,
     }
     if res.found and res.matching is not None:
-        checks["extension_pm"] = is_perfect_matching_of(
-            res.shifted.graph, res.matching.edges
-        )
+        checks["extension_pm"] = is_perfect_matching_of(res.shifted.graph, res.matching)
     if q_size <= 3 and res.containment_ok:
         # the cover LP optimum equals nu* of the input by LP duality
         nu_out, _ = max_fractional_matching(
@@ -435,7 +428,7 @@ def absorb_scenario(
     left = _time_left(deadline, "absorb scenario")
     absorbed = absorb(pool, leftover, graph, timeout=left)
     combined = Matching(edges=tuple(sorted(m1.edges + absorbed.edges)))
-    if not is_perfect_matching_of(graph, combined.edges):
+    if not is_perfect_matching_of(graph, combined):
         raise AssertionError("assembled matching is not perfect")
     return combined, pool
 

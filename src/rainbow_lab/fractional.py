@@ -48,7 +48,6 @@ assert values and certificate feasibility, never specific weights.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -83,15 +82,12 @@ class FractionalMatching:
         return load
 
     def is_feasible(self, graph: Hypergraph) -> bool:
-        """Every key an edge of the graph (found by bisection in the
-        sorted ``graph.edges``), every weight in [0, 1] and every vertex
+        """Every key an edge of the graph (:meth:`Hypergraph._has`, so an
+        unsorted key is not one), every weight in [0, 1] and every vertex
         load at most 1."""
-        edges = graph.edges
-        for e, w in self.weights.items():
-            i = bisect_left(edges, e)
-            if i == len(edges) or edges[i] != e or not 0 <= w <= 1:
-                return False
-        return all(l <= 1 for l in self.vertex_load(graph))
+        return all(
+            graph._has(e) and 0 <= w <= 1 for e, w in self.weights.items()
+        ) and all(l <= 1 for l in self.vertex_load(graph))
 
     def saturates(self, graph: Hypergraph) -> bool:
         return all(l == 1 for l in self.vertex_load(graph))

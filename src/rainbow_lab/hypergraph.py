@@ -16,7 +16,6 @@ its vertex set, so they build no graph for it.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
@@ -123,9 +122,15 @@ class Hypergraph:
         return len(self.edges)
 
     def has_edge(self, edge: Iterable[int]) -> bool:
-        canon = canonical_edge(edge)
-        i = bisect_left(self.edges, canon)
-        return i < len(self.edges) and self.edges[i] == canon
+        return self._has(canonical_edge(edge))
+
+    def _has(self, edge: tuple[int, ...]) -> bool:
+        """Is the tuple, exactly as given, one of ``edges``?  The package's
+        one edge lookup, by bisection in the sorted ``edges``; an unsorted
+        tuple is never an edge."""
+        edges = self.edges
+        i = bisect_left(edges, edge)
+        return i < len(edges) and edges[i] == edge
 
     def _check_vertices(
         self, vertices: Iterable[int], name: str = "vertex set"
@@ -229,9 +234,6 @@ class Hypergraph:
             "n": self.n_vertices,
             "edges": [list(e) for e in self.edges],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
 
 def complete_hypergraph(k: int, n: int) -> Hypergraph:

@@ -52,7 +52,8 @@ Edge = tuple[int, ...]
 
 @dataclass(frozen=True)
 class Matching:
-    """Pairwise vertex-disjoint edges."""
+    """Pairwise vertex-disjoint edges.  Building one is the package's one
+    disjointness check: a reused vertex raises ``ValueError``."""
 
     edges: tuple[Edge, ...]
 
@@ -93,21 +94,15 @@ class RainbowMatching:
         return [{"color": c, "edge": list(e)} for c, e in self.pairs]
 
 
-def is_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
-    """Check pairwise disjointness and membership in the graph, finding
-    each edge by bisection in the sorted ``graph.edges``."""
-    all_edges = graph.edges
-    for e in map(tuple, edges):
-        i = bisect_left(all_edges, e)
-        if i == len(all_edges) or all_edges[i] != e:
-            return False
-    return len({v for e in edges for v in e}) == sum(map(len, edges))
+def is_matching_of(graph: Hypergraph, matching: Matching) -> bool:
+    """Is every edge of the matching an edge of the graph?  Membership
+    only, through :meth:`Hypergraph._has`: disjointness is the
+    ``Matching``'s own, checked when it is built."""
+    return all(map(graph._has, matching.edges))
 
 
-def is_perfect_matching_of(graph: Hypergraph, edges: Sequence[Edge]) -> bool:
-    return is_matching_of(graph, edges) and sum(
-        len(e) for e in edges
-    ) == graph.n_vertices
+def is_perfect_matching_of(graph: Hypergraph, matching: Matching) -> bool:
+    return is_matching_of(graph, matching) and len(matching.vertices()) == graph.n_vertices
 
 
 def _subproblem(

@@ -1,0 +1,272 @@
+"""Mutation gate for the package's checks.
+
+Each mutant replaces one piece of text, found exactly once, in one
+source file, and runs only its own named test files on the mutated
+copy.  A mutant is killed when those tests fail; a survivor means the
+check it breaks is not tested where it lives.  Mutants known to be
+equivalent are listed in ``EQUIVALENT`` with the reason and never run.
+
+Every run works on a temporary copy of ``src/``, ``tests/``,
+``perfbench/`` (without ``out/``) and ``pyproject.toml``: the hygiene
+scan reads ``perfbench/``, so a copy without it fails for a reason of
+its own.  The named test files are first run unmutated, so that a kill
+is the mutant's and not a failure already there.
+
+Run from anywhere, with the standard library and pytest::
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py has-equality own-target
+
+Exit 0 when every mutant is killed, 1 when any survives or the
+unmutated tests fail, 3 when a mutant's text is not found exactly once.
+The file name keeps pytest from collecting it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# A mutant's tests that run longer than this count as killed: the
+# mutant broke a search's termination.
+RUN_TIMEOUT = 900
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+SOLVERS = "src/rainbow_lab/solvers.py"
+HYPERGRAPH = "src/rainbow_lab/hypergraph.py"
+FRACTIONAL = "src/rainbow_lab/fractional.py"
+KERNEL = "src/rainbow_lab/kernel.py"
+ABSORBING = "src/rainbow_lab/absorbing.py"
+
+MUTANTS = [
+    Mutant(
+        "matching-reuse",
+        SOLVERS,
+        'raise ValueError(f"matching reuses vertex {v}")',
+        "pass",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "is-matching-of-membership",
+        SOLVERS,
+        "return all(map(graph._has, matching.edges))",
+        "return True",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "is-perfect-matching-of-size",
+        SOLVERS,
+        "is_matching_of(graph, matching) and len(matching.vertices()) == graph.n_vertices",
+        "is_matching_of(graph, matching)",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "has-equality",
+        HYPERGRAPH,
+        "return i < len(edges) and edges[i] == edge",
+        "return i < len(edges)",
+        ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "is-feasible-membership",
+        FRACTIONAL,
+        "graph._has(e) and 0 <= w <= 1",
+        "e[-1] < graph.n_vertices and 0 <= w <= 1",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "scaled-edge-sum",
+        FRACTIONAL,
+        "sum(map(y.__getitem__, e)) < den",
+        "sum(map(y.__getitem__, e)) < den - 1",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "cover-refutation-value",
+        SOLVERS,
+        "if value >= t:",
+        "if value > t:",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "check-vertices-repeat",
+        HYPERGRAPH,
+        "if len(set(vs)) != len(vs):",
+        "if False:",
+        ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "balanced-set-balance",
+        ABSORBING,
+        "if 3 * len(self.q_part) != len(self.p_part):",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "time-left-deadline",
+        KERNEL,
+        "if left <= 0:",
+        "if left is None:",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "aborted-cause",
+        SOLVERS,
+        'cause = "budget" if node_budget and nodes == node_budget else "deadline"',
+        'cause = "budget" if node_budget else "deadline"',
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "exact-cover-dead-lookup",
+        KERNEL,
+        "            if nxt in dead:\n                continue\n            picks.append(i)",
+        "            picks.append(i)",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "exact-cover-dead-record",
+        KERNEL,
+        "            picks.pop()\n        dead.add(occ)\n        return False\n\n    try:\n"
+        "        if search(0, every):",
+        "            picks.pop()\n        return False\n\n    try:\n"
+        "        if search(0, every):",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "rainbow-search-dead-lookup",
+        KERNEL,
+        "            if nxt_occ in dead_next:\n                continue\n",
+        "",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "rainbow-search-dead-record",
+        KERNEL,
+        "        dead[level].add(occ)\n",
+        "",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "own-target",
+        ABSORBING,
+        "i = next((i for i, g in enumerate(free) if piece == g.target.vertices()), None)",
+        "i = None",
+        ("tests/test_absorbing.py",),
+    ),
+]
+
+EQUIVALENT = [
+    (
+        Mutant(
+            "own-target-subset",
+            ABSORBING,
+            "piece == g.target.vertices()",
+            "set(piece) <= set(g.target.vertices())",
+            ("tests/test_absorbing.py",),
+        ),
+        "both are sorted 4-sets of distinct ids, so one is a subset of the "
+        "other exactly when the tuples are equal",
+    ),
+    (
+        Mutant(
+            "time-left-boundary",
+            KERNEL,
+            "if left <= 0:",
+            "if left < 0:",
+            ("tests/test_deadlines.py",),
+        ),
+        "left is the difference of two float clock readings; no test can "
+        "make it exactly 0.0",
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=skip)
+    shutil.copytree(
+        ROOT / "perfbench",
+        dest / "perfbench",
+        ignore=shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "out"),
+    )
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(root: Path, tests: tuple[str, ...]) -> tuple[str, str]:
+    """``"pass"``, ``"fail"`` or ``"timeout"`` for the tests on the copy,
+    with the first failure pytest reports."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        proc = subprocess.run(
+            cmd, cwd=root, env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT
+        )
+    except subprocess.TimeoutExpired:
+        return "timeout", f"over {RUN_TIMEOUT} s"
+    if proc.returncode == 0:
+        return "pass", ""
+    if proc.returncode not in (1, 2):  # not a test failure or a collection error
+        raise RuntimeError(f"pytest exited {proc.returncode}:\n{proc.stdout}{proc.stderr}")
+    failures = [l for l in proc.stdout.splitlines() if l.startswith(("FAILED ", "ERROR "))]
+    return "fail", failures[0] if failures else proc.stdout.strip().splitlines()[-1]
+
+
+def main(names: list[str]) -> int:
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"error: no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 3
+    for m, reason in EQUIVALENT:
+        print(f"equivalent {m.name}: {reason}")
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        root = Path(tmp)
+        copy_tree(root)
+        originals = {m.path: (root / m.path).read_text() for m in chosen}
+        for m in chosen:
+            if originals[m.path].count(m.old) != 1:
+                print(f"error: {m.name}: text not found exactly once in {m.path}", file=sys.stderr)
+                return 3
+        files = tuple(sorted({t for m in chosen for t in m.tests}))
+        outcome, detail = run_tests(root, files)
+        if outcome != "pass":
+            print(f"error: the unmutated tests do not pass: {detail}", file=sys.stderr)
+            return 1
+        survivors = []
+        for m in chosen:
+            (root / m.path).write_text(originals[m.path].replace(m.old, m.new))
+            start = time.perf_counter()
+            outcome, detail = run_tests(root, m.tests)
+            (root / m.path).write_text(originals[m.path])
+            seconds = time.perf_counter() - start
+            if outcome == "pass":
+                survivors.append(m.name)
+                print(f"SURVIVED {m.name} ({seconds:.1f} s)", flush=True)
+            else:
+                print(f"killed   {m.name} ({seconds:.1f} s): {detail}", flush=True)
+    if survivors:
+        print(f"{len(survivors)} of {len(chosen)} mutants survived: {', '.join(survivors)}")
+        return 1
+    print(f"all {len(chosen)} mutants killed")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

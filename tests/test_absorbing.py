@@ -29,6 +29,7 @@ from rainbow_lab.constructions import (
 from rainbow_lab.experiments import absorb_scenario
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.solvers import (
+    Matching,
     SolverTimeout,
     has_perfect_matching,
     is_perfect_matching_of,
@@ -347,6 +348,38 @@ class TestAbsorb:
         assert {v for e in result.edges for v in e} == expect
         assert len(result.edges) == len(expect) // 4
 
+    def test_piece_takes_the_gadget_it_targets(self, monkeypatch):
+        # Class vertex 1 lies only on edges inside P = 20..37, the first
+        # gadget's body.  Its piece can be absorbed by the first gadget
+        # alone, and the piece (0, 14, 15, 16) by either; the second
+        # gadget, whose target that piece is, must take it.
+        full = complete_partite(14, 42)
+        graph = PartiteHypergraph(
+            14, 42, [e for e in full.edges if e[0] != 1 or (e[1] >= 20 and e[3] <= 37)]
+        )
+        pool = []
+        for (q0, p0), target in (((2, 20), (1, 17, 18, 19)), ((8, 38), (0, 14, 15, 16))):
+            body = BalancedSet(q_part=tuple(range(q0, q0 + 6)), p_part=tuple(range(p0, p0 + 18)))
+            ok, pms = is_absorbing(body.vertices(), target, graph)
+            assert ok
+            pool.append(AbsorberGadget(
+                target=BalancedSet.from_vertices(target, graph),
+                body=body,
+                pm_body=pms[0],
+                pm_joint=pms[1],
+            ))
+
+        leftover = BalancedSet(q_part=(0, 1), p_part=(14, 15, 16, 17, 18, 19))
+        result = absorb(pool, leftover, graph)
+        assert len(result) == 14
+        assert result == Matching(edges=tuple(sorted(pool[0].pm_joint.edges + pool[1].pm_joint.edges)))
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("searched a piece that is a gadget's own target")
+
+        monkeypatch.setattr(absorbing, "has_perfect_matching", no_search)
+        assert absorb(pool, leftover, graph) == result
+
     def test_pool_exhaustion_reports_piece(self):
         graph = complete_partite(10, 30)
         target = first_target(graph)
@@ -391,5 +424,5 @@ class TestEndToEnd:
             sorted(set(rest) - covered), graph
         )
         absorbed = absorb([gadget], leftover, graph)
-        combined = tuple(sorted(m1_edges + absorbed.edges))
+        combined = Matching(edges=tuple(sorted(m1_edges + absorbed.edges)))
         assert is_perfect_matching_of(graph, combined)

@@ -27,8 +27,9 @@ from rainbow_lab.constructions import (
     extremal_graph,
 )
 from rainbow_lab.hypergraph import complete_hypergraph, empty_hypergraph
+from rainbow_lab.jsonio import canonical_json
 
-INSTANCE = complete_hypergraph(3, 6).to_json()
+INSTANCE = canonical_json(complete_hypergraph(3, 6).to_dict())
 
 
 def run(monkeypatch, capsys, *argv):
@@ -199,10 +200,6 @@ def test_gen_extremal_time_follows_the_edges_kept(monkeypatch, capsys):
         (["exp", "duality", "--n-values", "7", "--trials", "1"], "--n-values"),
         (["exp", "shift", "--n-values", "6"], "--n-values"),
         (["exp", "absorb", "--n-values", "24"], "--n-values"),
-        (["exp", "absorb", "--threshold", "5"], "--threshold"),
-        (["exp", "sharpness", "--threshold", "5"], "--threshold"),
-        (["exp", "equivalence", "--threshold", "5"], "--threshold"),
-        (["exp", "duality", "--threshold", "5"], "--threshold"),
         (["exp", "sharpness", "--trials", "4", "--n-values", "6"], "--trials"),
     ],
     ids=lambda x: " ".join(x) if isinstance(x, list) else None,
@@ -212,6 +209,18 @@ def test_exp_rejects_an_option_its_suite_ignores(monkeypatch, capsys, argv, opti
     assert code == EXIT_INPUT
     assert out == ""
     assert err == f"error: exp {argv[1]} does not read {option}\n"
+
+
+@pytest.mark.parametrize("what", ["sharpness", "equivalence", "duality", "shift", "absorb"])
+def test_exp_has_no_threshold_option(capsys, what):
+    # The shift suite's threshold is the paper's, per trial; ``shift run``
+    # and ``shift pipeline`` take one.
+    with pytest.raises(SystemExit) as stop:
+        main(["exp", what, "--threshold", "5"])
+    assert stop.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --threshold 5" in captured.err
 
 
 def test_exp_sharpness_accepts_one_trial(monkeypatch, capsys):
@@ -234,7 +243,7 @@ def test_vertex_file_rejects_bools(monkeypatch, capsys, tmp_path):
     target.write_text("[0, 8, 9, 10]")
     candidates = tmp_path / "c.json"
     candidates.write_text(json.dumps([True] + list(range(11, 32))))
-    stdin = complete_partite(8, 24).to_json()
+    stdin = canonical_json(complete_partite(8, 24).to_dict())
     code, out, err = run_raw(
         monkeypatch, capsys, stdin,
         "absorb", "gadget", "--a", str(target), "--candidates", str(candidates),
@@ -266,7 +275,7 @@ def test_bad_gadget_vertex_set_exits_3(monkeypatch, capsys, tmp_path, argv, file
         path = tmp_path / f"{flag.strip('-')}.json"
         path.write_text(json.dumps(ids))
         options += [flag, str(path)]
-    stdin = complete_partite(8, 24).to_json()
+    stdin = canonical_json(complete_partite(8, 24).to_dict())
     code, out, err = run_raw(monkeypatch, capsys, stdin, "--timeout", "5", *argv, *options)
     assert code == EXIT_INPUT
     assert out == ""
@@ -277,7 +286,7 @@ def test_gadget_budget_exhaustion_is_unknown(monkeypatch, capsys, tmp_path):
     monkeypatch.setattr(cli, "build_gadget", functools.partial(build_gadget, node_budget=1))
     target = tmp_path / "a.json"
     target.write_text("[0, 8, 9, 10]")
-    stdin = complete_partite(8, 24).to_json()
+    stdin = canonical_json(complete_partite(8, 24).to_dict())
     code, out, _ = run_raw(monkeypatch, capsys, stdin, "absorb", "gadget", "--a", str(target))
     assert code == EXIT_UNKNOWN
     assert json.loads(out) == {"found": "unknown"}
@@ -290,7 +299,7 @@ def test_gadget_deadline_is_unknown(monkeypatch, capsys, tmp_path):
     target.write_text("[0, 8, 9, 10]")
     start = time.monotonic()
     code, out, _ = run_raw(
-        monkeypatch, capsys, graph.to_json(),
+        monkeypatch, capsys, canonical_json(graph.to_dict()),
         "--timeout", "0.2", "absorb", "gadget", "--a", str(target),
     )
     assert time.monotonic() - start < 2.0
@@ -303,7 +312,7 @@ def test_tight_rainbow_n18_is_none(monkeypatch, capsys):
     # search alone ran past the default timeout.
     family = HypergraphFamily(18, (extremal_graph(18, 6, 2),) * 6)
     start = time.monotonic()
-    code, out, err = run_raw(monkeypatch, capsys, family.to_json(), "solve", "rainbow")
+    code, out, err = run_raw(monkeypatch, capsys, canonical_json(family.to_dict()), "solve", "rainbow")
     assert time.monotonic() - start < 10.0
     assert code == EXIT_NONE and err == ""
     assert json.loads(out) == {"found": False, "witness": None}
@@ -317,7 +326,7 @@ def _crash(args):
     "code, stdin, argv",
     [
         (EXIT_FOUND, INSTANCE, ["solve", "pm"]),
-        (EXIT_NONE, empty_hypergraph(3, 6).to_json(), ["solve", "pm"]),
+        (EXIT_NONE, canonical_json(empty_hypergraph(3, 6).to_dict()), ["solve", "pm"]),
         (EXIT_UNKNOWN, INSTANCE, ["--timeout", "1e-9", "frac", "nu-star"]),
         (EXIT_INPUT, "[]", ["stats"]),
         (EXIT_CRASH, INSTANCE, ["stats"]),

@@ -21,17 +21,18 @@ from rainbow_lab.absorbing import AbsorptionError
 from rainbow_lab.cli import EXIT_FOUND, EXIT_NONE, EXIT_UNKNOWN, main
 from rainbow_lab.constructions import HypergraphFamily, PartiteHypergraph, complete_partite
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph, empty_hypergraph
+from rainbow_lab.jsonio import canonical_json
 
-K4 = complete_hypergraph(3, 4).to_json()
-K6 = complete_hypergraph(3, 6).to_json()
-EMPTY6 = empty_hypergraph(3, 6).to_json()
-TRIANGLE3 = Hypergraph(3, 3, [(0, 1, 2)]).to_json()
-TRIANGLE6 = Hypergraph(3, 6, [(0, 1, 2)]).to_json()
-PATH3 = Hypergraph(2, 3, [(0, 1), (1, 2)]).to_json()
-RAINBOW = HypergraphFamily(6, (complete_hypergraph(3, 6),) * 2).to_json()
-NO_RAINBOW = HypergraphFamily(6, (Hypergraph(3, 6, [(0, 1, 2)]),) * 2).to_json()
-PARTITE = complete_partite(2, 6).to_json()
-NO_PARTITE = PartiteHypergraph(2, 6, [(0, 2, 3, 4)]).to_json()
+K4 = canonical_json(complete_hypergraph(3, 4).to_dict())
+K6 = canonical_json(complete_hypergraph(3, 6).to_dict())
+EMPTY6 = canonical_json(empty_hypergraph(3, 6).to_dict())
+TRIANGLE3 = canonical_json(Hypergraph(3, 3, [(0, 1, 2)]).to_dict())
+TRIANGLE6 = canonical_json(Hypergraph(3, 6, [(0, 1, 2)]).to_dict())
+PATH3 = canonical_json(Hypergraph(2, 3, [(0, 1), (1, 2)]).to_dict())
+RAINBOW = canonical_json(HypergraphFamily(6, (complete_hypergraph(3, 6),) * 2).to_dict())
+NO_RAINBOW = canonical_json(HypergraphFamily(6, (Hypergraph(3, 6, [(0, 1, 2)]),) * 2).to_dict())
+PARTITE = canonical_json(complete_partite(2, 6).to_dict())
+NO_PARTITE = canonical_json(PartiteHypergraph(2, 6, [(0, 2, 3, 4)]).to_dict())
 # tau* = q, but the shift deletes input edges and the lowest link has no
 # perfect matching: the construction fails and the answer is still found.
 SHIFT_LOST = json.dumps({
@@ -132,29 +133,33 @@ CASES = [
     Case(
         "absorb check found",
         ["absorb", "check", "--t", "@body", "--a", "@target"],
-        DENSE.to_json(),
+        canonical_json(DENSE.to_dict()),
     ),
     Case(
         "absorb check none",
         ["absorb", "check", "--t", "@body", "--a", "@target"],
-        HOLED.to_json(),
+        canonical_json(HOLED.to_dict()),
     ),
     Case(
         "absorb check unknown",
         ["absorb", "check", "--t", "@body", "--a", "@target"],
-        DENSE.to_json(),
+        canonical_json(DENSE.to_dict()),
         budget(absorbing, "has_perfect_matching"),
     ),
-    Case("absorb gadget found", ["absorb", "gadget", "--a", "@target"], DENSE.to_json()),
+    Case(
+        "absorb gadget found",
+        ["absorb", "gadget", "--a", "@target"],
+        canonical_json(DENSE.to_dict()),
+    ),
     Case(
         "absorb gadget none",
         ["absorb", "gadget", "--a", "@target", "--candidates", "@none"],
-        DENSE.to_json(),
+        canonical_json(DENSE.to_dict()),
     ),
     Case(
         "absorb gadget unknown",
         ["absorb", "gadget", "--a", "@target"],
-        DENSE.to_json(),
+        canonical_json(DENSE.to_dict()),
         budget(cli, "build_gadget"),
     ),
     Case("absorb run found", ["absorb", "run"], scenario(DENSE)),

@@ -21,7 +21,7 @@ from rainbow_lab.constructions import (
 )
 from rainbow_lab.experiments import random_family, random_hypergraph
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
-from rainbow_lab.jsonio import load_instance
+from rainbow_lab.jsonio import canonical_json, load_instance
 from rainbow_lab.shift import fractional_pm_pipeline
 from rainbow_lab.solvers import max_matching
 
@@ -225,7 +225,7 @@ class TestPartiteType:
 
     def test_round_trip_json(self):
         pg = extremal_partite(6)
-        assert load_instance(json.loads(pg.to_json())) == pg
+        assert load_instance(json.loads(canonical_json(pg.to_dict()))) == pg
 
 
 class TestTrustedEqualsValidated:

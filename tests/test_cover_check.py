@@ -23,6 +23,7 @@ from rainbow_lab.constructions import (
     family_to_partite,
 )
 from rainbow_lab.fractional import FractionalCover
+from rainbow_lab.jsonio import canonical_json
 from rainbow_lab.shift import cover_closure
 from rainbow_lab.solvers import cover_refutation
 
@@ -123,6 +124,6 @@ def test_refutation_that_fails_its_check_is_an_internal_fault(monkeypatch, capsy
     )
     with pytest.raises(AssertionError, match="integer check"):
         cover_refutation(fam)
-    monkeypatch.setattr("sys.stdin", io.StringIO(fam.to_json()))
+    monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(fam.to_dict())))
     assert main(["solve", "rainbow"]) == EXIT_CRASH
     assert "integer check" in capsys.readouterr().err

@@ -16,7 +16,7 @@ from rainbow_lab.hypergraph import (
     empty_hypergraph,
 )
 from rainbow_lab.constructions import extremal_graph
-from rainbow_lab.jsonio import load_instance
+from rainbow_lab.jsonio import canonical_json, load_instance
 
 from _oracles import brute_degree
 
@@ -58,6 +58,22 @@ class TestConstruction:
     def test_edges_are_canonical(self):
         h = Hypergraph(3, 6, [(5, 3, 1), (0, 2, 4)])
         assert h.edges == ((0, 2, 4), (1, 3, 5))
+
+
+class TestHasEdge:
+    def test_finds_edges_only(self):
+        # (0, 1, 3) sorts between the two edges, so bisection lands inside
+        # the edge list: only the equality test rejects it.
+        h = Hypergraph(3, 6, [(0, 1, 2), (0, 1, 4)])
+        assert h.has_edge((0, 1, 2)) and h.has_edge((4, 1, 0))
+        assert not h.has_edge((0, 1, 3)) and not h.has_edge((3, 1, 0))
+        assert not h.has_edge((3, 4, 5))
+
+    def test_lookup_is_exact(self):
+        # The package's one lookup takes the tuple as given: an unsorted
+        # tuple is never an edge; ``has_edge`` sorts it first.
+        h = complete_hypergraph(3, 6)
+        assert h._has((0, 1, 2)) and not h._has((2, 1, 0))
 
 
 class TestDegree:
@@ -266,9 +282,9 @@ class TestInvariants:
 class TestSerialization:
     def test_round_trip_bit_exact(self):
         h = extremal_graph(9, 3, 2)
-        again = load_instance(json.loads(h.to_json()))
+        again = load_instance(json.loads(canonical_json(h.to_dict())))
         assert again == h
-        assert again.to_json() == h.to_json()
+        assert canonical_json(again.to_dict()) == canonical_json(h.to_dict())
 
     def test_reader_rejects_unsorted(self):
         with pytest.raises(ValueError):

@@ -395,7 +395,7 @@ class TestExtension:
         assert found
         mapped = [tuple(v + pg.q_size for v in e) for e in link_pm.edges]
         pm = extend_link_matching(order, mapped)
-        assert is_perfect_matching_of(pg, pm.edges)
+        assert is_perfect_matching_of(pg, pm)
 
     def test_unstable_graph_raises_contract_error(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4), (0, 5, 6, 7)])
@@ -412,7 +412,7 @@ class TestPipeline:
     def test_complete_graph_found(self):
         res = fractional_pm_pipeline(complete_partite(3, 9))
         assert res.found and res.containment_ok and res.value_check
-        assert is_perfect_matching_of(res.shifted.graph, res.matching.edges)
+        assert is_perfect_matching_of(res.shifted.graph, res.matching)
 
     def test_tight_instance_not_found(self):
         res = fractional_pm_pipeline(extremal_partite(6))
@@ -473,7 +473,7 @@ class TestPipeline:
             if not res.found:
                 continue
             found += 1
-            assert is_perfect_matching_of(res.shifted.graph, res.matching.edges)
+            assert is_perfect_matching_of(res.shifted.graph, res.matching)
             if res.containment_ok:
                 contained += 1
                 assert res.value_check is True

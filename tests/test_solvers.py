@@ -76,6 +76,21 @@ class TestTypes:
             RainbowMatching(pairs=((0, (0, 1, 2)), (0, (3, 4, 5))))
 
 
+class TestMatchingCheck:
+    GRAPH = Hypergraph(3, 9, [(0, 1, 2), (0, 1, 4), (3, 4, 5), (6, 7, 8)])
+
+    def test_membership(self):
+        assert is_matching_of(self.GRAPH, Matching(edges=((0, 1, 2), (3, 4, 5))))
+        # (0, 1, 3) sorts between two edges of the graph.
+        assert not is_matching_of(self.GRAPH, Matching(edges=((0, 1, 3), (6, 7, 8))))
+        assert not is_matching_of(complete_hypergraph(3, 6), Matching(edges=((2, 1, 0),)))
+
+    def test_perfect_needs_every_vertex(self):
+        m = Matching(edges=((0, 1, 2), (3, 4, 5)))
+        assert not is_perfect_matching_of(self.GRAPH, m)
+        assert is_perfect_matching_of(self.GRAPH, Matching(edges=m.edges + ((6, 7, 8),)))
+
+
 class TestMaxMatching:
     def test_complete_nine(self):
         assert len(max_matching(complete_hypergraph(3, 9))) == 3
@@ -90,7 +105,7 @@ class TestMaxMatching:
     def test_witness_is_matching(self):
         h = extremal_graph(12, 4, 1)
         m = max_matching(h)
-        assert is_matching_of(h, m.edges)
+        assert is_matching_of(h, m)
 
     def test_against_oracle_random(self):
         rng = random.Random(21)
@@ -107,7 +122,7 @@ class TestMaxMatching:
 class TestPerfectMatching:
     def test_complete_six(self):
         found, pm = has_perfect_matching(complete_hypergraph(3, 6))
-        assert found and is_perfect_matching_of(complete_hypergraph(3, 6), pm.edges)
+        assert found and is_perfect_matching_of(complete_hypergraph(3, 6), pm)
 
     def test_tight_extremal_has_none(self):
         found, pm = has_perfect_matching(extremal_graph(12, 4, 2))
@@ -129,7 +144,7 @@ class TestPerfectMatching:
             found, pm = has_perfect_matching(h)
             assert found == brute_pm_exists(h.edges, 9, 3)
             if found:
-                assert is_perfect_matching_of(h, pm.edges)
+                assert is_perfect_matching_of(h, pm)
 
 
 class TestRainbow:
@@ -286,6 +301,11 @@ class TestTimeout:
         )
         with pytest.raises(SolverTimeout, match="rainbow search exceeded its deadline"):
             rainbow_matching(tight_family(12), timeout=30.0)
+
+    def test_abort_names_the_deadline_under_an_unspent_budget(self):
+        # A budget is set but not reached: the deadline stopped the search.
+        with pytest.raises(SolverTimeout, match="perfect-matching search exceeded its deadline"):
+            has_perfect_matching(extremal_partite(21), timeout=1e-3, node_budget=10**9)
 
     def test_abort_names_the_budget(self):
         with pytest.raises(SolverTimeout, match="perfect-matching search exceeded its budget"):
