@@ -19,7 +19,6 @@ by the one matching check, :func:`~rainbow_lab.solvers.is_matching_of`.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, partial
@@ -53,16 +52,14 @@ class AbsorptionError(RuntimeError):
 
 @dataclass(frozen=True)
 class BalancedSet:
-    """A vertex set with three non-class vertices per class vertex."""
+    """A vertex set with three non-class vertices per class vertex.  The
+    parts are sorted and repeat-free when built by :meth:`from_vertices`,
+    whose id check ensures it; the constructor checks only the balance."""
 
     q_part: tuple[int, ...]
     p_part: tuple[int, ...]
 
     def __post_init__(self):
-        if list(self.q_part) != sorted(set(self.q_part)):
-            raise ValueError("q_part must be sorted and duplicate-free")
-        if list(self.p_part) != sorted(set(self.p_part)):
-            raise ValueError("p_part must be sorted and duplicate-free")
         if 3 * len(self.q_part) != len(self.p_part):
             raise ValueError(
                 f"unbalanced set: {len(self.q_part)} class vertices vs "
@@ -204,11 +201,9 @@ def build_gadget(
     nodes_left = node_budget
     deadline = _deadline(timeout)
 
-    # The edges are sorted with the class vertex first, so the link of
-    # u_target is one contiguous run of them.
-    edges = graph.edges
-    link = edges[bisect_left(edges, (u_target,)) : bisect_left(edges, (u_target + 1,))]
-    link_edges = [e[1:] for e in link]
+    # The class vertex is the least vertex of each of its edges, so its
+    # link is its run.
+    link_edges = [e[1:] for e in graph._run(u_target)]
 
     def spend() -> None:
         nonlocal nodes_left

@@ -17,7 +17,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Optional, Sequence
 
 from .absorbing import (
@@ -405,19 +405,31 @@ def absorb_scenario(
     drawing helper vertices from the vertices popular among the
     members' low-degree anchors, reserves the bodies, matches the
     remaining vertices exhaustively, and absorbs the leftover through
-    the pool.  Returns the assembled perfect matching and the pool.
+    the pool.  The targets must be pairwise disjoint (``ValueError``),
+    and each gadget is searched on the edges that miss the bodies built
+    before it and every other target, so the bodies are pairwise
+    disjoint and miss every target.  Returns the assembled perfect
+    matching and the pool.
     """
     deadline = _deadline(timeout)
     left = timeout
+    target_sets = [graph._check_vertices(t, "target") for t in targets]
+    if len(set(chain.from_iterable(target_sets))) != sum(map(len, target_sets)):
+        raise ValueError("targets must be pairwise disjoint")
     candidates = [
         v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
     ]
     pool = []
     reserved: set[int] = set()
-    for target in targets:
-        gadget = build_gadget(target, graph, candidates, timeout=left)
+    for i, target in enumerate(target_sets):
+        avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])
+        host = graph if not avoid else PartiteHypergraph._trusted(
+            graph.q_size, graph.p_size, [e for e in graph.edges if avoid.isdisjoint(e)]
+        )
+        helpers = [v for v in candidates if v not in avoid]
+        gadget = build_gadget(target, host, helpers, timeout=left)
         if gadget is None:
-            raise AbsorptionError(tuple(sorted(target)))
+            raise AbsorptionError(target)
         reserved |= set(gadget.body.vertices())
         pool.append(gadget)
         left = _time_left(deadline, "absorb scenario")

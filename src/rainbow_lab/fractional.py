@@ -295,8 +295,6 @@ def fractional_perfect_matching(
     asserted before returning.
     """
     value, matching = max_fractional_matching(graph, timeout)
-    if graph.n_vertices == 0:
-        return True, matching
     if value != Fraction(graph.n_vertices, graph.k):
         return False, None
     if not matching.saturates(graph):

@@ -53,9 +53,8 @@ class Hypergraph:
     """Immutable k-uniform hypergraph; degrees are counted on demand.
 
     No degree index is kept: most derived graphs (closures, links) are
-    only searched.  ``degree(vertices)`` scans the edges once
-    for one set; ``degrees(size)`` counts every ``size``-set in one pass,
-    for callers that need many degrees.
+    only searched.  ``degrees(size)`` counts every ``size``-set in one
+    pass; the degree of a sorted set ``s`` is ``degrees(len(s))[s]``.
     """
 
     __slots__ = ("k", "n_vertices", "edges")
@@ -132,6 +131,12 @@ class Hypergraph:
         i = bisect_left(edges, edge)
         return i < len(edges) and edges[i] == edge
 
+    def _run(self, a: int) -> tuple[tuple[int, ...], ...]:
+        """The edges whose least vertex is ``a``.  The edges are sorted,
+        so they form one contiguous run, found by bisection."""
+        edges = self.edges
+        return edges[bisect_left(edges, (a,)) : bisect_left(edges, (a + 1,))]
+
     def _check_vertices(
         self, vertices: Iterable[int], name: str = "vertex set"
     ) -> tuple[int, ...]:
@@ -142,18 +147,6 @@ class Hypergraph:
         if len(set(vs)) != len(vs):
             raise ValueError(f"{name} repeats a vertex id")
         return vs
-
-    def degree(self, vertices: Iterable[int]) -> int:
-        """Number of edges containing every vertex of the given set.
-
-        The empty set is contained in every edge, so its degree is the
-        edge count.  Sets larger than k are rejected.
-        """
-        sub = self._check_vertices(vertices)
-        if len(sub) > self.k:
-            raise ValueError(f"subset size {len(sub)} exceeds uniformity {self.k}")
-        want = set(sub)
-        return sum(1 for e in self.edges if want.issubset(e))
 
     def degrees(self, size: int) -> Counter:
         """Degree of every ``size``-set, as sorted tuples; absent means 0."""
@@ -182,10 +175,6 @@ class Hypergraph:
             tuple(v for v in e if v != u) for e in self.edges if u in e
         ]
         return Hypergraph._trusted(self.k - 1, self.n_vertices, remainders)
-
-    def adjacent(self, u: int, v: int) -> bool:
-        """True when some edge contains both u and v, which must differ."""
-        return self.degree((u, v)) > 0
 
     def degree_sum_minima(self) -> DegreeSumMinima:
         """Minimum degree sums over adjacent / all / non-adjacent pairs."""

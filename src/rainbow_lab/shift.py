@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass
 from heapq import nsmallest
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Optional
 
 from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
 from .fractional import FractionalCover, min_fractional_cover
@@ -266,9 +266,7 @@ def stable_shift(
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 
-def extend_link_matching(
-    order: OrderedPartite, link_pm: Sequence[Edge]
-) -> Matching:
+def extend_link_matching(order: OrderedPartite, link_pm: Matching) -> Matching:
     """Extend a perfect matching of the rank-0 link to the whole graph.
 
     Link edges are sorted descending by their rank triples and the class
@@ -278,12 +276,11 @@ def extend_link_matching(
     :class:`ContractViolation`.
     """
     g = order.graph
-    covered = sorted(v for e in link_pm for v in e)
-    if covered != list(g.p_vertices()):
+    if link_pm.vertices() != frozenset(g.p_vertices()):
         raise ValueError("link matching must cover the non-class side exactly once")
     ranked = sorted(
         (tuple(sorted(order.p_rank(v) for v in e)), tuple(sorted(e)))
-        for e in link_pm
+        for e in link_pm.edges
     )
     ranked.reverse()
     assembled = []
@@ -354,8 +351,8 @@ def fractional_pm_pipeline(
         found, link_pm = has_perfect_matching(
             link, timeout=left, vertices=graph.p_vertices()
         )
-        if found and link_pm is not None:
-            matching = extend_link_matching(shifted, link_pm.edges)
+        if found:
+            matching = extend_link_matching(shifted, link_pm)
 
     value_check = None
     if found and containment_ok:

@@ -15,10 +15,9 @@ the parent's edges inside the set, in order, each as a bitmask over
 the positions of its vertices in the sorted set.  That relabel is
 monotone, so the masks, the picks and the witness are those of the
 relabelled induced graph, and no graph is built for the subproblem.
-The parent's edges are sorted, so the edges whose least vertex is a
-form one contiguous run, found by bisection; only the runs of the
-set's own vertices are scanned, and the edges kept are those whose
-other vertices lie in the set too.
+Only the runs (:meth:`Hypergraph._run`) of the set's own vertices are
+scanned, and the edges kept are those whose other vertices lie in the
+set too.
 
 ``node_budget`` bounds the searches; the certificate spends no nodes.
 A wall-clock timeout (default 60 s) bounds the whole call, all stages
@@ -29,7 +28,6 @@ names what stopped the search: the budget or the deadline.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Optional, Sequence
@@ -116,14 +114,9 @@ def _subproblem(
         edges: Sequence[Edge] = graph.edges
     else:
         keep = graph._check_vertices(vertices, "vertices")
-        # The edges are sorted, so those whose least vertex is a form
-        # one run; only the runs of kept vertices are filtered.
-        all_edges, inside = graph.edges, set(keep).issuperset
-        runs = (
-            all_edges[bisect_left(all_edges, (a,)) : bisect_left(all_edges, (a + 1,))]
-            for a in keep
-        )
-        edges = list(chain.from_iterable(filter(inside, run) for run in runs))
+        # Only the runs of kept vertices are filtered.
+        inside = set(keep).issuperset
+        edges = list(chain.from_iterable(filter(inside, graph._run(a)) for a in keep))
     bit = [0] * graph.n_vertices
     for i, v in enumerate(keep):
         bit[v] = 1 << i

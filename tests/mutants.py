@@ -4,7 +4,9 @@ Each mutant replaces one piece of text, found exactly once, in one
 source file, and runs only its own named test files on the mutated
 copy.  A mutant is killed when those tests fail; a survivor means the
 check it breaks is not tested where it lives.  Mutants known to be
-equivalent are listed in ``EQUIVALENT`` with the reason and never run.
+equivalent are listed in ``EQUIVALENT``, and mutants of checks that no
+input can reach (postconditions that hold by construction) in
+``UNREACHABLE``, each with the reason; neither list is ever run.
 
 Every run works on a temporary copy of ``src/``, ``tests/``,
 ``perfbench/`` (without ``out/``) and ``pyproject.toml``: the hygiene
@@ -53,6 +55,8 @@ HYPERGRAPH = "src/rainbow_lab/hypergraph.py"
 FRACTIONAL = "src/rainbow_lab/fractional.py"
 KERNEL = "src/rainbow_lab/kernel.py"
 ABSORBING = "src/rainbow_lab/absorbing.py"
+SHIFT = "src/rainbow_lab/shift.py"
+EXPERIMENTS = "src/rainbow_lab/experiments.py"
 
 MUTANTS = [
     Mutant(
@@ -169,6 +173,132 @@ MUTANTS = [
         "i = None",
         ("tests/test_absorbing.py",),
     ),
+    Mutant(
+        "gadget-overlap",
+        ABSORBING,
+        "if tv & bv:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "gadget-sizes",
+        ABSORBING,
+        "if len(self.target) != 4 or len(self.body) != BODY_SIZE:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "gadget-pm-body-span",
+        ABSORBING,
+        "if self.pm_body.vertices() != bv:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "gadget-pm-joint-span",
+        ABSORBING,
+        "if self.pm_joint.vertices() != tv | bv:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "is-absorbing-overlap",
+        ABSORBING,
+        "if set(body_v) & set(target_v):",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "absorb-body-overlap",
+        ABSORBING,
+        "if bv & body_vertices:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "absorb-leftover-overlap",
+        ABSORBING,
+        "if leftover_v & body_vertices:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "build-gadget-target-size",
+        ABSORBING,
+        "if len(target_set) != 4:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "scenario-avoid",
+        EXPERIMENTS,
+        "avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])",
+        "avoid = reserved",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "ordered-q-permutation",
+        SHIFT,
+        "if sorted(self.q_order) != list(g.q_vertices()):",
+        "if False:",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "ordered-p-permutation",
+        SHIFT,
+        "if sorted(self.p_order) != list(g.p_vertices()):",
+        "if False:",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "pipeline-value-check",
+        SHIFT,
+        "value_check = tau == graph.q_size",
+        "value_check = True",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "pipeline-containment",
+        SHIFT,
+        "containment_ok = set(graph.edges) <= set(shifted.graph.edges)",
+        "containment_ok = True",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "link-range",
+        HYPERGRAPH,
+        "if not 0 <= u < self.n_vertices:",
+        "if False:",
+        ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "run-upper-bound",
+        HYPERGRAPH,
+        "bisect_left(edges, (a + 1,))",
+        "bisect_left(edges, (a + 2,))",
+        ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "verify-duality-matching",
+        FRACTIONAL,
+        "        matching.is_feasible(graph)\n        and cover.is_feasible(graph)\n",
+        "        cover.is_feasible(graph)\n",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "verify-duality-cover",
+        FRACTIONAL,
+        "        and cover.is_feasible(graph)\n",
+        "",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "verify-duality-values",
+        FRACTIONAL,
+        "        and matching.value() == cover.value() == value\n",
+        "",
+        ("tests/test_fractional.py",),
+    ),
 ]
 
 EQUIVALENT = [
@@ -193,6 +323,44 @@ EQUIVALENT = [
         ),
         "left is the difference of two float clock readings; no test can "
         "make it exactly 0.0",
+    ),
+]
+
+UNREACHABLE = [
+    (
+        Mutant(
+            "absorb-result-check",
+            ABSORBING,
+            "if not spans or not is_matching_of(graph, result):",
+            "if False:",
+            ("tests/test_absorbing.py",),
+        ),
+        "a postcondition: every piece is covered by a checked joint matching "
+        "on its gadget's body, and every unused body by its checked reserved "
+        "matching, so the result spans leftover and bodies in the graph",
+    ),
+    (
+        Mutant(
+            "scenario-result-check",
+            EXPERIMENTS,
+            "if not is_perfect_matching_of(graph, combined):",
+            "if False:",
+            ("tests/test_absorbing.py",),
+        ),
+        "a postcondition: the maximum matching of the rest and the absorbed "
+        "matching of leftover and bodies are disjoint and together cover "
+        "every vertex",
+    ),
+    (
+        Mutant(
+            "solve-unbounded",
+            FRACTIONAL,
+            'if leave is None:\n            raise ArithmeticError("LP unbounded; malformed instance")',
+            'if False:\n            raise ArithmeticError("LP unbounded; malformed instance")',
+            ("tests/test_fractional.py",),
+        ),
+        "the matching LP is bounded (every weight is at most 1), so an "
+        "entering column always has a leaving row",
     ),
 ]
 
@@ -236,6 +404,8 @@ def main(names: list[str]) -> int:
         return 3
     for m, reason in EQUIVALENT:
         print(f"equivalent {m.name}: {reason}")
+    for m, reason in UNREACHABLE:
+        print(f"unreachable {m.name}: {reason}")
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         root = Path(tmp)
         copy_tree(root)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import time
 from itertools import combinations
@@ -90,6 +91,39 @@ class TestBalanced:
             BalancedSet.from_vertices(vertices, complete_partite(2, 6))
 
 
+class TestGadgetFields:
+    """Each field of a built gadget, replaced by a bad one, is rejected
+    by its own check."""
+
+    @pytest.fixture(scope="class")
+    def built(self):
+        graph = complete_partite(8, 24)
+        return graph, build_gadget(first_target(graph), graph, graph.p_vertices())
+
+    def test_target_inside_the_body(self, built):
+        graph, gadget = built
+        inside = gadget.body.q_part[:1] + gadget.body.p_part[:3]
+        with pytest.raises(ValueError, match="overlaps its target"):
+            dataclasses.replace(gadget, target=BalancedSet.from_vertices(inside, graph))
+
+    def test_target_of_eight(self, built):
+        graph, gadget = built
+        spare = sorted(set(range(graph.n_vertices)) - set(gadget.body.vertices()))
+        assert len(spare) == 8
+        with pytest.raises(ValueError, match="4-set with a 24-set"):
+            dataclasses.replace(gadget, target=BalancedSet.from_vertices(spare, graph))
+
+    def test_reserved_matching_off_the_body(self, built):
+        _, gadget = built
+        with pytest.raises(ValueError, match="reserved matching"):
+            dataclasses.replace(gadget, pm_body=gadget.pm_joint)
+
+    def test_joint_matching_off_body_and_target(self, built):
+        _, gadget = built
+        with pytest.raises(ValueError, match="joint matching"):
+            dataclasses.replace(gadget, pm_joint=gadget.pm_body)
+
+
 class TestIsAbsorbing:
     def test_complete_graph_always_absorbs(self):
         graph = complete_partite(7, 21)
@@ -118,7 +152,7 @@ class TestIsAbsorbing:
     def test_overlap_validation(self):
         graph = complete_partite(7, 21)
         body = standard_body(graph)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="body and target overlap"):
             is_absorbing(body, body[:1] + list(graph.p_vertices())[:3], graph)
 
     def test_balance_validation(self):
@@ -248,7 +282,7 @@ class TestBuildGadget:
     @pytest.mark.parametrize("target", [[8, 9, 10, 11], [0, 1, 8, 9, 10, 11, 12, 13]])
     def test_target_not_a_balanced_four_set_rejected(self, target):
         graph = complete_partite(8, 24)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unbalanced set|must be a balanced 4-set"):
             build_gadget(target, graph, graph.p_vertices())
 
     def test_too_small_graph_rejected(self):
@@ -403,8 +437,42 @@ class TestAbsorb:
         bad = BalancedSet.from_vertices(
             [gadget.body.q_part[0]] + list(gadget.body.p_part[:3]), graph
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="leftover overlaps"):
             absorb([gadget], bad, graph)
+
+    def test_overlapping_bodies_rejected(self):
+        graph = complete_partite(7, 21)
+        gadget = build_gadget(first_target(graph), graph, graph.p_vertices())
+        empty = BalancedSet(q_part=(), p_part=())
+        with pytest.raises(ValueError, match="pairwise disjoint"):
+            absorb([gadget, gadget], empty, graph)
+
+
+class TestScenario:
+    """Several targets: the bodies are disjoint and miss every target."""
+
+    def test_two_targets_on_room_for_two(self):
+        graph = complete_partite(14, 42)
+        targets = [(0, 14, 15, 16), (1, 17, 18, 19)]
+        combined, pool = absorb_scenario(graph, targets)
+        assert len(combined) == 14 and is_perfect_matching_of(graph, combined)
+        first, second = (set(g.body.vertices()) for g in pool)
+        assert not first & second
+        assert all(set(t).isdisjoint(first | second) for t in targets)
+        assert [g.target.vertices() for g in pool] == targets
+
+    def test_two_targets_on_room_for_one(self):
+        # 32 vertices hold one body and both targets, so the second
+        # target finds no gadget
+        targets = [(0, 8, 9, 10), (1, 11, 12, 13)]
+        with pytest.raises(AbsorptionError) as exc:
+            absorb_scenario(complete_partite(8, 24), targets)
+        assert exc.value.unabsorbed == (1, 11, 12, 13)
+
+    def test_targets_sharing_a_vertex_rejected(self):
+        targets = [(0, 8, 9, 10), (0, 11, 12, 13)]
+        with pytest.raises(ValueError, match="targets must be pairwise disjoint"):
+            absorb_scenario(complete_partite(8, 24), targets)
 
 
 class TestEndToEnd:

@@ -307,6 +307,25 @@ def test_gadget_deadline_is_unknown(monkeypatch, capsys, tmp_path):
     assert json.loads(out) == {"found": "unknown"}
 
 
+@pytest.mark.parametrize(
+    "targets, code, out",
+    [
+        # room for one body only: the second target is unabsorbed, not malformed
+        ([[0, 8, 9, 10], [1, 11, 12, 13]], EXIT_NONE, {"found": False, "unabsorbed": [1, 11, 12, 13]}),
+        ([[0, 8, 9, 10], [0, 11, 12, 13]], EXIT_INPUT, None),
+    ],
+    ids=["room-for-one", "shared-vertex"],
+)
+def test_absorb_run_with_two_targets(monkeypatch, capsys, targets, code, out):
+    stdin = json.dumps({"partite": complete_partite(8, 24).to_dict(), "targets": targets})
+    got, printed, err = run_raw(monkeypatch, capsys, stdin, "absorb", "run")
+    assert got == code
+    if out is None:
+        assert printed == "" and "targets must be pairwise disjoint" in err
+    else:
+        assert json.loads(printed) == out
+
+
 def test_tight_rainbow_n18_is_none(monkeypatch, capsys):
     # Its cover value is 11/2 < 6: the certificate answers where the
     # search alone ran past the default timeout.

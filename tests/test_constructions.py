@@ -175,13 +175,13 @@ class TestReductionAdjacency:
         for _ in range(10):
             pg = random_partite(rng, 3, 6, 0.35)
             family = partite_to_family(pg)
+            triple_deg = pg.degrees(3)
             for i, member in enumerate(family.members):
+                deg, pair_deg = member.degrees(1), member.degrees(2)
                 for vj, vk in combinations(range(pg.p_size), 2):
-                    spanned = (
-                        pg.degree((i, vj + pg.q_size, vk + pg.q_size)) > 0
-                    )
-                    if member.degree((vj,)) and member.degree((vk,)):
-                        assert spanned == member.adjacent(vj, vk)
+                    spanned = triple_deg[(i, vj + pg.q_size, vk + pg.q_size)] > 0
+                    if deg[(vj,)] and deg[(vk,)]:
+                        assert spanned == (pair_deg[(vj, vk)] > 0)
                     else:
                         assert not spanned
 
@@ -190,10 +190,12 @@ class TestReductionAdjacency:
         for _ in range(10):
             pg = random_partite(rng, 3, 6, 0.25)
             family = partite_to_family(pg)
+            pair_deg = pg.degrees(2)
             for i, member in enumerate(family.members):
+                deg = member.degrees(1)
                 for vj in range(pg.p_size):
-                    isolated = member.degree((vj,)) == 0
-                    assert isolated == (not pg.adjacent(i, vj + pg.q_size))
+                    isolated = deg[(vj,)] == 0
+                    assert isolated == (pair_deg[(i, vj + pg.q_size)] == 0)
 
 
 class TestPartiteType:

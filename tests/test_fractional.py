@@ -123,6 +123,22 @@ class TestDuality:
             assert fc.is_feasible(h)
             assert abs(float(fc.value()) - approx_tau) < 1e-7
 
+    @pytest.mark.parametrize("fault", ["matching", "cover", "value"])
+    def test_each_fault_fails_on_its_own(self, fault, monkeypatch):
+        # one certificate made infeasible at the same value (an unsorted
+        # edge key, a cover weight off the vertex set), or a wrong optimum
+        h = extremal_graph(9, 3, 2)
+        value, matching, cover = fractional._solve(h, None)
+        assert matching.weights and cover.weights
+        if fault == "matching":
+            matching = FractionalMatching({e[::-1]: w for e, w in matching.weights.items()})
+        elif fault == "cover":
+            cover = FractionalCover({v + h.n_vertices: w for v, w in cover.weights.items()})
+        else:
+            value += 1
+        monkeypatch.setattr(fractional, "_solve", lambda graph, timeout: (value, matching, cover))
+        assert not verify_duality(h)
+
     def test_integral_below_fractional(self):
         rng = random.Random(15)
         for _ in range(15):
@@ -199,6 +215,10 @@ class TestFractionalPerfectMatching:
     def test_complete_six(self):
         found, fm = fractional_perfect_matching(complete_hypergraph(3, 6))
         assert found and fm.saturates(complete_hypergraph(3, 6))
+
+    def test_empty_graph_is_matched_by_nothing(self):
+        found, fm = fractional_perfect_matching(empty_hypergraph(3, 0))
+        assert found and fm.weights == {}
 
     def test_tight_partite_blocked(self):
         # the three blocking vertices can carry total load at most 3,

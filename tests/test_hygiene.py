@@ -1,19 +1,21 @@
-"""No unused imports, no unreferenced definitions, no repeated degree scans.
+"""No unused imports, no unreferenced definitions, no uncalled methods.
 
 Stdlib ``ast`` scans.  Every imported name is used in the module that
 imports it; package ``__init__.py`` files are skipped, because their
 imports are the package's re-exports, and so are ``from __future__``
 imports.  Every function and class of the package is named somewhere
 in ``src/`` or ``perfbench/`` besides its own definition: code that
-only tests call belongs in the tests.
-No package code calls ``.degree(`` inside a loop, comprehension or
-lambda: each call scans every edge, so a caller that needs many
-degrees reads one ``degrees(size)`` table.  Nothing in ``src/`` or
-``tests/`` calls ``.as_hypergraph()``: it returns the partite graph
-itself and stays only for the benchmark.  Each check has one home: only
-``fractional.py`` calls ``lcm`` (``FractionalCover.scaled`` is the one
-integer cover check) and only ``kernel.py`` reads ``time.monotonic``
-(every deadline goes through ``_deadline`` and ``_time_left``).
+only tests call belongs in the tests.  A name is not enough for a
+method, since a field or a JSON key can share it: every method of a
+package class, properties and dunder methods aside, is called as
+``x.m(...)`` or named in a dotted string such as
+``"Hypergraph.induced"`` somewhere in ``src/`` or ``perfbench/``.
+Nothing in ``src/`` or ``tests/`` calls ``.as_hypergraph()``: it
+returns the partite graph itself and stays only for the benchmark.
+Each check has one home: only ``fractional.py`` calls ``lcm``
+(``FractionalCover.scaled`` is the one integer cover check) and only
+``kernel.py`` reads ``time.monotonic`` (every deadline goes through
+``_deadline`` and ``_time_left``).
 """
 
 from __future__ import annotations
@@ -119,18 +121,6 @@ def test_no_unreferenced_definitions():
     assert unreferenced(package, others) == []
 
 
-REPEATING = (
-    ast.For,
-    ast.AsyncFor,
-    ast.While,
-    ast.ListComp,
-    ast.SetComp,
-    ast.DictComp,
-    ast.GeneratorExp,
-    ast.Lambda,
-)
-
-
 def method_calls(tree: ast.AST, name: str) -> list[int]:
     """Lines that call a method called ``name``, on any receiver."""
     return sorted(
@@ -144,31 +134,54 @@ def method_calls(tree: ast.AST, name: str) -> list[int]:
     )
 
 
-def repeated_degree_calls(tree: ast.Module) -> list[int]:
-    """Lines that call ``.degree(`` inside a loop, comprehension or lambda."""
+def calls_and_dotted_names(tree: ast.AST) -> set[str]:
+    """Names called as ``x.m(...)``, and each part of a dotted string
+    such as ``"Hypergraph.induced"``, which the benchmark's tracer uses
+    to find what it wraps.  A field read or a dict key is neither."""
+    seen: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            seen.add(node.func.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and "." in node.value:
+            seen.update(node.value.split("."))
+    return seen
+
+
+def uncalled_methods(tree: ast.Module, path: str, seen: set[str]) -> list[str]:
+    """Methods of the module's classes whose names are not in ``seen``.
+
+    Properties are read, not called, and the language calls dunder
+    methods, so both are skipped.
+    """
     return sorted(
-        {
-            line
-            for loop in ast.walk(tree)
-            if isinstance(loop, REPEATING)
-            for line in method_calls(loop, "degree")
-        }
+        f"{cls.name}.{node.name} ({path}:{node.lineno})"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(getattr(d, "id", None) == "property" for d in node.decorator_list)
+        and node.name not in seen
     )
 
 
-def test_scan_sees_a_repeated_degree_call():
+def test_scan_sees_a_method_read_only_as_a_field():
     tree = ast.parse(
-        "def f(h, xs):\n"
-        "    h.degree((0,))\n"
-        "    for v in xs:\n"
-        "        h.degree((v,))\n"
-        "    a = [h.degree(s) for s in xs]\n"
-        "    b = min(xs, key=lambda v: h.degree((v,)))\n"
-        "    while h.degree(xs):\n"
-        "        pass\n"
-        "    return h.degrees(1)\n"
+        "class Graph:\n"
+        "    @property\n"
+        "    def size(self): return 0\n"
+        "    def __len__(self): return 0\n"
+        "    def called(self): return 1\n"
+        "    def traced(self): return 2\n"
+        "    def adjacent(self): return 3\n"
     )
-    assert repeated_degree_calls(tree) == [4, 5, 6, 7]
+    other = ast.parse(
+        "g.called()\n"
+        "wrap('Graph.traced')\n"
+        "out = {'adjacent': minima.adjacent, 'size': g.size}\n"
+    )
+    seen = calls_and_dotted_names(tree) | calls_and_dotted_names(other)
+    assert uncalled_methods(tree, "m.py", seen) == ["Graph.adjacent (m.py:7)"]
 
 
 @pytest.mark.parametrize(
@@ -176,8 +189,11 @@ def test_scan_sees_a_repeated_degree_call():
     [p for p in MODULES if p.parent.name == "rainbow_lab"],
     ids=lambda p: p.name,
 )
-def test_no_repeated_degree_calls(path):
-    assert repeated_degree_calls(ast.parse(path.read_text())) == []
+def test_every_method_is_called(path):
+    # a method that only the tests call belongs in the tests
+    users = [*(ROOT / "src" / "rainbow_lab").glob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    seen = set().union(*(calls_and_dotted_names(ast.parse(p.read_text())) for p in users))
+    assert uncalled_methods(ast.parse(path.read_text()), path.name, seen) == []
 
 
 def test_scan_sees_a_shim_call():

@@ -8,7 +8,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from rainbow_lab import fractional
+from rainbow_lab import fractional, shift
 from rainbow_lab.constructions import (
     PartiteHypergraph,
     complete_partite,
@@ -31,6 +31,7 @@ from rainbow_lab.shift import (
     stable_shift,
 )
 from rainbow_lab.solvers import (
+    Matching,
     SolverTimeout,
     has_perfect_matching,
     is_perfect_matching_of,
@@ -126,6 +127,19 @@ class TestEdgeOrder:
     def test_rank_key_rejects(self, edge):
         with pytest.raises(ValueError):
             self.order.rank_key(edge)
+
+    @pytest.mark.parametrize(
+        "q_order, p_order, name",
+        [
+            ((0, 0), (2, 3, 4, 5, 6, 7), "q_order"),
+            ((0, 2), (1, 3, 4, 5, 6, 7), "q_order"),
+            ((1, 0), (2, 3, 4, 5, 6, 6), "p_order"),
+            ((1, 0), (2, 3, 4, 5, 6), "p_order"),
+        ],
+    )
+    def test_order_must_permute_its_class(self, q_order, p_order, name):
+        with pytest.raises(ValueError, match=f"{name} is not a permutation"):
+            OrderedPartite(complete_partite(2, 6), q_order=q_order, p_order=p_order)
 
     def test_rank_key_accepts_any_vertex_order(self):
         pg = complete_partite(2, 6)
@@ -281,10 +295,11 @@ class TestStableShift:
         assert set(shifted.graph.edges) <= set(closure.graph.edges)
         assert trace.edges_removed == closure.graph.n_edges - shifted.graph.n_edges
         flat = shifted.graph
+        pair_deg = flat.degrees(2)
         for e in flat.edges:
             u = e[0]
             for a, b in combinations(e[1:], 2):
-                assert flat.degree((u, a)) + flat.degree((u, b)) > 10
+                assert pair_deg[(u, a)] + pair_deg[(u, b)] > 10
 
     def test_matches_reference_shift(self):
         # Closures of random covers.  A pair-degree sum is at most
@@ -321,9 +336,10 @@ class TestStableShift:
         rounds = set()
         for closure in closures:
             g = closure.graph
+            pair_deg = g.degrees(2)
             for u in g.q_vertices():
                 degs = sorted(
-                    d for d in (g.degree((u, v)) for v in g.p_vertices()) if d
+                    d for d in (pair_deg[(u, v)] for v in g.p_vertices()) if d
                 )
                 if len(degs) < 2:
                     continue
@@ -393,19 +409,19 @@ class TestExtension:
         link = partite_to_family(pg).members[order.q_order[0]]
         found, link_pm = has_perfect_matching(link)
         assert found
-        mapped = [tuple(v + pg.q_size for v in e) for e in link_pm.edges]
+        mapped = Matching(edges=tuple(tuple(v + pg.q_size for v in e) for e in link_pm.edges))
         pm = extend_link_matching(order, mapped)
         assert is_perfect_matching_of(pg, pm)
 
     def test_unstable_graph_raises_contract_error(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4), (0, 5, 6, 7)])
         with pytest.raises(ContractViolation):
-            extend_link_matching(identity_order(pg), [(2, 3, 4), (5, 6, 7)])
+            extend_link_matching(identity_order(pg), Matching(edges=((2, 3, 4), (5, 6, 7))))
 
     def test_partial_cover_rejected(self):
         pg = complete_partite(2, 6)
-        with pytest.raises(ValueError):
-            extend_link_matching(identity_order(pg), [(2, 3, 4)])
+        with pytest.raises(ValueError, match="exactly once"):
+            extend_link_matching(identity_order(pg), Matching(edges=((2, 3, 4),)))
 
 
 class TestPipeline:
@@ -423,6 +439,25 @@ class TestPipeline:
     def test_unbalanced_rejected(self):
         with pytest.raises(ValueError):
             fractional_pm_pipeline(PartiteHypergraph(2, 5, []))
+
+    def test_containment_reports_deleted_input_edges(self):
+        # the tight graph loses input edges to the shift; the complete one keeps all
+        for graph, kept in ((extremal_partite(6), False), (complete_partite(2, 6), True)):
+            res = fractional_pm_pipeline(graph)
+            assert (set(graph.edges) <= set(res.shifted.graph.edges)) is kept
+            assert res.containment_ok is kept
+
+    def test_value_check_sees_a_wrong_optimum(self, monkeypatch):
+        # a found construction proves tau* = q, so a cover LP that
+        # reports less is caught by the cross-check
+        def off_by_one(graph, timeout=None):
+            tau, cover = min_fractional_cover(graph, timeout=timeout)
+            return tau - 1, cover
+
+        monkeypatch.setattr(shift, "min_fractional_cover", off_by_one)
+        res = fractional_pm_pipeline(complete_partite(3, 9))
+        assert res.found and res.containment_ok
+        assert res.value_check is False
 
     def test_timeout_bounds_the_lp_stages(self):
         # the link search is too small to reach its deadline check, so
