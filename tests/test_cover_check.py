@@ -16,10 +16,8 @@ import pytest
 from rainbow_lab import solvers
 from rainbow_lab.cli import EXIT_CRASH, main
 from rainbow_lab.constructions import (
-    HypergraphFamily,
     PartiteHypergraph,
     complete_partite,
-    extremal_graph,
     family_to_partite,
 )
 from rainbow_lab.fractional import FractionalCover
@@ -27,7 +25,7 @@ from rainbow_lab.jsonio import canonical_json
 from rainbow_lab.shift import cover_closure
 from rainbow_lab.solvers import cover_refutation
 
-from _oracles import all_partite_four_sets, fraction_is_cover
+from _oracles import all_partite_four_sets, fraction_is_cover, parity_family
 
 CLEAN, OFF_GRAPH, OUT_OF_UNIT, UNDER_COVERED = range(4)
 
@@ -102,26 +100,30 @@ def test_sparse_cover_closes_to_its_one_edge():
     assert closed.graph.edges == ((0, 1, 2, 3),)
 
 
-def tight_family(n):
-    return HypergraphFamily(n, (extremal_graph(n, n // 3, 2),) * (n // 3))
-
-
-@pytest.mark.parametrize("fault", ["under-covered", "off-graph", "value-too-high"])
+@pytest.mark.parametrize(
+    "fault", ["under-covered", "off-graph", "value-too-high", "prefix-under-covered"]
+)
 def test_refutation_that_fails_its_check_is_an_internal_fault(monkeypatch, capsys, fault):
-    # the cover comes from the package's own LP, so a bad one is a bug
-    # (AssertionError, exit 4), not bad input (ValueError, exit 3)
-    fam = tight_family(12)
+    # the cover comes from the package's own prefix or LP, so a bad one
+    # is a bug (AssertionError, exit 4), not bad input (ValueError, exit
+    # 3); no prefix covers the parity barrier, so there the LP runs
+    fam = parity_family(12)
     n = family_to_partite(fam).n_vertices
     weights = {
         "under-covered": {},
         "off-graph": {n: Fraction(1)},
         "value-too-high": dict.fromkeys(range(n), Fraction(1)),
-    }[fault]
-    monkeypatch.setattr(
-        solvers,
-        "min_fractional_cover",
-        lambda graph, timeout: (Fraction(0), FractionalCover(weights=weights)),
-    )
+    }[fault.removeprefix("prefix-")]
+    if fault.startswith("prefix-"):
+        monkeypatch.setattr(
+            solvers, "_prefix_cover", lambda graph: FractionalCover(weights=weights)
+        )
+    else:
+        monkeypatch.setattr(
+            solvers,
+            "min_fractional_cover",
+            lambda graph, timeout: (Fraction(0), FractionalCover(weights=weights)),
+        )
     with pytest.raises(AssertionError, match="integer check"):
         cover_refutation(fam)
     monkeypatch.setattr("sys.stdin", io.StringIO(canonical_json(fam.to_dict())))

@@ -43,13 +43,8 @@ from _oracles import (
     float_lp_cover_value,
     float_lp_matching_value,
     fraction_is_matching,
+    random_3graph,
 )
-
-
-def random_3graph(rng, n, prob):
-    return Hypergraph(
-        3, n, [e for e in combinations(range(n), 3) if rng.random() < prob]
-    )
 
 
 TRIANGLE = Hypergraph(2, 3, [(0, 1), (0, 2), (1, 2)])

@@ -18,12 +18,7 @@ from rainbow_lab.hypergraph import (
 from rainbow_lab.constructions import extremal_graph
 from rainbow_lab.jsonio import canonical_json, load_instance
 
-from _oracles import brute_degree
-
-
-def random_3graph(rng: random.Random, n: int, prob: float) -> Hypergraph:
-    edges = [e for e in combinations(range(n), 3) if rng.random() < prob]
-    return Hypergraph(3, n, edges)
+from _oracles import brute_degree, random_3graph
 
 
 @st.composite

@@ -20,6 +20,7 @@ from rainbow_lab.constructions import (
     extremal_partite,
     family_to_partite,
 )
+from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph, empty_hypergraph
 from rainbow_lab.solvers import (
     Matching,
@@ -39,31 +40,13 @@ from _oracles import (
     brute_max_matching_size,
     brute_pm_exists,
     brute_rainbow_exists,
+    parity_family,
+    random_3graph,
 )
-
-
-def random_3graph(rng, n, prob):
-    return Hypergraph(
-        3, n, [e for e in combinations(range(n), 3) if rng.random() < prob]
-    )
 
 
 def tight_family(n):
     return HypergraphFamily(n, (extremal_graph(n, n // 3, 2),) * (n // 3))
-
-
-def parity_family(n=12):
-    """n/3 copies of the triples meeting A = {0..4} in 0 or 2 vertices.
-
-    A divisibility barrier: t disjoint triples would cover the odd set A
-    by even parts.  Its cover value is t, so no cover refutes it, and the
-    search takes 59,640 nodes at n = 12.
-    """
-    inside = set(range(5))
-    member = Hypergraph(
-        3, n, [e for e in combinations(range(n), 3) if len(inside & set(e)) in (0, 2)]
-    )
-    return HypergraphFamily(n, (member,) * (n // 3))
 
 
 class TestTypes:
@@ -275,9 +258,11 @@ class TestTimeout:
         assert rainbow_matching(tight_family(12), node_budget=50) is None
 
     def test_deadline_stops_cover_refutation(self):
+        # No prefix covers the parity barrier; without the deadline the
+        # LP would answer.
         start = time.monotonic()
         with pytest.raises(SolverTimeout):
-            cover_refutation(tight_family(18), timeout=1e-3)
+            cover_refutation(parity_family(18), timeout=1e-3)
         assert time.monotonic() - start < 0.5
 
     def test_deadline_stops_partite_refutation(self):
@@ -408,6 +393,17 @@ def dropped_copies(n, seed):
 
 
 class TestCoverRefutation:
+    @pytest.mark.parametrize("ell", [1, 2, 3])
+    @pytest.mark.parametrize("n", [12, 15, 18])
+    def test_space_barrier_is_certified_by_a_prefix(self, monkeypatch, n, ell):
+        # every edge has ell vertices in a set of t * ell - 1
+        t = n // 3
+        fam = HypergraphFamily(n, (extremal_graph(n, t, ell),) * t)
+        monkeypatch.setattr(solvers, "min_fractional_cover", forbidden)
+        cover = cover_refutation(fam)
+        assert cover is not None and cover.value() == Fraction(t * ell - 1, ell)
+        assert integer_cover_check(fam, cover)
+
     @pytest.mark.parametrize("n", [12, 15, 18])
     def test_tight_family_is_certified(self, n):
         fam = tight_family(n)
@@ -421,6 +417,8 @@ class TestCoverRefutation:
         fam = dropped_copies(12, seed)
         cover = cover_refutation(fam)
         assert cover is not None and integer_cover_check(fam, cover)
+        # the prefix cover is optimal here, though it need not be
+        assert cover.value() == min_fractional_cover(family_to_partite(fam))[0]
         assert rainbow_matching(fam) is None
 
     def test_no_cover_below_t_on_parity_barrier(self):
@@ -433,7 +431,7 @@ class TestCoverRefutation:
 
     def test_sound_against_oracle(self):
         rng = random.Random(13)
-        certified = refuted = 0
+        prefixed = certified = refuted = 0
         for trial in range(320):
             n, t = (6, 2) if trial % 2 else (9, 3)
             fam = HypergraphFamily(
@@ -446,6 +444,9 @@ class TestCoverRefutation:
                 assert not exists
                 assert integer_cover_check(fam, cover)
                 certified += 1
+            if solvers._prefix_cover(family_to_partite(fam)) is not None:
+                assert not exists
+                prefixed += 1
             refuted += not exists
             assert (rainbow_matching(fam) is not None) == exists
             # A one-node probe leaves the answer to the certificate.
@@ -455,8 +456,9 @@ class TestCoverRefutation:
                 assert cover is None
             else:
                 assert (rm is not None) == exists
-        # Both kinds of none occur: certified ones and integrality gaps.
-        assert 0 < certified < refuted
+        # Every kind of none occurs: certified by a prefix, by the LP
+        # only, and integrality gaps.
+        assert 0 < prefixed < certified < refuted
 
 
 def forbidden(*args, **kwargs):
