@@ -15,6 +15,12 @@ the joint matching that gadget already holds, before any other gadget
 is tried, and any other piece is searched on a gadget's body plus the
 piece.  Stored and assembled matchings are checked against the graph
 by the one matching check, :func:`~rainbow_lab.solvers.is_matching_of`.
+
+:func:`absorb_scenario` runs the whole procedure on a balanced graph:
+one gadget per target, a maximum matching of the vertices the bodies
+leave, and absorption of that matching's leftover through the pool.
+It checks the balance before any search, since a leftover of an
+unbalanced graph cannot be split into balanced 4-sets.
 """
 
 from __future__ import annotations
@@ -25,10 +31,18 @@ from functools import cache, partial
 from itertools import chain, combinations, permutations
 from typing import Iterable, Optional, Sequence
 
-from .constructions import HypergraphFamily, PartiteHypergraph
+from .constructions import HypergraphFamily, PartiteHypergraph, partite_to_family
 from .hypergraph import Hypergraph
 from .kernel import _deadline, _time_left
-from .solvers import DEFAULT_TIMEOUT, Matching, SolverTimeout, has_perfect_matching, is_matching_of
+from .solvers import (
+    DEFAULT_TIMEOUT,
+    Matching,
+    SolverTimeout,
+    has_perfect_matching,
+    is_matching_of,
+    is_perfect_matching_of,
+    max_matching,
+)
 
 Edge = tuple[int, ...]
 
@@ -360,3 +374,59 @@ def absorb(
     if not spans or not is_matching_of(graph, result):
         raise AssertionError("assembled matching does not match leftover + bodies in the graph")
     return result
+
+
+def absorb_scenario(
+    graph: PartiteHypergraph,
+    targets: Sequence[Sequence[int]],
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
+) -> tuple[Matching, list]:
+    """Pool -> max matching -> absorb -> verified perfect matching.
+
+    The graph must be balanced and the targets pairwise disjoint
+    (``ValueError``, before any search).  Builds one gadget per target
+    (failing loudly when none is found), drawing helper vertices from
+    the vertices popular among the members' low-degree anchors,
+    reserves the bodies, matches the remaining vertices exhaustively,
+    and absorbs the leftover through the pool.  Each gadget is searched
+    on the edges that miss the bodies built before it and every other
+    target, so the bodies are pairwise disjoint and miss every target.
+    Returns the assembled perfect matching and the pool.
+    """
+    if not graph.balanced:
+        raise ValueError(
+            f"absorb scenario needs a balanced graph; got |Q|={graph.q_size}, "
+            f"|P|={graph.p_size}"
+        )
+    deadline = _deadline(timeout)
+    left = timeout
+    target_sets = [graph._check_vertices(t, "target") for t in targets]
+    if len(set(chain.from_iterable(target_sets))) != sum(map(len, target_sets)):
+        raise ValueError("targets must be pairwise disjoint")
+    candidates = [
+        v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
+    ]
+    pool = []
+    reserved: set[int] = set()
+    for i, target in enumerate(target_sets):
+        avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])
+        host = graph if not avoid else PartiteHypergraph._trusted(
+            graph.q_size, graph.p_size, [e for e in graph.edges if avoid.isdisjoint(e)]
+        )
+        helpers = [v for v in candidates if v not in avoid]
+        gadget = build_gadget(target, host, helpers, timeout=left)
+        if gadget is None:
+            raise AbsorptionError(target)
+        reserved |= set(gadget.body.vertices())
+        pool.append(gadget)
+        left = _time_left(deadline, "absorb scenario")
+
+    rest = set(range(graph.n_vertices)) - reserved
+    m1 = max_matching(graph, timeout=left, vertices=rest)
+    leftover = BalancedSet.from_vertices(rest - m1.vertices(), graph)
+    left = _time_left(deadline, "absorb scenario")
+    absorbed = absorb(pool, leftover, graph, timeout=left)
+    combined = Matching(edges=tuple(sorted(m1.edges + absorbed.edges)))
+    if not is_perfect_matching_of(graph, combined):
+        raise AssertionError("assembled matching is not perfect")
+    return combined, pool

@@ -25,19 +25,20 @@ from typing import Optional
 from . import __version__
 from .absorbing import (
     AbsorptionError,
+    absorb_scenario,
     build_gadget,
     is_absorbing,
 )
 from .constructions import (
     HypergraphFamily,
     PartiteHypergraph,
+    _extremal_edge_count,
     extremal_graph,
     extremal_partite,
     family_to_partite,
 )
 from .experiments import (
     ExperimentConfig,
-    absorb_scenario,
     run_absorb_suite,
     run_duality,
     run_equivalence,
@@ -52,6 +53,7 @@ from .fractional import (
 )
 from .hypergraph import Hypergraph
 from .jsonio import (
+    bound_edges,
     fraction_to_str,
     load_instance,
     load_vertices,
@@ -111,11 +113,16 @@ def _load_vertex_file(path: str) -> list[int]:
 
 def _cmd_gen(args) -> int:
     # Bounded like instance input, so gen emits nothing load_instance
-    # refuses and never starts enumerating C(n, 3) triples for a huge n.
+    # refuses, and by its edge count in closed form, so it never starts
+    # enumerating more than MAX_EDGES edges.
     if args.what == "extremal":
-        instance = extremal_graph(vertex_count(args.n), args.s, args.ell)
+        vertex_count(args.n)
+        bound_edges(_extremal_edge_count(args.n, args.s, args.ell), "gen extremal")
+        instance = extremal_graph(args.n, args.s, args.ell)
     elif args.what == "partite-extremal":
-        vertex_count(args.n + args.n // 3)
+        t = args.n // 3
+        vertex_count(args.n + t)
+        bound_edges(t * _extremal_edge_count(args.n, t, 2), "gen partite-extremal")
         instance = extremal_partite(args.n)
     else:  # reduce
         instance = family_to_partite(_load(HypergraphFamily, args.normalize))
@@ -186,7 +193,7 @@ def _cmd_frac(args) -> int:
         }
         return _outcome(True, {"value": fraction_to_str(value), "weights": weights})
     if args.what == "check-duality":
-        ok = verify_duality(graph, timeout=args.timeout)
+        ok = verify_duality(graph, timeout=args.timeout) is not None
         return _outcome(ok, {"equal": ok})
     found, fm = fractional_perfect_matching(graph, timeout=args.timeout)
     payload = {"found": found}

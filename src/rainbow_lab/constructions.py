@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 from typing import Iterable
 
 from .hypergraph import Hypergraph
@@ -144,6 +145,16 @@ def extremal_graph(n: int, s: int, ell: int) -> Hypergraph:
     return Hypergraph(3, n, edges)
 
 
+def _extremal_edge_count(n: int, s: int, ell: int) -> int:
+    """The edge count of ``extremal_graph(n, s, ell)`` in closed form, so
+    that it can be bounded before any edge is built; 0 for arguments
+    that ``extremal_graph`` refuses."""
+    t_size = s * ell - 1
+    if ell not in (1, 2, 3) or not 0 <= t_size <= n:
+        return 0
+    return sum(comb(t_size, i) * comb(n - t_size, 3 - i) for i in range(ell, 4))
+
+
 def extremal_adjacent_degree_sum(n: int) -> int:
     """Closed form (2n^2 - 8n + 6) / 3 for the tight degree-sum bound.
 
@@ -165,10 +176,12 @@ def family_to_partite(family: HypergraphFamily) -> PartiteHypergraph:
     P = [t, t+n), shifted by t.
     """
     t = len(family.members)
-    edges = []
-    for i, member in enumerate(family.members):
-        for e in member.edges:
-            edges.append((i,) + tuple(v + t for v in e))
+    # Members are 3-graphs, as the family checks.
+    edges = [
+        (i, a + t, b + t, c + t)
+        for i, member in enumerate(family.members)
+        for a, b, c in member.edges
+    ]
     return PartiteHypergraph._trusted(t, family.n_vertices, edges)
 
 

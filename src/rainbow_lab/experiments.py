@@ -1,5 +1,8 @@
 """Reproducible experiment suites exercising the solver stack.
 
+This module holds the suites only: each trial builds its instance and
+calls the package's procedures and checks where they live.
+
 Every suite consumes an :class:`ExperimentConfig` and emits an
 :class:`ExperimentReport` whose rows are deterministic functions of the
 seed: instances come from a Mersenne-Twister stream (algorithm id
@@ -17,35 +20,28 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain, combinations
-from typing import Callable, Optional, Sequence
+from itertools import combinations
+from math import comb
+from typing import Callable, Optional
 
-from .absorbing import (
-    AbsorptionError,
-    BalancedSet,
-    absorb,
-    build_gadget,
-    popular_vertices,
-)
+from .absorbing import AbsorptionError, absorb_scenario
 from .constructions import (
     HypergraphFamily,
     PartiteHypergraph,
+    _extremal_edge_count,
     complete_partite,
     extremal_adjacent_degree_sum,
     extremal_graph,
     extremal_partite,
     family_to_partite,
-    partite_to_family,
 )
-from . import fractional
-from .fractional import max_fractional_matching
+from .fractional import max_fractional_matching, verify_duality
 from .hypergraph import Hypergraph
-from .jsonio import canonical_json, sha256_of, vertex_count
+from .jsonio import bound_edges, canonical_json, sha256_of, vertex_count
 from .kernel import _deadline, _time_left
 from .shift import fractional_pm_pipeline
 from .solvers import (
     DEFAULT_TIMEOUT,
-    Matching,
     SolverTimeout,
     is_perfect_matching_of,
     max_matching,
@@ -220,11 +216,19 @@ def _trials(cfg: ExperimentConfig, trial: Callable[..., Verdict]) -> list[Case]:
     return [(f"trial={i}", partial(trial, cfg, i)) for i in range(cfg.trials)]
 
 
-def _sizes(cfg: ExperimentConfig, default: tuple[int, ...], suite: str) -> tuple[int, ...]:
+def _sizes(
+    cfg: ExperimentConfig,
+    default: tuple[int, ...],
+    suite: str,
+    edges: Callable[[int], int],
+) -> tuple[int, ...]:
+    """The suite's sizes, each divisible by 3 and with at most
+    ``MAX_EDGES`` edges to enumerate, as ``edges(n)`` counts them."""
     n_values = cfg.n_values or default
     for n in n_values:
         if n % 3 != 0:
             raise ValueError(f"{suite} sizes must be divisible by 3, got {n}")
+        bound_edges(edges(n), f"{suite} at n={n}")
     return n_values
 
 
@@ -252,7 +256,10 @@ def _sharpness_trial(cfg: ExperimentConfig, n: int) -> Verdict:
 
 def run_sharpness(cfg: ExperimentConfig) -> ExperimentReport:
     """The tight construction defeats both solvers at every listed n."""
-    n_values = _sizes(cfg, (6, 9, 12), "sharpness")
+    # the partite graph: n/3 copies of the member's edges
+    n_values = _sizes(
+        cfg, (6, 9, 12), "sharpness", lambda n: n // 3 * _extremal_edge_count(n, n // 3, 2)
+    )
     cases = [
         (f"n={n} copies={n // 3}", partial(_sharpness_trial, cfg, n))
         for n in n_values
@@ -285,7 +292,8 @@ def _equivalence_trial(cfg: ExperimentConfig, i: int, n: int, t: int) -> Verdict
 
 def run_equivalence(cfg: ExperimentConfig) -> ExperimentReport:
     """Rainbow existence must match partite perfect-matching existence."""
-    n_values = _sizes(cfg, (6, 9), "equivalence")
+    # each of the n/3 random members tries every triple
+    n_values = _sizes(cfg, (6, 9), "equivalence", lambda n: n // 3 * comb(n, 3))
     jobs = [(n, t) for n in n_values for t in range(cfg.trials)]
     cases = [
         (f"n={n} trial={t}", partial(_equivalence_trial, cfg, i, n, t))
@@ -300,21 +308,15 @@ def _duality_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     n = rng.randint(4, 10)
     prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
     graph = random_hypergraph(rng, n, prob)
-    # One solve gives both certificates; feasible with equal values,
-    # they prove nu* = tau*.
-    value, fm, fc = fractional._solve(graph, timeout=cfg.timeout_seconds)
-    nu, tau = fm.value(), fc.value()
+    certified = verify_duality(graph, timeout=cfg.timeout_seconds)
     left = _time_left(deadline, "duality trial")
     integral = len(max_matching(graph, timeout=left))
-    ok = (
-        nu == tau == value
-        and fm.is_feasible(graph)
-        and fc.is_feasible(graph)
-        and integral <= nu
-    )
-    detail = f"n={n} m={graph.n_edges} nu*={nu} tau*={tau} nu={integral}"
+    if certified is None:
+        return False, f"n={n} m={graph.n_edges} certificates rejected nu={integral}", None
+    value = certified[0]
+    detail = f"n={n} m={graph.n_edges} nu*={value} tau*={value} nu={integral}"
     witness = sha256_of({"value": str(value), "integral": integral})
-    return ok, detail, witness
+    return integral <= value, detail, witness
 
 
 def run_duality(cfg: ExperimentConfig) -> ExperimentReport:
@@ -392,57 +394,6 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
 def run_shift_suite(cfg: ExperimentConfig) -> ExperimentReport:
     """Pipeline postconditions on random balanced partite instances."""
     return _report("shift", cfg, _trials(cfg, _shift_trial))
-
-
-def absorb_scenario(
-    graph: PartiteHypergraph,
-    targets: Sequence[Sequence[int]],
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-) -> tuple[Matching, list]:
-    """Pool -> max matching -> absorb -> verified perfect matching.
-
-    Builds one gadget per target (failing loudly when none is found),
-    drawing helper vertices from the vertices popular among the
-    members' low-degree anchors, reserves the bodies, matches the
-    remaining vertices exhaustively, and absorbs the leftover through
-    the pool.  The targets must be pairwise disjoint (``ValueError``),
-    and each gadget is searched on the edges that miss the bodies built
-    before it and every other target, so the bodies are pairwise
-    disjoint and miss every target.  Returns the assembled perfect
-    matching and the pool.
-    """
-    deadline = _deadline(timeout)
-    left = timeout
-    target_sets = [graph._check_vertices(t, "target") for t in targets]
-    if len(set(chain.from_iterable(target_sets))) != sum(map(len, target_sets)):
-        raise ValueError("targets must be pairwise disjoint")
-    candidates = [
-        v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
-    ]
-    pool = []
-    reserved: set[int] = set()
-    for i, target in enumerate(target_sets):
-        avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])
-        host = graph if not avoid else PartiteHypergraph._trusted(
-            graph.q_size, graph.p_size, [e for e in graph.edges if avoid.isdisjoint(e)]
-        )
-        helpers = [v for v in candidates if v not in avoid]
-        gadget = build_gadget(target, host, helpers, timeout=left)
-        if gadget is None:
-            raise AbsorptionError(target)
-        reserved |= set(gadget.body.vertices())
-        pool.append(gadget)
-        left = _time_left(deadline, "absorb scenario")
-
-    rest = set(range(graph.n_vertices)) - reserved
-    m1 = max_matching(graph, timeout=left, vertices=rest)
-    leftover = BalancedSet.from_vertices(rest - m1.vertices(), graph)
-    left = _time_left(deadline, "absorb scenario")
-    absorbed = absorb(pool, leftover, graph, timeout=left)
-    combined = Matching(edges=tuple(sorted(m1.edges + absorbed.edges)))
-    if not is_perfect_matching_of(graph, combined):
-        raise AssertionError("assembled matching is not perfect")
-    return combined, pool
 
 
 def _absorb_trial(cfg: ExperimentConfig, i: int) -> Verdict:

@@ -40,6 +40,8 @@ dual).  Their optimality is not taken on trust:
 callers check that the matching and the cover are feasible (the cover
 by :meth:`FractionalCover.scaled`, the package's one cover check) and
 that their values agree, which by weak duality proves both optimal.
+:func:`verify_duality` makes all three checks and hands over the
+certificates it verified.
 
 Optimal faces are generally not singletons, and which optimal vertex
 the pivot rule reaches is an accident of that rule: callers should
@@ -274,14 +276,22 @@ def min_fractional_cover(
 
 def verify_duality(
     graph: Hypergraph, timeout: Optional[float] = DEFAULT_TIMEOUT
-) -> bool:
-    """Both certificates feasible, with equal values: both are optimal."""
+) -> Optional[tuple[Fraction, FractionalMatching, FractionalCover]]:
+    """The one solve's ``(value, matching, cover)``, once both
+    certificates are feasible and their values equal ``value``, which
+    proves both optimal; None when any of the three checks fails.
+
+    The tuple is truthy even when the value is 0, so the result reads
+    as the verdict.
+    """
     value, matching, cover = _solve(graph, timeout)
-    return (
+    if (
         matching.is_feasible(graph)
         and cover.is_feasible(graph)
         and matching.value() == cover.value() == value
-    )
+    ):
+        return value, matching, cover
+    return None
 
 
 def fractional_perfect_matching(

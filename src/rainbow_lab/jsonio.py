@@ -35,6 +35,9 @@ from .hypergraph import Hypergraph, canonical_edge
 from .solvers import Matching, RainbowMatching
 
 MAX_VERTICES = 1024
+# A generator counts its edges in closed form and refuses more than
+# this before enumerating any: a million 4-tuples take ~100 MB.
+MAX_EDGES = 10**6
 
 Instance = Union[Hypergraph, HypergraphFamily]
 
@@ -72,6 +75,13 @@ def vertex_count(count: int) -> int:
     if not 0 <= count <= MAX_VERTICES:
         raise ValueError(f"vertex count {count} is outside [0, {MAX_VERTICES}]")
     return count
+
+
+def bound_edges(count: int, what: str) -> None:
+    """Refuse a build of more than ``MAX_EDGES`` edges; ``what`` names
+    the build in the message."""
+    if count > MAX_EDGES:
+        raise ValueError(f"{what} would enumerate {count} edges, above the bound {MAX_EDGES}")
 
 
 def load_vertices(data, name: str = "vertex set") -> list[int]:

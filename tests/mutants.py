@@ -59,7 +59,7 @@ FRACTIONAL = "src/rainbow_lab/fractional.py"
 KERNEL = "src/rainbow_lab/kernel.py"
 ABSORBING = "src/rainbow_lab/absorbing.py"
 SHIFT = "src/rainbow_lab/shift.py"
-EXPERIMENTS = "src/rainbow_lab/experiments.py"
+JSONIO = "src/rainbow_lab/jsonio.py"
 
 MUTANTS = [
     Mutant(
@@ -255,10 +255,24 @@ MUTANTS = [
     ),
     Mutant(
         "scenario-avoid",
-        EXPERIMENTS,
+        ABSORBING,
         "avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])",
         "avoid = reserved",
         ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "scenario-balance",
+        ABSORBING,
+        "if not graph.balanced:",
+        "if False:",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
+        "edge-bound",
+        JSONIO,
+        "if count > MAX_EDGES:",
+        "if False:",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "ordered-q-permutation",
@@ -366,7 +380,7 @@ UNREACHABLE = [
     (
         Mutant(
             "scenario-result-check",
-            EXPERIMENTS,
+            ABSORBING,
             "if not is_perfect_matching_of(graph, combined):",
             "if False:",
             ("tests/test_absorbing.py",),

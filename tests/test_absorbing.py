@@ -15,6 +15,7 @@ from rainbow_lab.absorbing import (
     AbsorptionError,
     BalancedSet,
     absorb,
+    absorb_scenario,
     build_gadget,
     is_absorbing,
     low_degree_anchor,
@@ -27,7 +28,6 @@ from rainbow_lab.constructions import (
     extremal_graph,
     family_to_partite,
 )
-from rainbow_lab.experiments import absorb_scenario
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.solvers import (
     Matching,
@@ -468,6 +468,16 @@ class TestScenario:
         with pytest.raises(AbsorptionError) as exc:
             absorb_scenario(complete_partite(8, 24), targets)
         assert exc.value.unabsorbed == (1, 11, 12, 13)
+
+    @pytest.mark.parametrize("q, p", [(8, 25), (8, 26), (9, 24)])
+    def test_unbalanced_graph_rejected_before_any_search(self, monkeypatch, q, p):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("searched an unbalanced graph")
+
+        monkeypatch.setattr(absorbing, "build_gadget", forbidden)
+        monkeypatch.setattr(absorbing, "max_matching", forbidden)
+        with pytest.raises(ValueError, match=rf"absorb scenario needs a balanced graph; got \|Q\|={q}, \|P\|={p}"):
+            absorb_scenario(complete_partite(q, p), [(0, q, q + 1, q + 2)])
 
     def test_targets_sharing_a_vertex_rejected(self):
         targets = [(0, 8, 9, 10), (0, 11, 12, 13)]

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from rainbow_lab import cli, jsonio
+from rainbow_lab import cli, experiments, jsonio
 from rainbow_lab.absorbing import build_gadget
 from rainbow_lab.cli import (
     EXIT_CRASH,
@@ -192,6 +192,58 @@ def test_gen_extremal_time_follows_the_edges_kept(monkeypatch, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_FOUND
     assert json.loads(out) == {"edges": [], "k": 3, "n": 1024}
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("started enumerating an oversized instance")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "extremal", "--n", "1024", "--s", "341", "--ell", "3"],
+        ["gen", "partite-extremal", "--n", "768"],
+        ["exp", "sharpness", "--n-values", "150"],
+        ["exp", "equivalence", "--n-values", "150"],
+    ],
+    ids=" ".join,
+)
+def test_oversized_instances_exit_3_before_enumerating(monkeypatch, capsys, argv):
+    # 177M, 14.2G, 20.2M and 27.6M edges: each is refused by its closed-form
+    # count, so no builder runs
+    for module, name in [
+        (cli, "extremal_graph"),
+        (cli, "extremal_partite"),
+        (experiments, "extremal_graph"),
+        (experiments, "extremal_partite"),
+        (experiments, "random_family"),
+    ]:
+        monkeypatch.setattr(module, name, forbidden)
+    start = time.perf_counter()
+    code, out, err = run_raw(monkeypatch, capsys, "", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and f"edges, above the bound {jsonio.MAX_EDGES}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (["gen", "extremal", "--n", "12", "--s", "4", "--ell", "2"], 140),
+        (["gen", "partite-extremal", "--n", "12"], 4 * 140),
+        (["exp", "sharpness", "--n-values", "12"], 4 * 140),
+        (["exp", "equivalence", "--n-values", "6", "--trials", "1"], 2 * 20),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, list) else None,
+)
+def test_edge_bound_is_exact(monkeypatch, capsys, argv, edges):
+    monkeypatch.setattr(jsonio, "MAX_EDGES", edges)
+    code, _, _ = run_raw(monkeypatch, capsys, "", *argv)
+    assert code == EXIT_FOUND
+    monkeypatch.setattr(jsonio, "MAX_EDGES", edges - 1)
+    code, out, _ = run_raw(monkeypatch, capsys, "", *argv)
+    assert code == EXIT_INPUT and out == ""
 
 
 @pytest.mark.parametrize(

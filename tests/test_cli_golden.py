@@ -168,7 +168,7 @@ CASES = [
         "absorb run unknown",
         ["absorb", "run"],
         scenario(DENSE),
-        budget(experiments, "build_gadget"),
+        budget(absorbing, "build_gadget"),
     ),
     Case("exp pass", ["exp", "sharpness", "--n-values", "6"]),
     Case(

@@ -12,6 +12,7 @@ import pytest
 from rainbow_lab.constructions import (
     HypergraphFamily,
     PartiteHypergraph,
+    _extremal_edge_count,
     complete_partite,
     extremal_adjacent_degree_sum,
     extremal_graph,
@@ -77,6 +78,18 @@ class TestExtremalGraph:
                         if sum(1 for v in e if v < t_size) >= ell
                     )
                     assert extremal_graph(n, s, ell).edges == want, (n, s, ell)
+
+    def test_closed_form_count(self):
+        # the count the generators bound before building; 0 where the
+        # construction is refused
+        for n in range(10):
+            for s in range(0, 5):
+                for ell in (0, 1, 2, 3, 4):
+                    try:
+                        want = extremal_graph(n, s, ell).n_edges
+                    except ValueError:
+                        want = 0
+                    assert _extremal_edge_count(n, s, ell) == want, (n, s, ell)
 
     @pytest.mark.parametrize("ell", [1, 2, 3])
     @pytest.mark.parametrize("n,s", [(9, 3), (12, 4)])

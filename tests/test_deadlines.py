@@ -20,11 +20,11 @@ from rainbow_lab.absorbing import (
     AbsorptionError,
     BalancedSet,
     absorb,
+    absorb_scenario,
     build_gadget,
     is_absorbing,
 )
 from rainbow_lab.constructions import complete_partite
-from rainbow_lab.experiments import absorb_scenario
 from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.kernel import _deadline, _time_left
 from rainbow_lab.shift import fractional_pm_pipeline
@@ -134,7 +134,7 @@ def test_scenario_stages_share_the_deadline(monkeypatch):
         "absorb": SlowStage(absorb, honest=False),
     }
     for name, stage in stages.items():
-        monkeypatch.setattr(experiments, name, stage)
+        monkeypatch.setattr(absorbing, name, stage)
     absorb_scenario(graph, [(0, 8, 9, 10)], timeout=1.0)
     assert_time_left([t for s in stages.values() for t in s.timeouts], 1.0, 3)
     for stage in stages.values():
@@ -161,7 +161,7 @@ def test_pipeline_stages_share_the_deadline(monkeypatch):
 # ``timeout_seconds`` and the second the time left.  Keyed by the suite,
 # which names the trial's deadline error: the trial on a config and its
 # two stages as (module, name, stub answer).
-REAL_SOLVE = fractional._solve
+REAL_VERIFY = fractional.verify_duality
 REAL_PIPELINE = experiments.fractional_pm_pipeline
 RAINBOW_THEN_PARTITE = [
     (experiments, "rainbow_matching", lambda family: None),
@@ -176,7 +176,7 @@ TRIALS = {
     "duality": (
         lambda cfg: experiments._duality_trial(cfg, 0),
         [
-            (fractional, "_solve", lambda graph: REAL_SOLVE(graph, None)),
+            (experiments, "verify_duality", lambda graph: REAL_VERIFY(graph, None)),
             (experiments, "max_matching", lambda graph: Matching(edges=())),
         ],
     ),

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from rainbow_lab import fractional
+from rainbow_lab import experiments, fractional
 from rainbow_lab.experiments import (
     ExperimentConfig,
     run_absorb_suite,
@@ -89,3 +89,10 @@ def test_duality_suite_lp_solves(monkeypatch):
     report = run_duality(ExperimentConfig(seed=0, trials=5))
     assert report.aggregate == "pass"
     assert len(calls) == 5
+
+
+def test_duality_suite_fails_on_rejected_certificates(monkeypatch):
+    monkeypatch.setattr(experiments, "verify_duality", lambda graph, timeout: None)
+    report = run_duality(ExperimentConfig(seed=0, trials=2))
+    assert report.aggregate == "fail"
+    assert all("certificates rejected" in row.detail for row in report.rows)

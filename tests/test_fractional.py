@@ -132,7 +132,18 @@ class TestDuality:
         else:
             value += 1
         monkeypatch.setattr(fractional, "_solve", lambda graph, timeout: (value, matching, cover))
-        assert not verify_duality(h)
+        assert verify_duality(h) is None
+
+    @pytest.mark.parametrize(
+        "h", [extremal_graph(9, 3, 2), empty_hypergraph(3, 4)], ids=["tight", "empty"]
+    )
+    def test_hands_over_the_certificates(self, h):
+        # truthy even at value 0, and the one solve's certificates
+        certified = verify_duality(h)
+        assert certified
+        value, matching, cover = certified
+        assert value == matching.value() == cover.value() == max_fractional_matching(h)[0]
+        assert matching.is_feasible(h) and cover.is_feasible(h)
 
     def test_integral_below_fractional(self):
         rng = random.Random(15)
