@@ -215,9 +215,7 @@ def build_gadget(
     nodes_left = node_budget
     deadline = _deadline(timeout)
 
-    # The class vertex is the least vertex of each of its edges, so its
-    # link is its run.
-    link_edges = [e[1:] for e in graph._run(u_target)]
+    link_edges = graph.link(u_target).edges
 
     def spend() -> None:
         nonlocal nodes_left

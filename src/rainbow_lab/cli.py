@@ -205,11 +205,13 @@ def _cmd_frac(args) -> int:
 def _cmd_shift(args) -> int:
     graph = _load(PartiteHypergraph, args.normalize)
     if args.what == "run":
-        shifted, trace = stable_shift(identity_order(graph), args.threshold)
+        shifted, trace = stable_shift(
+            identity_order(graph), args.threshold, timeout=args.timeout
+        )
         return _outcome(
             True, {**trace.to_dict(), "edges_left": shifted.graph.n_edges}
         )
-    res = fractional_pm_pipeline(graph, threshold=args.threshold, timeout=args.timeout)
+    res = fractional_pm_pipeline(graph, timeout=args.timeout)
     payload = {
         "found": res.found,
         "containment": res.containment_ok,
@@ -305,7 +307,10 @@ def _cmd_exp(args) -> int:
 
 
 def _int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    values = [int(part) for part in text.split(",") if part]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one integer")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):
@@ -373,9 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     shift_sub = shift.add_subparsers(dest="what", required=True)
     shift_run = shift_sub.add_parser("run")
     shift_run.add_argument("--threshold", type=int, required=True)
-    shift_pipe = shift_sub.add_parser("pipeline")
-    shift_pipe.add_argument("--threshold", type=int, default=None)
-    shift_pipe.set_defaults(unknown={"found": "unknown"})
+    shift_run.set_defaults(unknown={"stable": "unknown"})
+    shift_sub.add_parser("pipeline").set_defaults(unknown={"found": "unknown"})
     shift.set_defaults(func=_cmd_shift)
 
     ab = sub.add_parser("absorb", help="absorbing gadgets")

@@ -108,6 +108,17 @@ class PartiteHypergraph(Hypergraph):
     def p_vertices(self) -> range:
         return range(self.q_size, self.q_size + self.p_size)
 
+    def link(self, u: int) -> Hypergraph:
+        """The 3-graph of the edges through class vertex u, u removed.
+
+        Vertex ids are preserved; u is the least vertex of each of its
+        edges, so they are its run.  Only a class vertex has a link here
+        (``ValueError`` otherwise).
+        """
+        if not 0 <= u < self.q_size:
+            raise ValueError(f"vertex {u} is not a class vertex in [0, {self.q_size})")
+        return Hypergraph._trusted(3, self.n_vertices, [e[1:] for e in self._run(u)])
+
     def as_hypergraph(self) -> Hypergraph:
         """The graph itself, already a 4-graph; ``perfbench`` still calls this."""
         return self

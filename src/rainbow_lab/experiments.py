@@ -348,12 +348,8 @@ def _shift_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     else:
         prob = _prob_ladder(i % 5, 5, 0.15, 0.9)
         graph = random_partite(rng, q_size, p_size, prob)
+    res = fractional_pm_pipeline(graph, timeout=cfg.timeout_seconds)
     threshold = extremal_adjacent_degree_sum(p_size)
-    res = fractional_pm_pipeline(
-        graph,
-        threshold=threshold,
-        timeout=cfg.timeout_seconds,
-    )
     checks = {
         "stable": res.trace.stable,
         "contained_in_closure": set(res.shifted.graph.edges)

@@ -7,11 +7,10 @@ serialized representations.  Instances are immutable after construction
 and safe to share between threads.
 
 Constructors validate every edge; a graph derived from validated ones
-(the family reduction, closures, shifts, links and
-:meth:`Hypergraph.induced`)
-is built by the private ``_trusted``, which checks nothing again.  The
-solvers search an induced subproblem on the parent graph itself, given
-its vertex set, so they build no graph for it.
+(the family reduction, closures, shifts, a class vertex's link and
+:meth:`Hypergraph.induced`) is built by the private ``_trusted``, which
+checks nothing again.  The solvers search an induced subproblem on the
+parent graph itself, given its vertex set, so they build no graph for it.
 """
 
 from __future__ import annotations
@@ -85,10 +84,10 @@ class Hypergraph:
         each edge strictly increasing, of size k and in [0, n_vertices),
         and the edge sequence strictly increasing.  Both hold for a
         monotone relabeling of some edges of a validated graph, and for
-        the edges of a validated graph through one vertex with that
-        vertex removed (:meth:`link`): removing a vertex that every
-        edge shares keeps a strictly increasing list of sorted tuples
-        strictly increasing."""
+        the run of a validated graph's vertex with that vertex removed
+        (``PartiteHypergraph.link``): removing the first vertex, which
+        every edge of the run shares, keeps a strictly increasing list
+        of sorted tuples strictly increasing."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "k", k)
         object.__setattr__(graph, "n_vertices", n_vertices)
@@ -160,21 +159,6 @@ class Hypergraph:
             raise ValueError(f"subset size must be in [1, {self.k - 1}], got {size}")
         deg = self.degrees(size)
         return min(deg[sub] for sub in combinations(range(self.n_vertices), size))
-
-    def link(self, u: int) -> "Hypergraph":
-        """The (k-1)-graph of edge remainders over edges containing u.
-
-        Vertex ids are preserved; u itself becomes isolated in the link.
-        A graph of uniformity below 3 has no link (``ValueError``).
-        """
-        if self.k < 3:
-            raise ValueError(f"a link needs uniformity >= 3, got {self.k}")
-        if not 0 <= u < self.n_vertices:
-            raise ValueError(f"vertex {u} out of range")
-        remainders = [
-            tuple(v for v in e if v != u) for e in self.edges if u in e
-        ]
-        return Hypergraph._trusted(self.k - 1, self.n_vertices, remainders)
 
     def degree_sum_minima(self) -> DegreeSumMinima:
         """Minimum degree sums over adjacent / all / non-adjacent pairs."""

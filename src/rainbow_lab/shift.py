@@ -14,9 +14,11 @@ it is stable by construction.  The shift ranks each edge once into one
 table: rank key -> edge.  The keys are bucketed by (class rank, rank
 pair) triple, so a round's doomed edges are one bucket, but only at the
 class ranks whose triples can ever be deficient; on most closures there
-are none, and the shift runs no round and builds no bucket.  Stability
-of the result is read off the deleted keys' immediate predecessors, not
-rescanned.
+are none, and the shift runs no round and builds no bucket.  One
+predicate, :func:`_upward_closed`, checks the input's stability and,
+when a round deleted edges, the result's.  The pipeline shifts at the
+paper's one codegree bound, ``extremal_adjacent_degree_sum(p)``, and its
+one deadline reaches every stage, the shift's rounds included.
 """
 
 from __future__ import annotations
@@ -70,20 +72,13 @@ class OrderedPartite:
     def rank_key(self, edge: Edge) -> tuple[int, tuple[int, int, int]]:
         """(class rank, sorted other-class ranks) of a partite 4-edge.
 
-        Any vertex order is accepted.  Sorted, the class vertex comes
-        first, so the rank lookups also check that it is the only one
-        and that every id lies in the graph; anything else raises
-        ``ValueError``.
+        Nothing is checked: the caller passes an edge as a validated
+        :class:`PartiteHypergraph` stores it, sorted with its one class
+        vertex first, which that constructor guarantees.
         """
-        try:
-            u, a, b, c = sorted(edge)
-            if a < b < c:
-                rank = self._p_rank
-                j1, j2, j3 = sorted((rank[a], rank[b], rank[c]))
-                return self._q_rank[u], (j1, j2, j3)
-        except (ValueError, KeyError):  # not four ids, or one out of place
-            pass
-        raise ValueError(f"{edge} is not a partite 4-edge")
+        u, a, b, c = edge
+        rank = self._p_rank
+        return self._q_rank[u], tuple(sorted((rank[a], rank[b], rank[c])))
 
     def with_graph(self, graph: PartiteHypergraph) -> "OrderedPartite":
         return OrderedPartite(graph=graph, q_order=self.q_order, p_order=self.p_order)
@@ -113,21 +108,6 @@ def _upward_closed(keys, q_size: int, p_size: int) -> bool:
         ):
             return False
     return True
-
-
-def _exposed(deleted, keys) -> bool:
-    """Whether a key of ``keys`` is a single-rank-step predecessor of a
-    deleted key: the only way deleting keys from an upward-closed
-    collection can leave it not upward closed."""
-    for i, (a, b, c) in deleted:
-        if (
-            i and (i - 1, (a, b, c)) in keys
-            or a and (i, (a - 1, b, c)) in keys
-            or a + 1 < b and (i, (a, b - 1, c)) in keys
-            or b + 1 < c and (i, (a, b, c - 1)) in keys
-        ):
-            return True
-    return False
 
 
 def cover_closure(
@@ -195,7 +175,9 @@ class ShiftTrace:
 
 
 def stable_shift(
-    start: OrderedPartite, threshold: int
+    start: OrderedPartite,
+    threshold: int,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> tuple[OrderedPartite, ShiftTrace]:
     """Delete codegree-deficient triples until the threshold holds.
 
@@ -218,11 +200,13 @@ def stable_shift(
     none becomes deficient later.  The survivors are edges of the
     validated input, so the result is built without re-validation.
 
-    The input is checked to be upward closed, and so are the survivors
-    unless one is an immediate predecessor of a deleted key: every
-    immediate successor of a survivor is in the input, hence a survivor
-    or deleted.  ``stable`` is decided from the deleted keys alone.
+    The input is checked to be upward closed, and ``stable`` checks the
+    survivors by the same predicate; a shift that deleted nothing
+    returns its input, so it is stable without a second scan.  The
+    deadline is polled once per round: a shift that runs out of
+    ``timeout`` raises :class:`SolverTimeout`.
     """
+    deadline = _deadline(timeout)
     g = start.graph
     edge_of = {start.rank_key(e): e for e in g.edges}
     if not _upward_closed(edge_of, g.q_size, g.p_size):
@@ -240,7 +224,6 @@ def stable_shift(
                 through.setdefault((i, a, b), set()).add(key)
 
     steps: list[ShiftStep] = []
-    deleted = []
     while True:
         deficient = [
             (i + j + k, i, j, k)
@@ -249,6 +232,7 @@ def stable_shift(
         ]
         if not deficient:
             break
+        _time_left(deadline, "stability shift")
         _, i, j, k = min(deficient)
         doomed = list(through[i, j, k])
         for key in doomed:
@@ -256,13 +240,12 @@ def stable_shift(
             pair_deg.subtract((i, x) for x in key[1])
             for a, b in combinations(key[1], 2):
                 through[i, a, b].remove(key)
-        deleted.extend(doomed)
         steps.append(ShiftStep(i, j, k, removed=len(doomed)))
 
     shifted = start.with_graph(
         PartiteHypergraph._trusted(g.q_size, g.p_size, sorted(edge_of.values()))
     )
-    stable = not _exposed(deleted, edge_of)
+    stable = not steps or _upward_closed(edge_of, g.q_size, g.p_size)
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 
@@ -310,21 +293,21 @@ class PipelineResult:
 
 
 def fractional_pm_pipeline(
-    graph: PartiteHypergraph,
-    threshold: Optional[int] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
+    graph: PartiteHypergraph, timeout: Optional[float] = DEFAULT_TIMEOUT
 ) -> PipelineResult:
     """Decide fractional perfect matchability constructively.
 
     Computes a minimum fractional cover, closes the graph upward under
-    the cover's own order, shifts it to the codegree threshold, and
-    extends a perfect matching of the lowest class vertex's link, which
-    is searched on the other class's vertices in the graph's own ids.  A
-    perfect matching of the shifted graph has full fractional value, and
-    when the original edges survived the shift the fractional matching
-    number of the input must equal the class size; ``value_check``
-    records that cross-check against the optimum of the cover LP, whose
-    value equals the fractional matching number by LP duality.
+    the cover's own order, shifts it to the paper's codegree bound
+    ``extremal_adjacent_degree_sum(p)``, and extends a perfect matching
+    of the lowest class vertex's link, which is searched on the other
+    class's vertices in the graph's own ids.  A perfect matching of the
+    shifted graph has full fractional value, and when the original edges
+    survived the shift the fractional matching number of the input must
+    equal the class size; ``value_check`` records that cross-check
+    against the optimum of the cover LP, whose value equals the
+    fractional matching number by LP duality.  Every stage, the shift
+    included, runs on the time left of one ``timeout``.
 
     ``found`` reports the construction only.  When the shift deletes
     input edges, the link can lack a perfect matching although tau* = q,
@@ -333,12 +316,14 @@ def fractional_pm_pipeline(
     """
     if not graph.balanced:
         raise ValueError("pipeline needs a balanced partite graph")
-    if threshold is None:
-        threshold = extremal_adjacent_degree_sum(graph.p_size)
     deadline = _deadline(timeout)
     tau, cover = min_fractional_cover(graph, timeout=timeout)
     closure = cover_closure(graph, cover)
-    shifted, trace = stable_shift(closure, threshold)
+    shifted, trace = stable_shift(
+        closure,
+        extremal_adjacent_degree_sum(graph.p_size),
+        timeout=_time_left(deadline, "shift pipeline"),
+    )
     containment_ok = set(graph.edges) <= set(shifted.graph.edges)
 
     matching = None

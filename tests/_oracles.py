@@ -116,7 +116,12 @@ def all_partite_four_sets(q_size: int, p_size: int):
 
 
 def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
-    """The shift order: ranks of e bound those of f componentwise."""
+    """The shift order: ranks of e bound those of f componentwise.
+
+    ``rank_key`` trusts its edge, so each is first validated as a
+    partite 4-set of the order's graph (``ValueError`` otherwise)."""
+    g = order.graph
+    e, f = (PartiteHypergraph(g.q_size, g.p_size, [x]).edges[0] for x in (e, f))
     qi, ep = order.rank_key(e)
     qj, fp = order.rank_key(f)
     return qi <= qj and all(a <= b for a, b in zip(ep, fp))

@@ -55,6 +55,7 @@ class Mutant(NamedTuple):
 
 SOLVERS = "src/rainbow_lab/solvers.py"
 HYPERGRAPH = "src/rainbow_lab/hypergraph.py"
+CONSTRUCTIONS = "src/rainbow_lab/constructions.py"
 FRACTIONAL = "src/rainbow_lab/fractional.py"
 KERNEL = "src/rainbow_lab/kernel.py"
 ABSORBING = "src/rainbow_lab/absorbing.py"
@@ -304,10 +305,31 @@ MUTANTS = [
     ),
     Mutant(
         "link-range",
-        HYPERGRAPH,
-        "if not 0 <= u < self.n_vertices:",
+        CONSTRUCTIONS,
+        "if not 0 <= u < self.q_size:",
         "if False:",
         ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "partite-class-vertex",
+        CONSTRUCTIONS,
+        "if in_q != 1:",
+        "if False:",
+        ("tests/test_constructions.py",),
+    ),
+    Mutant(
+        "shift-input-stable",
+        SHIFT,
+        "if not _upward_closed(edge_of, g.q_size, g.p_size):",
+        "if False:",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "shift-round-deadline",
+        SHIFT,
+        '        _time_left(deadline, "stability shift")\n',
+        "",
+        ("tests/test_shift.py",),
     ),
     Mutant(
         "run-upper-bound",
@@ -388,6 +410,18 @@ UNREACHABLE = [
         "a postcondition: the maximum matching of the rest and the absorbed "
         "matching of leftover and bodies are disjoint and together cover "
         "every vertex",
+    ),
+    (
+        Mutant(
+            "shift-result-stable",
+            SHIFT,
+            "stable = not steps or _upward_closed(edge_of, g.q_size, g.p_size)",
+            "stable = True",
+            ("tests/test_shift.py",),
+        ),
+        "the input is checked upward closed, and the deletions preserve "
+        "that: a lower predecessor of a selected triple would itself be "
+        "deficient with a smaller rank sum, so it is selected first",
     ),
     (
         Mutant(

@@ -134,7 +134,9 @@ def test_exp_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
     assert err.startswith("error: vertex count")
 
 
-# argparse's own usage errors exit 2, which would read as "unknown".
+# argparse's own usage errors exit 2, which would read as "unknown".  An
+# explicit empty --n-values is one: it must not run the default sizes.
+# The pipeline shifts at the paper's bound; only ``shift run`` takes one.
 @pytest.mark.parametrize(
     "argv",
     [
@@ -142,6 +144,8 @@ def test_exp_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
         ["solve", "nosuch"],
         ["--timeout", "abc", "solve", "pm"],
         ["gen", "extremal", "--n", "6"],
+        ["exp", "equivalence", "--n-values", ","],
+        ["shift", "pipeline", "--threshold", "5"],
     ],
     ids=" ".join,
 )
@@ -265,14 +269,26 @@ def test_exp_rejects_an_option_its_suite_ignores(monkeypatch, capsys, argv, opti
 
 @pytest.mark.parametrize("what", ["sharpness", "equivalence", "duality", "shift", "absorb"])
 def test_exp_has_no_threshold_option(capsys, what):
-    # The shift suite's threshold is the paper's, per trial; ``shift run``
-    # and ``shift pipeline`` take one.
+    # The shift suite's threshold is the paper's, per trial; only
+    # ``shift run`` takes one.
     with pytest.raises(SystemExit) as stop:
         main(["exp", what, "--threshold", "5"])
     assert stop.value.code == EXIT_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "unrecognized arguments: --threshold 5" in captured.err
+
+
+def test_shift_run_timeout_is_unknown(monkeypatch, capsys):
+    # every class-vertex pair degree of complete_partite(3, 9) is
+    # C(8, 2) = 28, so at threshold 56 every triple is deficient and the
+    # shift has rounds; the first one finds the deadline spent
+    stdin = canonical_json(complete_partite(3, 9).to_dict())
+    code, out, _ = run_raw(
+        monkeypatch, capsys, stdin, "--timeout", "1e-9", "shift", "run", "--threshold", "56"
+    )
+    assert code == EXIT_UNKNOWN
+    assert json.loads(out) == {"stable": "unknown"}
 
 
 def test_exp_sharpness_accepts_one_trial(monkeypatch, capsys):

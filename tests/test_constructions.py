@@ -220,6 +220,26 @@ class TestPartiteType:
         with pytest.raises(ValueError):
             PartiteHypergraph(2, 4, [(2, 3, 4, 5)])
 
+    # The constructor is the one partite-edge check: the shift's rank
+    # keys and the links trust the edges it stores.
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            (0, 2, 2, 3),  # repeated other-class vertex
+            (0, 0, 2, 3),  # repeated class vertex
+            (0, 2, 3),
+            (0, 2, 3, 4, 5),
+            (0, 1, 2, 3),  # two class vertices
+            (2, 3, 4, 5),  # no class vertex
+            (0, 2, 3, 8),  # ids outside the graph
+            (-1, 2, 3, 4),
+            (1, 3, 2, 99),
+        ],
+    )
+    def test_rejects_malformed_edge(self, edge):
+        with pytest.raises(ValueError):
+            PartiteHypergraph(2, 6, [edge])
+
     def test_balanced_flag(self):
         assert PartiteHypergraph(2, 6, []).balanced
         assert not PartiteHypergraph(2, 5, []).balanced

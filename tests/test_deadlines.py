@@ -27,7 +27,7 @@ from rainbow_lab.absorbing import (
 from rainbow_lab.constructions import complete_partite
 from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.kernel import _deadline, _time_left
-from rainbow_lab.shift import fractional_pm_pipeline
+from rainbow_lab.shift import fractional_pm_pipeline, stable_shift
 from rainbow_lab.solvers import Matching, SolverTimeout, has_perfect_matching, max_matching
 
 BODY = [*range(1, 7), *range(10, 28)]  # 6 class + 18 other vertices
@@ -147,14 +147,16 @@ def test_scenario_stages_share_the_deadline(monkeypatch):
 
 def test_pipeline_stages_share_the_deadline(monkeypatch):
     lp = SlowStage(min_fractional_cover, honest=False)
+    shifting = SlowStage(stable_shift, honest=False)
     link = SlowStage(has_perfect_matching, honest=False)
     monkeypatch.setattr(shift, "min_fractional_cover", lp)
+    monkeypatch.setattr(shift, "stable_shift", shifting)
     monkeypatch.setattr(shift, "has_perfect_matching", link)
     assert fractional_pm_pipeline(complete_partite(3, 9), timeout=1.0).found
-    assert_time_left(lp.timeouts + link.timeouts, 1.0, 2)
+    assert_time_left(lp.timeouts + shifting.timeouts + link.timeouts, 1.0, 3)
     with pytest.raises(SolverTimeout, match="shift pipeline exceeded its deadline"):
         fractional_pm_pipeline(complete_partite(3, 9), timeout=0.05)
-    assert len(link.timeouts) == 1
+    assert len(shifting.timeouts) == len(link.timeouts) == 1
 
 
 # An experiment trial takes one deadline too: the first solver call gets
@@ -188,7 +190,7 @@ TRIALS = {
             (
                 experiments,
                 "fractional_pm_pipeline",
-                lambda graph, threshold: REAL_PIPELINE(graph, threshold=threshold, timeout=None),
+                lambda graph: REAL_PIPELINE(graph, timeout=None),
             ),
             (experiments, "max_fractional_matching", lambda graph: (0, None)),
         ],
@@ -197,14 +199,11 @@ TRIALS = {
 
 
 def stub_trial_stages(monkeypatch, stages, honest):
-    """Replace each stage by a SlowStage; a keyword argument other than
-    the timeout (the pipeline's threshold) reaches ``run`` positionally."""
+    """Replace each stage by a SlowStage; every stage takes its timeout
+    as its one keyword argument."""
     slow = [SlowStage(run, honest=honest) for _, _, run in stages]
     for (module, name, _), stage in zip(stages, slow):
-        def call(*args, timeout, stage=stage, **kwargs):
-            return stage(*args, *kwargs.values(), timeout=timeout)
-
-        monkeypatch.setattr(module, name, call)
+        monkeypatch.setattr(module, name, stage)
     return slow
 
 

@@ -15,10 +15,11 @@ from rainbow_lab.hypergraph import (
     complete_hypergraph,
     empty_hypergraph,
 )
-from rainbow_lab.constructions import extremal_graph
+from rainbow_lab.constructions import PartiteHypergraph, complete_partite, extremal_graph
+from rainbow_lab.experiments import random_partite
 from rainbow_lab.jsonio import canonical_json, load_instance
 
-from _oracles import brute_degree, random_3graph
+from _oracles import all_partite_four_sets, brute_degree, random_3graph
 
 
 @st.composite
@@ -140,46 +141,52 @@ class TestMinDegree:
 
 
 class TestLink:
+    """``PartiteHypergraph.link``: a class vertex's run, that vertex removed."""
+
     def test_complete_four(self):
-        link = complete_hypergraph(3, 4).link(0)
-        assert link.k == 2
-        assert link.edges == ((1, 2), (1, 3), (2, 3))
+        # complete_partite(1, 3) is the complete 4-graph on four vertices
+        link = complete_partite(1, 3).link(0)
+        assert type(link) is Hypergraph and link.k == 3 and link.n_vertices == 4
+        assert link.edges == ((1, 2, 3),)
 
     def test_isolated_vertex_has_empty_link(self):
-        h = Hypergraph(3, 5, [(1, 2, 3)])
-        assert h.link(0).n_edges == 0
+        pg = PartiteHypergraph(2, 3, [(1, 2, 3, 4)])
+        assert pg.link(0).n_edges == 0
+        assert pg.link(1).edges == ((2, 3, 4),)
 
     @pytest.mark.parametrize("u", [-1, 5])
     def test_vertex_out_of_range_rejected(self, u):
         # not an empty link: no such vertex exists
-        with pytest.raises(ValueError, match="out of range"):
-            complete_hypergraph(3, 5).link(u)
+        with pytest.raises(ValueError, match="not a class vertex"):
+            complete_partite(2, 3).link(u)
 
-    def test_link_of_a_2graph_is_rejected(self):
-        # a 2-graph has no link: a 1-graph is no hypergraph here
-        with pytest.raises(ValueError):
-            Hypergraph(2, 3, [(0, 1), (1, 2)]).link(1)
+    @pytest.mark.parametrize("u", [2, 3, 4])
+    def test_other_class_vertex_rejected(self, u):
+        # not an empty link: such a vertex is no edge's least vertex, so
+        # its run is empty although its degree is not
+        with pytest.raises(ValueError, match="not a class vertex"):
+            complete_partite(2, 3).link(u)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_link_equals_the_validated_remainders(self, data):
         # the link is built unchecked; the validating constructor must
         # accept its remainders and give the same graph
-        k = data.draw(st.sampled_from([3, 4]))
-        n = data.draw(st.integers(min_value=k, max_value=8))
-        edges = data.draw(st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True))
-        h = Hypergraph(k, n, edges)
-        u = data.draw(st.integers(0, n - 1))
-        remainders = [tuple(v for v in e if v != u) for e in h.edges if u in e]
-        assert h.link(u) == Hypergraph(k - 1, n, remainders)
+        q = data.draw(st.integers(min_value=1, max_value=3))
+        p = data.draw(st.integers(min_value=3, max_value=6))
+        sets = list(all_partite_four_sets(q, p))
+        pg = PartiteHypergraph(q, p, data.draw(st.lists(st.sampled_from(sets), unique=True)))
+        u = data.draw(st.integers(0, q - 1))
+        remainders = [tuple(v for v in e if v != u) for e in pg.edges if u in e]
+        assert pg.link(u) == Hypergraph(3, q + p, remainders)
 
     def test_link_size_matches_degree(self):
         rng = random.Random(11)
         for _ in range(20):
-            h = random_3graph(rng, 7, 0.4)
-            deg = h.degrees(1)
-            for v in range(7):
-                assert h.link(v).n_edges == deg[(v,)]
+            pg = random_partite(rng, 3, 6, 0.4)
+            deg = pg.degrees(1)
+            for u in pg.q_vertices():
+                assert pg.link(u).n_edges == deg[(u,)]
 
 
 class TestAdjacency:
