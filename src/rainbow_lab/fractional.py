@@ -21,8 +21,29 @@ reduced cost 0.  So the entering edge is the first one inside that zero
 set, found by a scan that stops there; every edge is priced, in
 O(k * m) integer additions, only when no edge lies inside it or a slack
 prices positive.  Either way the column that full pricing picks enters,
-so the pivot path and every stored integer are those of full pricing,
-and a pivot costs at most O(n^2 + k * m) instead of O(n * m).
+so the pivot path and every stored integer are those of full pricing.
+
+The block is stored by column, each of its n + 1 columns one Python
+int whose n lanes of w bits hold the column's rows as signed integers,
+row i in bits ``i * w`` up.  Every stored integer is a minor of the
+0/1 constraint matrix bordered by the rhs and the objective row, so
+Hadamard's inequality bounds it by the product of its column norms:
+sqrt(k + 1) for an edge, 1 for a slack and sqrt(n) for the rhs, at most
+n + 1 of them.  Its square is thus at most ``(k + 1)^(n + 1) * n``, and
+w, fixed once per solve, is the bit length of that bound's integer
+square root plus one for the sign (rounded up to 16, 32 or 64 when it
+fits, so that a column decodes through :mod:`struct`).  Packing is linear, so a column is
+updated as a whole: an edge's column is the sum of its k vertices'
+columns, and a pivot maps each column C, with entry p in the pivot row,
+to ``(piv * C - p * E') // den``.  Each lane of the dividend is the
+Bareiss update of that row, an exact multiple of ``den``, so the whole
+int divides exactly and lane by lane.  E' is the entering column with
+``den`` taken from the pivot lane, which keeps the pivot row's entries.
+A pivot thus makes n + 1 big-int updates where a store by row makes
+n(n + 1) small ones.  Every lane decodes to the integer a store by row
+holds, and pricing, the ratio test and the certificates read only
+decoded values, so the pivot path and both certificates are those of
+the dense tableau.
 
 Pivots follow Dantzig's rule, the largest reduced cost enters, with
 the lexicographic ratio test of Dantzig, Orden and Wolfe (Pacific J.
@@ -53,8 +74,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import isqrt, lcm
 from operator import add, not_
+from struct import Struct
 from typing import Optional
 
 from .hypergraph import Hypergraph
@@ -131,15 +153,22 @@ def _solve(
     """Optimal value, matching and cover of the matching LP.
 
     The dense tableau has the m edge columns, the n vertex slacks and
-    the rhs; this stores only the slack block ``den * B^-1``, the rhs
-    column, and the slack reduced costs followed by ``-den`` times the
-    objective.  An edge column of the dense tableau is the sum of the
-    slack columns of its vertices, and its reduced cost is ``den`` plus
-    the sum of their reduced costs.  Both identities hold exactly in the
-    stored integers, because every Bareiss step is linear in the
-    columns and each of its divisions is exact, so an edge's entries are
-    computed when it is priced and never stored.  A basic edge prices to
-    0, so the basis needs no membership set.
+    the rhs; this stores only the slack block ``den * B^-1`` and the rhs
+    column, packed one int per column in ``cols`` (rhs last), and the
+    slack reduced costs followed by ``-den`` times the objective, as the
+    list ``cbar``.  ``cols[j]`` is ``sum(x_i << i * w)`` over its rows
+    x_i, so a negative lane borrows 1 from the lane above it.  Adding
+    ``bias``, ``half = 2^(w - 1)`` in every lane, makes every lane
+    non-negative without a carry, since ``|x_i| < half``, and lane i
+    then reads as its w bits minus ``half``.
+
+    An edge column of the dense tableau is the sum of the slack columns
+    of its vertices, and its reduced cost is ``den`` plus the sum of
+    their reduced costs.  Both identities hold exactly in the stored
+    integers, because every Bareiss step is linear in the columns and
+    each of its divisions is exact, so an edge's entries are computed
+    when it is priced and never stored.  A basic edge prices to 0, so
+    the basis needs no membership set.
 
     The largest positive reduced cost enters, ties to the lowest column
     (edges before slacks).  All stored ints share the factor ``den``, so
@@ -150,18 +179,43 @@ def _solve(
     inside the zero set, every edge, then every slack, is priced.  The
     leaving row is the lexicographic minimum of
     ``(rhs, den * B^-1 row) / entry`` over the positive entries: rhs
-    ratios first, then the B^-1 entries in column order only on a tie.
-    B^-1 is nonsingular, so no two rows are proportional and the minimum
-    is unique.  That is the pivot path of the dense tableau under the
-    same rule, with the same integers.  ``den`` stays positive because
-    every pivot element is, so signs of stored ints are signs of the
-    true entries and ratios compare by cross-multiplication.
+    ratios first, then, only on a tie, lanes i and ``leave`` of the B^-1
+    columns in column order.  B^-1 is nonsingular, so no two rows are
+    proportional and the minimum is unique.  ``den`` stays positive
+    because every pivot element is, so signs of stored ints are signs
+    of the true entries and ratios compare by cross-multiplication.
+
+    The pivot on ``piv`` in row ``leave`` maps row i of a column with
+    pivot-row entry p to ``(piv * x_i - p * e_i) // den``, e the
+    entering column, for every row but ``leave``, which keeps p.  In
+    ``e'``, e less ``den`` in lane ``leave``, the same formula gives
+    ``(piv * p - p * (piv - den)) // den = p`` there too, so each column
+    updates as ``(piv * col - p * e') // den`` in one exact division.
+    A column with p = 0 only rescales, and stays when ``piv == den``.
     """
     deadline = _deadline(timeout)
     edges = graph.edges
     m = len(edges)
     n = graph.n_vertices
-    rows = [[0] * v + [1] + [0] * (n - v - 1) + [1] for v in range(n)]
+    w = isqrt((graph.k + 1) ** (n + 1) * n).bit_length() + 1
+    unpack = None
+    for width, code in ((16, "H"), (32, "I"), (64, "Q")):
+        if w <= width:
+            w, unpack = width, Struct(f"<{n}{code}").unpack
+            break
+    shifts = range(0, n * w, w)
+    half = 1 << w - 1
+    mask = (1 << w) - 1
+    ones = sum(1 << s for s in shifts)
+    bias = half * ones
+
+    def decode(col: int) -> list[int]:
+        col += bias
+        if unpack:
+            return [x - half for x in unpack(col.to_bytes(n * w // 8, "little"))]
+        return [(col >> s & mask) - half for s in shifts]
+
+    cols = [1 << s for s in shifts] + [ones]
     cbar = [0] * (n + 1)  # den * (-y), then -den * objective
     basis = [m + v for v in range(n)]
     den = 1
@@ -191,40 +245,48 @@ def _solve(
             else:
                 break
         if enter < m:
-            col = [sum([row[v] for v in edges[enter]]) for row in rows]
+            entering = sum(map(cols.__getitem__, edges[enter]))
         else:
-            col = [row[enter - m] for row in rows]
+            entering = cols[enter - m]
+        col = decode(entering)
+        rhs_biased = cols[n] + bias
         _time_left(deadline, "fractional LP")
         leave = None
         for i, a in enumerate(col):
             if a > 0:
+                x = (rhs_biased >> i * w & mask) - half
                 if leave is None:
-                    leave = i
+                    leave, b, y = i, a, x
                     continue
-                row, low, b = rows[i], rows[leave], col[leave]
-                lhs, rhs = row[-1] * b, low[-1] * a
+                lhs, rhs = x * b, y * a
                 if lhs == rhs:
-                    for x, y in zip(row, low):
-                        lhs, rhs = x * b, y * a
+                    si, sl = i * w, leave * w
+                    for c in cols:
+                        c += bias
+                        lhs = ((c >> si & mask) - half) * b
+                        rhs = ((c >> sl & mask) - half) * a
                         if lhs != rhs:
                             break
                 if lhs < rhs:
-                    leave = i
+                    leave, b, y = i, a, x
         if leave is None:
             raise ArithmeticError("LP unbounded; malformed instance")
-        prow = rows[leave]
         piv = col[leave]
-        for i, row in enumerate(rows):
-            if i != leave:
-                rows[i] = _bareiss(row, prow, piv, den, col[i])
-        cbar = _bareiss(cbar, prow, piv, den, f)
+        s = leave * w
+        prow = [((c + bias) >> s & mask) - half for c in cols]
+        entering -= den << s
+        for j, (c, p) in enumerate(zip(cols, prow)):
+            if p:
+                cols[j] = (piv * c - p * entering) // den
+            elif piv != den:
+                cols[j] = c * piv // den
+        cbar = [(piv * c - f * p) // den for c, p in zip(cbar, prow)]
         basis[leave] = enter
         den = piv
 
+    rhs = decode(cols[n])
     weights = {
-        edges[b]: Fraction(rows[i][-1], den)
-        for i, b in enumerate(basis)
-        if b < m and rows[i][-1]
+        edges[b]: Fraction(rhs[i], den) for i, b in enumerate(basis) if b < m and rhs[i]
     }
     cover = {v: Fraction(-cbar[v], den) for v in range(n)}
     return (
@@ -232,22 +294,6 @@ def _solve(
         FractionalMatching(weights=weights),
         FractionalCover(weights=cover),
     )
-
-
-def _bareiss(
-    row: list[int], prow: list[int], piv: int, den: int, f: int
-) -> list[int]:
-    """One non-pivot row, with entry ``f`` in the entering column, after
-    pivoting on ``piv`` in ``prow``.
-
-    The divisions are exact (Bareiss): every result is a subdeterminant
-    of the original tableau.
-    """
-    if f:
-        return [(piv * x - f * p) // den for x, p in zip(row, prow)]
-    if piv == den:
-        return row
-    return [x * piv // den for x in row]
 
 
 def max_fractional_matching(

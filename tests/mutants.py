@@ -339,6 +339,27 @@ MUTANTS = [
         ("tests/test_hypergraph.py",),
     ),
     Mutant(
+        "solve-pivot-lane",
+        FRACTIONAL,
+        "        entering -= den << s\n",
+        "",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "solve-sign-bias",
+        FRACTIONAL,
+        "        col += bias\n",
+        "",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "solve-lane-borrow",
+        FRACTIONAL,
+        "prow = [((c + bias) >> s & mask) - half for c in cols]",
+        "prow = [((c >> s) + half & mask) - half for c in cols]",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
         "verify-duality-matching",
         FRACTIONAL,
         "        matching.is_feasible(graph)\n        and cover.is_feasible(graph)\n",

@@ -167,19 +167,18 @@ class TestTightPartite:
     # cannot; n = 18 must stay within 100.
     @pytest.mark.parametrize("n, pivots", [(9, 19), (12, 25), (15, 35), (18, 56)])
     def test_pivot_count(self, n, pivots, monkeypatch):
-        # each pivot updates the n_vertices - 1 other rows and the cost
-        # row, one _bareiss call each
+        # the LP polls its deadline once per pivot
         calls = []
-        bareiss = fractional._bareiss
+        time_left = fractional._time_left
 
-        def counting_bareiss(*args):
-            calls.append(None)
-            return bareiss(*args)
+        def counting_time_left(deadline, stage):
+            if stage == "fractional LP":
+                calls.append(None)
+            return time_left(deadline, stage)
 
-        monkeypatch.setattr(fractional, "_bareiss", counting_bareiss)
-        h = extremal_partite(n)
-        fractional._solve(h, None)
-        assert len(calls) == pivots * h.n_vertices
+        monkeypatch.setattr(fractional, "_time_left", counting_time_left)
+        fractional._solve(extremal_partite(n), None)
+        assert len(calls) == pivots
         assert pivots <= 100
 
 
@@ -386,6 +385,29 @@ def _dropped_tight_partite(seed: int) -> PartiteHypergraph:
 def test_solve_matches_dense_tableau_on_benchmark_shapes(build):
     graph = build()
     value, matching, cover = fractional._solve(graph, None)
+    want_value, want_matching, want_cover = dense_solve(graph, None)
+    assert value == want_value
+    assert matching.weights == want_matching.weights
+    assert cover.weights == want_cover.weights
+
+
+def _sparse_partite(seed: int, q: int, p: int) -> PartiteHypergraph:
+    """A (q, p) partite graph with four random draws of an edge through
+    each class vertex (a repeated draw adds no edge)."""
+    rng = random.Random(seed)
+    side = range(q, q + p)
+    return PartiteHypergraph(
+        q, p, {(u, *sorted(rng.sample(side, 3))) for u in range(q) for _ in range(4)}
+    )
+
+
+# The packed columns' lane width grows with the vertex count: 64 bits at
+# 40 vertices (struct decode) and 66 at 52 (lane-by-lane decode).
+@pytest.mark.parametrize("q", [10, 13], ids=["lanes-64", "lanes-66"])
+def test_solve_matches_dense_tableau_on_wide_lanes(q):
+    graph = _sparse_partite(q, q, 3 * q)
+    # a deadline turns a decode fault that cycles into a failure
+    value, matching, cover = fractional._solve(graph, 10.0)
     want_value, want_matching, want_cover = dense_solve(graph, None)
     assert value == want_value
     assert matching.weights == want_matching.weights
