@@ -25,25 +25,30 @@ so the pivot path and every stored integer are those of full pricing.
 
 The block is stored by column, each of its n + 1 columns one Python
 int whose n lanes of w bits hold the column's rows as signed integers,
-row i in bits ``i * w`` up.  Every stored integer is a minor of the
-0/1 constraint matrix bordered by the rhs and the objective row, so
-Hadamard's inequality bounds it by the product of its column norms:
-sqrt(k + 1) for an edge, 1 for a slack and sqrt(n) for the rhs, at most
-n + 1 of them.  Its square is thus at most ``(k + 1)^(n + 1) * n``, and
-w, fixed once per solve, is the bit length of that bound's integer
-square root plus one for the sign (rounded up to 16, 32 or 64 when it
-fits, so that a column decodes through :mod:`struct`).  Packing is linear, so a column is
-updated as a whole: an edge's column is the sum of its k vertices'
-columns, and a pivot maps each column C, with entry p in the pivot row,
-to ``(piv * C - p * E') // den``.  Each lane of the dividend is the
+row i in bits ``i * w`` up.  Only the n rows of ``[A | I | 1]`` are
+packed (the constraint matrix A, the slacks and the rhs); the reduced
+costs stay a list.  So every packed integer (an entry of
+``den * B^-1``, of the rhs or of an entering column) is, by Cramer's
+rule, a minor of order at most n of ``[A | I | 1]``, and Hadamard's
+inequality bounds it by the product of its column norms: at most
+sqrt(k) for an edge, 1 for a slack and sqrt(n) for the rhs, which a
+minor uses at most once.  Its square is thus at most
+``k^(n - 1) * max(n, k)``, and w, fixed once per solve, is the bit
+length of that bound's integer square root plus one for the sign
+(rounded up to 16, 32 or 64 when it fits, so that a column decodes
+through :mod:`struct`).  Packing is linear, so a column is updated as
+a whole: an edge's column is the sum of its k vertices' columns, and a
+pivot maps each column C, with entry p in the pivot row, to
+``(piv * C - p * E') // den``.  Each lane of the dividend is the
 Bareiss update of that row, an exact multiple of ``den``, so the whole
-int divides exactly and lane by lane.  E' is the entering column with
-``den`` taken from the pivot lane, which keeps the pivot row's entries.
-A pivot thus makes n + 1 big-int updates where a store by row makes
-n(n + 1) small ones.  Every lane decodes to the integer a store by row
-holds, and pricing, the ratio test and the certificates read only
-decoded values, so the pivot path and both certificates are those of
-the dense tableau.
+int divides exactly and lane by lane; the dividend's lanes may outgrow
+w bits, but only the quotient, a stored integer, is ever decoded.  E'
+is the entering column with ``den`` taken from the pivot lane, which
+keeps the pivot row's entries.  A pivot thus makes n + 1 big-int
+updates where a store by row makes n(n + 1) small ones.  Every lane
+decodes to the integer a store by row holds, and pricing, the ratio
+test and the certificates read only decoded values, so the pivot path
+and both certificates are those of the dense tableau.
 
 Pivots follow Dantzig's rule, the largest reduced cost enters, with
 the lexicographic ratio test of Dantzig, Orden and Wolfe (Pacific J.
@@ -73,7 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from itertools import chain, compress
 from math import isqrt, lcm
 from operator import add, not_
 from struct import Struct
@@ -140,8 +145,11 @@ class FractionalCover:
         y = [0] * graph.n_vertices
         for v, x in w.items():
             y[v] = x.numerator * (den // x.denominator)
-        if not all(0 <= a <= den for a in y) or any(
-            sum(map(y.__getitem__, e)) < den for e in graph.edges
+        # The flattened edge list's weights, k at a time: each edge's sum.
+        loads = map(y.__getitem__, chain.from_iterable(graph.edges))
+        if (
+            not all(0 <= a <= den for a in y)
+            or min(map(sum, zip(*[loads] * graph.k)), default=den) < den
         ):
             return None
         return den, y
@@ -197,7 +205,7 @@ def _solve(
     edges = graph.edges
     m = len(edges)
     n = graph.n_vertices
-    w = isqrt((graph.k + 1) ** (n + 1) * n).bit_length() + 1
+    w = isqrt(graph.k ** max(n - 1, 0) * max(n, graph.k)).bit_length() + 1
     unpack = None
     for width, code in ((16, "H"), (32, "I"), (64, "Q")):
         if w <= width:

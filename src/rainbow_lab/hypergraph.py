@@ -53,7 +53,9 @@ class Hypergraph:
 
     No degree index is kept: most derived graphs (closures, links) are
     only searched.  ``degrees(size)`` counts every ``size``-set in one
-    pass; the degree of a sorted set ``s`` is ``degrees(len(s))[s]``.
+    pass, vertex degrees (size 1) over the flattened edge list without
+    forming subsets; the degree of a sorted set ``s`` is
+    ``degrees(len(s))[s]``, so a vertex's is ``degrees(1)[(v,)]``.
     """
 
     __slots__ = ("k", "n_vertices", "edges")
@@ -148,7 +150,13 @@ class Hypergraph:
         return vs
 
     def degrees(self, size: int) -> Counter:
-        """Degree of every ``size``-set, as sorted tuples; absent means 0."""
+        """Degree of every ``size``-set, as sorted tuples; absent means 0.
+
+        Vertex degrees count the flattened edge list in one pass; larger
+        sets count each edge's ``size``-subsets."""
+        if size == 1:
+            counts = Counter(chain.from_iterable(self.edges))
+            return Counter({(v,): d for v, d in counts.items()})
         return Counter(
             chain.from_iterable(combinations(e, size) for e in self.edges)
         )
@@ -157,6 +165,11 @@ class Hypergraph:
         """Minimum degree over all vertex subsets of the given size."""
         if not 1 <= size < self.k:
             raise ValueError(f"subset size must be in [1, {self.k - 1}], got {size}")
+        if self.n_vertices < size:
+            raise ValueError(
+                f"degrees of {size}-sets need at least {size} vertices, "
+                f"got {self.n_vertices}"
+            )
         deg = self.degrees(size)
         return min(deg[sub] for sub in combinations(range(self.n_vertices), size))
 

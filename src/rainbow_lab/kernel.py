@@ -11,8 +11,13 @@ over edge indices, also held in Python ints, in the manner of the
 column lists of Knuth's Dancing Links: bit ``i`` of an *alive* set says
 that edge ``i`` is still disjoint from every placed edge.  For each
 vertex ``v`` a search precomputes the set of edges that avoid ``v``, so
-placing an edge intersects the alive sets with one such set per vertex
-of the edge instead of rescanning every edge list.
+no placement rescans an edge list.  The rainbow search intersects each
+later color's alive set with one such set per vertex of the placed
+edge.  The exact-cover search keeps, for each edge it has placed, the
+intersection of its vertices' sets (the edges disjoint from it), made on
+the edge's first placement; every placement is then one intersection,
+at a cost of up to one bit per edge for each edge placed.  Its pivot
+choice visits only the uncovered vertices, as bits of the uncovered set.
 
 A node is one candidate scanned at the current level, whether or not it
 is still disjoint.  The rainbow search scans a color's candidates in
@@ -238,8 +243,11 @@ def exact_cover(
     every = (1 << len(lists)) - 1
     by_bits = _incidence(lists, n_vertices)
     avoid = [every ^ row for row in by_bits]
-    # Vertices of an edge, filled in when it is first placed.
-    verts: list[Optional[tuple[int, ...]]] = [None] * len(lists)
+    # misses[i]: the edges disjoint from edge i, filled in when it is
+    # first placed.
+    misses: list[Optional[int]] = [None] * len(lists)
+    # The chosen edges, deepest first, appended only on the way out of
+    # a successful search.
     picks: list[int] = []
     # Covered vertex sets known to leave no exact cover; ``alive`` and
     # the pivot follow from ``occ``, so it alone is the key.
@@ -251,19 +259,18 @@ def exact_cover(
         nonlocal nodes, due
         if occ == full:
             return True
-        pivot = -1
-        pivot_count = inf
-        for v in range(n_vertices):
-            if occ >> v & 1:
-                continue
-            count = (by_bits[v] & alive).bit_count()
-            if count == 0:
-                dead.add(occ)
-                return False
-            if count < pivot_count:
-                pivot = v
-                pivot_count = count
-        cands = by_bits[pivot] & alive
+        free = full ^ occ
+        least = inf
+        while free:
+            low = free & -free
+            free ^= low
+            row = by_bits[low.bit_length() - 1] & alive
+            count = row.bit_count()
+            if count < least:
+                if not count:
+                    dead.add(occ)
+                    return False
+                cands, least = row, count
         while cands:
             low = cands & -cands
             cands ^= low
@@ -274,22 +281,21 @@ def exact_cover(
             nxt = occ | lists[i]
             if nxt in dead:
                 continue
-            picks.append(i)
-            vs = verts[i]
-            if vs is None:
-                vs = verts[i] = _vertices(lists[i])
-            rest = alive
-            for v in vs:
-                rest &= avoid[v]
-            if search(nxt, rest):
+            miss = misses[i]
+            if miss is None:
+                miss = every
+                for v in _vertices(lists[i]):
+                    miss &= avoid[v]
+                misses[i] = miss
+            if search(nxt, alive & miss):
+                picks.append(i)
                 return True
-            picks.pop()
         dead.add(occ)
         return False
 
     try:
         if search(0, every):
-            return FOUND, picks, nodes
+            return FOUND, picks[::-1], nodes
         return NONE, None, nodes
     except _Abort as stop:
         return ABORTED, None, stop.args[0]

@@ -101,8 +101,8 @@ MUTANTS = [
     Mutant(
         "scaled-edge-sum",
         FRACTIONAL,
-        "sum(map(y.__getitem__, e)) < den",
-        "sum(map(y.__getitem__, e)) < den - 1",
+        "min(map(sum, zip(*[loads] * graph.k)), default=den) < den",
+        "min(map(sum, zip(*[loads] * graph.k)), default=den) < den - 1",
         ("tests/test_fractional.py",),
     ),
     Mutant(
@@ -132,6 +132,20 @@ MUTANTS = [
         "key=lambda v: (-deg[(v,)], v)",
         "key=lambda v: (deg[(v,)], v)",
         ("tests/test_solvers.py",),
+    ),
+    Mutant(
+        "degrees-size-one",
+        HYPERGRAPH,
+        "counts = Counter(chain.from_iterable(self.edges))",
+        "counts = Counter(e[0] for e in self.edges)",
+        ("tests/test_hypergraph.py",),
+    ),
+    Mutant(
+        "min-degree-vertices",
+        HYPERGRAPH,
+        "if self.n_vertices < size:",
+        "if False:",
+        ("tests/test_hypergraph.py",),
     ),
     Mutant(
         "check-vertices-repeat",
@@ -164,17 +178,24 @@ MUTANTS = [
     Mutant(
         "exact-cover-dead-lookup",
         KERNEL,
-        "            if nxt in dead:\n                continue\n            picks.append(i)",
-        "            picks.append(i)",
+        "            if nxt in dead:\n                continue\n            miss = misses[i]",
+        "            miss = misses[i]",
         ("tests/test_kernel.py",),
     ),
     Mutant(
         "exact-cover-dead-record",
         KERNEL,
-        "            picks.pop()\n        dead.add(occ)\n        return False\n\n    try:\n"
+        "                return True\n        dead.add(occ)\n        return False\n\n    try:\n"
         "        if search(0, every):",
-        "            picks.pop()\n        return False\n\n    try:\n"
+        "                return True\n        return False\n\n    try:\n"
         "        if search(0, every):",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "exact-cover-misses",
+        KERNEL,
+        "for v in _vertices(lists[i]):",
+        "for v in _vertices(lists[i])[:1]:",
         ("tests/test_kernel.py",),
     ),
     Mutant(

@@ -206,6 +206,23 @@ class TestCertificates:
         assert fm.is_feasible(h)
         assert verify_duality(h)
 
+    def test_scaled_accepts_any_cover_of_an_edgeless_graph(self):
+        cover = FractionalCover(weights={0: Fraction(1, 3), 4: Fraction(0)})
+        assert cover.scaled(empty_hypergraph(3, 5)) == (3, [1, 0, 0, 0, 0])
+        assert FractionalCover(weights={}).scaled(empty_hypergraph(3, 0)) == (1, [])
+
+    def test_scaled_checks_the_last_edge(self):
+        # the edges are sorted, so (2, 3, 4) is last; the second cover
+        # weighs it 3/4 and every other edge at least 1
+        h = Hypergraph(3, 5, [(0, 1, 2), (0, 2, 3), (0, 3, 4), (1, 2, 4), (2, 3, 4)])
+        assert h.edges[-1] == (2, 3, 4)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        even = FractionalCover(weights=dict.fromkeys(range(5), half))
+        assert even.scaled(h) == (2, [1, 1, 1, 1, 1])
+        low = FractionalCover(weights={0: Fraction(1), 1: half, 2: quarter, 3: quarter, 4: quarter})
+        assert all(sum(low.weights[v] for v in e) >= 1 for e in h.edges[:-1])
+        assert low.scaled(h) is None
+
     def test_feasibility_rejects_bad_certificates(self):
         h = complete_hypergraph(3, 6)
         bad_matching = FractionalMatching(
@@ -402,8 +419,8 @@ def _sparse_partite(seed: int, q: int, p: int) -> PartiteHypergraph:
 
 
 # The packed columns' lane width grows with the vertex count: 64 bits at
-# 40 vertices (struct decode) and 66 at 52 (lane-by-lane decode).
-@pytest.mark.parametrize("q", [10, 13], ids=["lanes-64", "lanes-66"])
+# 40 vertices (struct decode) and 68 at 64 (lane-by-lane decode).
+@pytest.mark.parametrize("q", [10, 16], ids=["lanes-64", "lanes-68"])
 def test_solve_matches_dense_tableau_on_wide_lanes(q):
     graph = _sparse_partite(q, q, 3 * q)
     # a deadline turns a decode fault that cycles into a failure

@@ -117,6 +117,32 @@ class TestDegree:
         assert h.degrees(3)[(0, 1, 2)] == 1
         assert h.degrees(3)[(3, 4, 5)] == 0
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_brute_force_count(self, data):
+        # k = 2, 3, 4 with possibly isolated vertices and possibly no edges;
+        # every size-set with a non-zero count is keyed, and no other is.
+        k = data.draw(st.integers(2, 4))
+        n = data.draw(st.integers(0, 7))
+        edges = data.draw(
+            st.lists(st.sampled_from(list(combinations(range(n), k))), unique=True)
+            if n >= k
+            else st.just([])
+        )
+        h = Hypergraph(k, n, edges)
+        for size in range(1, k):
+            want = {
+                sub: brute_degree(h.edges, sub)
+                for sub in combinations(range(n), size)
+                if brute_degree(h.edges, sub)
+            }
+            assert dict(h.degrees(size)) == want, size
+
+    def test_empty_graph_has_no_degrees(self):
+        for size in (1, 2):
+            assert empty_hypergraph(3, 5).degrees(size) == {}
+            assert Hypergraph(3, 0, []).degrees(size) == {}
+
 
 class TestMinDegree:
     def test_complete_six(self):
@@ -138,6 +164,14 @@ class TestMinDegree:
             h.min_degree(0)
         with pytest.raises(ValueError):
             h.min_degree(3)
+
+    @pytest.mark.parametrize("n, size", [(1, 2), (0, 1), (0, 2)])
+    def test_too_few_vertices(self, n, size):
+        with pytest.raises(ValueError, match=f"need at least {size} vertices, got {n}"):
+            Hypergraph(3, n, []).min_degree(size)
+
+    def test_as_many_vertices_as_the_size(self):
+        assert Hypergraph(3, 2, []).min_degree(2) == 0
 
 
 class TestLink:
