@@ -5,33 +5,37 @@ one induced on A union T have perfect matchings: the matching reserved
 on T can be locally rewired to also cover A.  The constructor follows a
 fixed double-matching wiring (six edges covering T, seven covering
 A union T, overlapping on six class vertices); the verifier only cares
-about the induced perfect matchings, not the wiring.  Every body and
-target is built by ``BalancedSet.from_vertices``, the one check of
-their ids and balance.  Each induced subgraph is searched on the graph
-itself, through the solvers' ``vertices`` input, so no subgraph is
-built or relabelled.  Absorption searches only where no proof is
-stored: a leftover piece that is an unused gadget's own target takes
-the joint matching that gadget already holds, before any other gadget
-is tried, and any other piece is searched on a gadget's body plus the
-piece.  Stored and assembled matchings are checked against the graph
-by the one matching check, :func:`~rainbow_lab.solvers.is_matching_of`.
+about the induced perfect matchings, not the wiring.  The constructor
+searches on bitsets: each bridge's candidates are one int, and each
+vertex's row (the edges through it, as candidates) is tested once per
+call.  Every body and target is built by ``BalancedSet.from_vertices``,
+the one check of their ids and balance.  Each induced subgraph is
+searched on the graph itself, through the solvers' ``vertices`` input,
+so no subgraph is built or relabelled.  Absorption searches only where
+no proof is stored: a leftover piece that is an unused gadget's own
+target takes the joint matching that gadget already holds, before any
+other gadget is tried, and any other piece is searched on a gadget's
+body plus the piece.  Stored and assembled matchings are checked
+against the graph by the one matching check,
+:func:`~rainbow_lab.solvers.is_matching_of`.
 
 :func:`absorb_scenario` runs the whole procedure on a balanced graph:
 one gadget per target, a maximum matching of the vertices the bodies
 leave, and absorption of that matching's leftover through the pool.
 It checks the balance before any search, since a leftover of an
-unbalanced graph cannot be split into balanced 4-sets.
+unbalanced graph cannot be split into balanced 4-sets.  Its helper
+candidates come from each class vertex's run of edges by the same
+anchor rule as :func:`popular_vertices`, with no family built.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations, compress, permutations, repeat
 from typing import Iterable, Optional, Sequence
 
-from .constructions import HypergraphFamily, PartiteHypergraph, partite_to_family
+from .constructions import HypergraphFamily, PartiteHypergraph
 from .hypergraph import Hypergraph
 from .kernel import _deadline, _time_left
 from .solvers import (
@@ -50,9 +54,10 @@ BODY_Q = 6
 BODY_P = 18
 BODY_SIZE = BODY_Q + BODY_P  # 24 vertices: 6 class + 18 others
 
-# A gadget search node costs 0.24-0.29 ms on a sparse n = 24, q = 8
-# graph (p = 0.06; one Intel Xeon core), so this budget runs out in ~27 s,
-# within ``DEFAULT_TIMEOUT``; 10**6 nodes would take ~270 s.
+# A gadget search node costs ~7 us on a sparse n = 24, q = 8 graph
+# (p = 0.06, seed 3 of the gadget pins, which no budget up to 10**5
+# decides; one Intel Xeon core, Python 3.11), so this budget runs out in
+# ~0.7 s, far within ``DEFAULT_TIMEOUT``, and names the stop.
 DEFAULT_NODE_BUDGET = 10**5
 
 
@@ -147,31 +152,60 @@ def is_absorbing(
     return True, (pm_body, pm_joint)
 
 
+def _anchor(
+    edges: Sequence[tuple[int, ...]], vertices: range
+) -> tuple[int, tuple[int, ...]]:
+    """The anchor rule: a vertex of ``vertices`` of least degree in
+    ``edges`` (ties to the smallest id), and the vertices of ``vertices``
+    that share an edge with it.  Edge vertices outside ``vertices`` (a
+    class vertex heading its run) are not counted."""
+    if not vertices:
+        raise ValueError("anchor needs at least one vertex")
+    deg = Counter(chain.from_iterable(edges))
+    anchor = min(vertices, key=lambda v: (deg[v], v))
+    reach = set(chain.from_iterable(e for e in edges if anchor in e))
+    return anchor, tuple(v for v in vertices if v in reach and v != anchor)
+
+
 def low_degree_anchor(member: Hypergraph) -> tuple[int, tuple[int, ...]]:
     """A minimum-degree vertex and everything adjacent to it.
 
     Ties go to the smallest id.  An isolated anchor has an empty
     neighborhood.
     """
-    if member.n_vertices == 0:
-        raise ValueError("anchor needs at least one vertex")
-    deg = Counter(chain.from_iterable(member.edges))
-    anchor = min(range(member.n_vertices), key=lambda v: (deg[v], v))
-    reach = {v for e in member.edges if anchor in e for v in e}
-    reach.discard(anchor)
-    return anchor, tuple(sorted(reach))
+    return _anchor(member.edges, range(member.n_vertices))
+
+
+def _popular(reaches: Iterable[tuple[int, ...]], threshold: int) -> tuple[int, ...]:
+    """The vertices in at least ``threshold`` of the anchors' reaches."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    counts = Counter(chain.from_iterable(reaches))
+    return tuple(sorted(v for v, c in counts.items() if c >= threshold))
 
 
 def popular_vertices(
     family: HypergraphFamily, threshold: int
 ) -> tuple[int, ...]:
     """Vertices adjacent to at least ``threshold`` members' anchors."""
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    counts = Counter(
-        v for member in family.members for v in low_degree_anchor(member)[1]
-    )
-    return tuple(sorted(v for v, c in counts.items() if c >= threshold))
+    return _popular((low_degree_anchor(m)[1] for m in family.members), threshold)
+
+
+# The set bits of each byte value, for ``_bits``.
+_BYTE_BITS = [tuple(i for i in range(8) if b >> i & 1) for b in range(256)]
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative ``mask``, ascending, in time linear
+    in its bytes plus its set bits: the zero bytes are skipped in C.
+    ``kernel._vertices`` clears one bit per step, so its cost grows with
+    the width times the set bits, which is fine for vertex masks but not
+    for candidate masks of thousands of bits."""
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    out: list[int] = []
+    for i in compress(range(len(data)), data):
+        out += map((i << 3).__add__, _BYTE_BITS[data[i]])
+    return out
 
 
 def build_gadget(
@@ -197,6 +231,13 @@ def build_gadget(
     set of the bridges' reserved matching ``pm_body``.  All choices are
     explored in canonical order under a node budget, so the result is
     deterministic.
+
+    A bridge's candidates (u, x, y) are one int, bit ``k * C(p, 2) + r``
+    for u the k-th class vertex other than the target's and (x, y) the
+    r-th pair of other vertices, so bit order is tuple order.  A
+    vertex's row marks the (u, x, y) with u, x, y and the vertex forming
+    an edge; rows are tested only on the pairs that the rewire edges
+    tried so far leave free, and kept until the call returns.
     """
     target_set = BalancedSet.from_vertices(target, graph, "target")
     if len(target_set) != 4:
@@ -211,11 +252,46 @@ def build_gadget(
     pool = sorted(set(graph._check_vertices(candidates, "candidates")) - set(a_part))
     pool = [v for v in pool if v >= graph.q_size]
     edge_set = set(graph.edges)
-    q_free_all = [u for u in graph.q_vertices() if u != u_target]
+    q_free = [u for u in graph.q_vertices() if u != u_target]
     nodes_left = node_budget
     deadline = _deadline(timeout)
 
     link_edges = graph.link(u_target).edges
+
+    pairs = list(combinations(graph.p_vertices(), 2))
+    n_pairs = len(pairs)
+    n_slots = len(q_free) * n_pairs
+    xs, ys = zip(*pairs)
+    # touch[v]: the pairs holding v.  slots[v]: the candidates holding v,
+    # so a pick's clash mask is the OR over its three vertices.
+    touch = [0] * graph.n_vertices
+    for r, (x, y) in enumerate(pairs):
+        touch[x] |= 1 << r
+        touch[y] |= 1 << r
+    bit = [1 << r for r in range(n_pairs)]
+    every_pair = (1 << n_pairs) - 1
+    spread = sum(1 << k * n_pairs for k in range(len(q_free)))
+    slots = [t * spread for t in touch]
+    for k, u in enumerate(q_free):
+        slots[u] = every_pair << k * n_pairs
+    rows = [0] * graph.n_vertices
+    tested = [0] * graph.n_vertices  # the pairs each row is correct on
+
+    def row(v: int, free: int) -> int:
+        new = free & ~tested[v]
+        if new:
+            tested[v] |= new
+            rs = _bits(new)
+            # v placed among x < y, by column: after u, the sorted edge
+            # u + {v, x, y}.
+            cols = list(zip(*[
+                (v, x, y) if v < x else (x, v, y) if v < y else (x, y, v)
+                for x, y in map(pairs.__getitem__, rs)
+            ]))
+            for k, u in enumerate(q_free):
+                hits = compress(rs, map(edge_set.__contains__, zip(repeat(u), *cols)))
+                rows[v] |= sum(map(bit.__getitem__, hits)) << k * n_pairs
+        return rows[v]
 
     def spend() -> None:
         nonlocal nodes_left
@@ -224,51 +300,38 @@ def build_gadget(
             raise SolverTimeout(f"gadget search exceeded {node_budget} nodes")
         _time_left(deadline, "gadget search")
 
-    def bridge_candidates(
-        lv: int, rv: int, used_p: set
-    ) -> list[tuple[int, int, int]]:
-        free = [p for p in graph.p_vertices() if p not in used_p]
-        out = []
-        # Each edge is sorted by placing lv or rv among x < y: the class
-        # vertex u lies below every other vertex, and lv, rv outside
-        # ``free``.
-        for u in q_free_all:
-            for x, y in combinations(free, 2):
-                left_edge = (u, lv, x, y) if lv < x else (u, x, lv, y) if lv < y else (u, x, y, lv)
-                if left_edge not in edge_set:
-                    continue
-                right_edge = (u, rv, x, y) if rv < x else (u, x, rv, y) if rv < y else (u, x, y, rv)
-                if right_edge in edge_set:
-                    out.append((u, x, y))
-        return out
-
-    def place(
-        live: dict[int, list[tuple[int, int, int]]],
-    ) -> Optional[dict[int, tuple[int, int, int]]]:
+    def place(live: dict[int, int]) -> Optional[dict[int, int]]:
         # One pick per open bridge in ``live``, pairwise disjoint, by
-        # recursion: each pick hands the rest a freshly filtered copy,
-        # so a failed pick has nothing to undo.  The most constrained
-        # bridge is filled first and candidates are ordered by how
-        # little they collide with the other bridges' remaining options
-        # (ties canonical); scarce vertices then get rationed greedily
-        # instead of being discovered by exponential backtracking.
+        # recursion: each pick hands the rest their masks less the pick's
+        # clash mask, so a failed pick has nothing to undo.  The most
+        # constrained bridge is filled first and candidates are ordered
+        # by how many of the other bridges' remaining candidates share a
+        # vertex with them (ties canonical); scarce vertices then get
+        # rationed greedily instead of being discovered by exponential
+        # backtracking.
         if not live:
             return {}
-        pivot = min(live, key=lambda j: (len(live[j]), j))
-        rest = {j: cands for j, cands in live.items() if j != pivot}
-        usage = Counter(chain.from_iterable(chain.from_iterable(rest.values())))
-        for cand in sorted(
-            live[pivot],
-            key=lambda c: (usage[c[0]] + usage[c[1]] + usage[c[2]], c),
-        ):
+        pivot = min(live, key=lambda j: (live[j].bit_count(), j))
+        cands = live.pop(pivot)
+        if not cands:
+            return None
+        use = [0] * graph.n_vertices
+        for v, held in enumerate(slots):
+            if cands & held:
+                use[v] = sum((m & held).bit_count() for m in live.values())
+        # (usage, slot) as one int, so that no key tuple is built.
+        order = sorted([
+            (use[q_free[s // n_pairs]] + use[xs[s % n_pairs]] + use[ys[s % n_pairs]])
+            * n_slots + s
+            for s in _bits(cands)
+        ])
+        for key in order:
             spend()
-            taken = set(cand)
-            got = place({
-                j: [c for c in cands if taken.isdisjoint(c)]
-                for j, cands in rest.items()
-            })
+            k, r = divmod(key % n_slots, n_pairs)
+            clash = slots[q_free[k]] | slots[xs[r]] | slots[ys[r]]
+            got = place({j: m & ~clash for j, m in live.items()})
             if got is not None:
-                got[pivot] = cand
+                got[pivot] = (q_free[k], xs[r], ys[r])
                 return got
         return None
 
@@ -277,15 +340,17 @@ def build_gadget(
         for e in link_edges:
             if not set(e).isdisjoint(left):
                 continue
-            # The six orders of the rewire edge share ``used_p``, and so
-            # the candidates of each (left, right) pair: 12 pairs in all.
-            pair_candidates = cache(partial(bridge_candidates, used_p={*left, *e}))
+            # The six orders of the rewire edge share the free pairs, and
+            # so each vertex's row on them.
+            free = every_pair
+            for v in (*left, *e):
+                free &= ~touch[v]
+            free_slots = free * spread
+            free_row = {v: row(v, free) & free_slots for v in (*left, *e)}
             for rewire in permutations(e):
                 spend()
                 right = helpers + rewire
-                got = place({
-                    j: pair_candidates(left[j], right[j]) for j in range(6)
-                })
+                got = place({j: free_row[left[j]] & free_row[right[j]] for j in range(6)})
                 if got is None:
                     continue
                 pm_body = Matching(edges=tuple(sorted(
@@ -384,8 +449,8 @@ def absorb_scenario(
     The graph must be balanced and the targets pairwise disjoint
     (``ValueError``, before any search).  Builds one gadget per target
     (failing loudly when none is found), drawing helper vertices from
-    the vertices popular among the members' low-degree anchors,
-    reserves the bodies, matches the remaining vertices exhaustively,
+    the vertices adjacent to the low-degree anchor of some class
+    vertex's link (:func:`popular_vertices` at threshold 1), reserves the bodies, matches the remaining vertices exhaustively,
     and absorbs the leftover through the pool.  Each gadget is searched
     on the edges that miss the bodies built before it and every other
     target, so the bodies are pairwise disjoint and miss every target.
@@ -401,9 +466,12 @@ def absorb_scenario(
     target_sets = [graph._check_vertices(t, "target") for t in targets]
     if len(set(chain.from_iterable(target_sets))) != sum(map(len, target_sets)):
         raise ValueError("targets must be pairwise disjoint")
-    candidates = [
-        v + graph.q_size for v in popular_vertices(partite_to_family(graph), 1)
-    ]
+    # Class vertex u's run is member u of ``partite_to_family(graph)``
+    # with u in front and every id shifted by q; the shift keeps the
+    # rule's ties, so these are that family's popular vertices, shifted.
+    candidates = _popular(
+        (_anchor(graph._run(u), graph.p_vertices())[1] for u in graph.q_vertices()), 1
+    )
     pool = []
     reserved: set[int] = set()
     for i, target in enumerate(target_sets):

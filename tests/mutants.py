@@ -276,6 +276,21 @@ MUTANTS = [
         ("tests/test_absorbing.py",),
     ),
     Mutant(
+        "gadget-usage-order",
+        ABSORBING,
+        "(use[q_free[s // n_pairs]] + use[xs[s % n_pairs]] + use[ys[s % n_pairs]])\n"
+        "            * n_slots + s",
+        "s",
+        ("tests/test_gadget_search.py",),
+    ),
+    Mutant(
+        "gadget-clash-class",
+        ABSORBING,
+        "clash = slots[q_free[k]] | slots[xs[r]] | slots[ys[r]]",
+        "clash = slots[xs[r]] | slots[ys[r]]",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
         "scenario-avoid",
         ABSORBING,
         "avoid = reserved.union(*target_sets[:i], *target_sets[i + 1 :])",

@@ -27,6 +27,7 @@ from rainbow_lab.constructions import (
     complete_partite,
     extremal_graph,
     family_to_partite,
+    partite_to_family,
 )
 from rainbow_lab.hypergraph import Hypergraph, complete_hypergraph
 from rainbow_lab.solvers import (
@@ -478,6 +479,32 @@ class TestScenario:
         monkeypatch.setattr(absorbing, "max_matching", forbidden)
         with pytest.raises(ValueError, match=rf"absorb scenario needs a balanced graph; got \|Q\|={q}, \|P\|={p}"):
             absorb_scenario(complete_partite(q, p), [(0, q, q + 1, q + 2)])
+
+    @pytest.mark.parametrize("seed, prob", [(1, 0.02), (2, 0.05), (3, 0.1), (4, 0.6)])
+    def test_helper_candidates_are_the_members_anchor_reaches(self, monkeypatch, seed, prob):
+        # The scenario reads each anchor off a class vertex's run; its
+        # helpers must be those of the family the graph reduces to.  Class
+        # vertex 0 lies on no edge, and class vertex u leaves u % 3 random
+        # P vertices at degree 0 in its link, so isolated anchors, empty
+        # reaches and ties to the smallest id all occur.
+        rng = random.Random(seed)
+        edges = []
+        for u in range(1, 8):
+            isolated = set(rng.sample(range(8, 32), u % 3))
+            edges += [
+                (u, *t) for t in combinations(range(8, 32), 3)
+                if isolated.isdisjoint(t) and rng.random() < prob
+            ]
+        graph = PartiteHypergraph(8, 24, edges)
+        seen = []
+
+        def record(target, host, helpers, **kwargs):
+            seen.append(list(helpers))
+
+        monkeypatch.setattr(absorbing, "build_gadget", record)
+        with pytest.raises(AbsorptionError):
+            absorb_scenario(graph, [(0, 8, 9, 10)])
+        assert seen == [[v + 8 for v in popular_vertices(partite_to_family(graph), 1)]]
 
     def test_targets_sharing_a_vertex_rejected(self):
         targets = [(0, 8, 9, 10), (0, 11, 12, 13)]
