@@ -256,7 +256,7 @@ def build_gadget(
     nodes_left = node_budget
     deadline = _deadline(timeout)
 
-    link_edges = graph.link(u_target).edges
+    run = graph._run(u_target)
 
     pairs = list(combinations(graph.p_vertices(), 2))
     n_pairs = len(pairs)
@@ -337,9 +337,13 @@ def build_gadget(
 
     for helpers in permutations(pool, 3):
         left = (*a_part, *helpers)
-        for e in link_edges:
-            if not set(e).isdisjoint(left):
+        taken = set(left)
+        for edge in run:
+            # Every edge of the run holds u_target, which left does not,
+            # so only the rewire edges, disjoint from left, are sliced.
+            if not taken.isdisjoint(edge):
                 continue
+            e = edge[1:]
             # The six orders of the rewire edge share the free pairs, and
             # so each vertex's row on them.
             free = every_pair

@@ -15,13 +15,22 @@ the n x (m + n + 1) tableau it keeps only the n x (n + 1) block
 ``den * B^-1 | den * rhs`` and the n + 1 slack reduced costs.  Each of
 the m edge columns has k ones, so its column and its reduced cost are
 sums over its k vertices, and only the entering edge's column is formed.
-While no slack's reduced cost is positive, no edge's exceeds ``den``,
-and an edge's equals ``den`` exactly when all k of its vertices have
-reduced cost 0.  So the entering edge is the first one inside that zero
-set, found by a scan that stops there; every edge is priced, in
-O(k * m) integer additions, only when no edge lies inside it or a slack
-prices positive.  Either way the column that full pricing picks enters,
-so the pivot path and every stored integer are those of full pricing.
+
+Every edge is priced at every pivot, in one pass over packed lanes.
+With ``inc[v]`` the int that has a 1 in lane j for each edge j through
+v, lane j of ``(den + half) * ones + sum(cbar[v] * inc[v])`` is edge j's
+reduced cost ``den + sum(cbar[v] for v in edge j)`` plus ``half``: n
+big-int multiply-adds and one :mod:`struct` decode, where a list pass
+makes k * m Python additions.  An edge's reduced cost is at most
+``den + k * max|cbar[v]|`` in absolute value, so each pivot takes its
+lane width from that bound plus a sign bit, rounded up to 16, 32 or a
+multiple of 64 bits, and ``inc`` is built once per solve and width, in
+O(k * m).  (A width fixed by Hadamard's bound would exceed 64 bits on
+sparse 80-vertex graphs whose costs fit in far fewer.)  The first
+largest lane is the edge that a list pass picks, so the pivot path and
+every stored integer are those of full pricing.  An early exit that
+entered the first edge whose vertices all have reduced cost 0 measured
+no faster than this pass, so pricing has this one path.
 
 The block is stored by column, each of its n + 1 columns one Python
 int whose n lanes of w bits hold the column's rows as signed integers,
@@ -76,13 +85,12 @@ assert values and certificate feasibility, never specific weights.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from math import isqrt, lcm
-from operator import add, not_
-from struct import Struct
-from typing import Optional
+from typing import Optional, Sequence
 
 from .hypergraph import Hypergraph
 from .kernel import DEFAULT_TIMEOUT, _deadline, _time_left
@@ -155,6 +163,69 @@ class FractionalCover:
         return den, y
 
 
+# struct codes of the lane widths up to 64 bits
+_LANE_CODES = {16: "H", 32: "I", 64: "Q"}
+
+
+def _lane_width(bound: int) -> int:
+    """Bits per lane for signed integers of absolute value at most
+    ``bound``: its bit length plus a sign bit, rounded up to 16, 32 or a
+    multiple of 64, so that lanes decode through :mod:`struct`."""
+    w = bound.bit_length() + 1
+    if w <= 32:
+        return 16 if w <= 16 else 32
+    return -(-w // 64) * 64
+
+
+def _unpack_lanes(packed: int, count: int, width: int) -> Sequence[int]:
+    """The ``count`` unsigned ``width``-bit lanes of a non-negative int,
+    lane 0 lowest; a lane wider than 64 bits is combined from its
+    64-bit words, lowest first."""
+    data = packed.to_bytes(count * width // 8, "little")
+    if width <= 64:
+        return struct.unpack(f"<{count}{_LANE_CODES[width]}", data)
+    r = width // 64
+    words = struct.unpack(f"<{count * r}Q", data)
+    lanes = words[r - 1 :: r]
+    for t in range(r - 2, -1, -1):
+        lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[t::r])]
+    return lanes
+
+
+def _edge_prices(
+    graph: Hypergraph,
+    costs: list[int],
+    den: int,
+    incidence: dict[int, tuple[int, list[int]]],
+) -> tuple[Sequence[int], int]:
+    """``(lanes, half)``: lane j is ``half`` plus the reduced cost
+    ``den + sum(costs[v] for v in graph.edges[j])`` of edge j, all priced
+    in one packed pass (see the module docstring).  Every lane lies in
+    ``[0, 2 * half)``, so the sum decodes lane by lane whatever the
+    borrows between its partial sums.  ``incidence`` keeps
+    ``(ones, inc)`` by lane width for the caller's next pass.
+    """
+    edges = graph.edges
+    width = _lane_width(den + graph.k * max(map(abs, costs), default=0))
+    if width not in incidence:
+        step = width // 8
+        rows = [bytearray(len(edges) * step) for _ in costs]
+        for at, e in zip(range(0, len(edges) * step, step), edges):
+            for v in e:
+                rows[v][at] = 1
+        incidence[width] = (
+            int.from_bytes(b"\x01".ljust(step, b"\x00") * len(edges), "little"),
+            [int.from_bytes(row, "little") for row in rows],
+        )
+    ones, inc = incidence[width]
+    half = 1 << width - 1
+    total = (den + half) * ones
+    for c, row in zip(costs, inc):
+        if c:
+            total += c * row
+    return _unpack_lanes(total, len(edges), width), half
+
+
 def _solve(
     graph: Hypergraph, timeout: Optional[float]
 ) -> tuple[Fraction, FractionalMatching, FractionalCover]:
@@ -179,12 +250,10 @@ def _solve(
     the basis needs no membership set.
 
     The largest positive reduced cost enters, ties to the lowest column
-    (edges before slacks).  All stored ints share the factor ``den``, so
-    they compare as they are.  When no slack's reduced cost is positive,
-    an edge's is at most ``den``, with equality exactly when its vertices
-    all have reduced cost 0, so the first edge inside that zero set
-    enters and no other edge is priced.  Otherwise, or when no edge lies
-    inside the zero set, every edge, then every slack, is priced.  The
+    (edges before slacks): :func:`_edge_prices` prices every edge in one
+    packed pass, its first largest lane is the edge candidate, and a
+    slack enters only when its reduced cost is larger still.  All stored
+    ints share the factor ``den``, so they compare as they are.  The
     leaving row is the lexicographic minimum of
     ``(rhs, den * B^-1 row) / entry`` over the positive entries: rhs
     ratios first, then, only on a tie, lanes i and ``leave`` of the B^-1
@@ -207,9 +276,9 @@ def _solve(
     n = graph.n_vertices
     w = isqrt(graph.k ** max(n - 1, 0) * max(n, graph.k)).bit_length() + 1
     unpack = None
-    for width, code in ((16, "H"), (32, "I"), (64, "Q")):
+    for width, code in _LANE_CODES.items():
         if w <= width:
-            w, unpack = width, Struct(f"<{n}{code}").unpack
+            w, unpack = width, struct.Struct(f"<{n}{code}").unpack
             break
     shifts = range(0, n * w, w)
     half = 1 << w - 1
@@ -227,31 +296,20 @@ def _solve(
     cbar = [0] * (n + 1)  # den * (-y), then -den * objective
     basis = [m + v for v in range(n)]
     den = 1
-    ends = list(zip(*edges))  # ends[i][j] is vertex i of edge j
+    incidence: dict[int, tuple[int, list[int]]] = {}
     while True:
         costs = cbar[:n]
         slack = max(costs, default=0)
-        enter = None
-        if slack <= 0:
-            # No edge prices above den, and one prices at den exactly
-            # when its vertices all have reduced cost 0: the first such
-            # edge is the one full pricing would pick.
-            zero = set(compress(range(n), map(not_, costs)))
-            enter = next(compress(range(m), map(zero.issuperset, edges)), None)
-        if enter is not None:
-            f = den
+        lanes, lane_half = _edge_prices(graph, costs, den, incidence)
+        top = max(lanes, default=lane_half)
+        f = top - lane_half
+        if slack > f:
+            f = slack
+            enter = m + costs.index(slack)
+        elif f > 0:
+            enter = lanes.index(top)
         else:
-            price = [den] * m
-            for end in ends:
-                price = list(map(add, price, map(cbar.__getitem__, end)))
-            f = max(price, default=0)
-            if slack > f:
-                f = slack
-                enter = m + costs.index(slack)
-            elif f > 0:
-                enter = price.index(f)
-            else:
-                break
+            break
         if enter < m:
             entering = sum(map(cols.__getitem__, edges[enter]))
         else:

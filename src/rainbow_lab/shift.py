@@ -10,22 +10,25 @@ own edges all meet the codegree bound it also never deletes an original
 edge, so the fractional matching number is preserved along the way.
 In the pipeline the shift's input is a cover closure: every partite
 4-set of cover weight at least 1, each class ranked by cover weight, so
-it is stable by construction.  The shift ranks each edge once into one
-table: rank key -> edge.  The keys are bucketed by (class rank, rank
-pair) triple, so a round's doomed edges are one bucket, but only at the
-class ranks whose triples can ever be deficient; on most closures there
-are none, and the shift runs no round and builds no bucket.  One
-predicate, :func:`_upward_closed`, checks the input's stability and,
-when a round deleted edges, the result's.  The pipeline shifts at the
-paper's one codegree bound, ``extremal_adjacent_degree_sum(p)``, and its
-one deadline reaches every stage, the shift's rounds included.
+it is stable by construction.  The shift ranks each edge once, into
+one int key, and counts its pair degrees in a list indexed by class
+rank and rank.  The keys are bucketed by (class rank, rank pair)
+triple, so a round's doomed edges are one bucket, but only at the class
+ranks whose triples can ever be deficient; on most closures there are
+none, and the shift runs no round, builds no bucket and returns its
+input.  The deficient triples wait in a heap, so a round costs the
+edges it deletes and the triples they touch, not a scan of every
+bucket.  One predicate, :func:`_upward_closed`, checks the input's
+stability on the int keys and, when a round deleted edges, the
+result's.  The pipeline shifts at the paper's one codegree bound,
+``extremal_adjacent_degree_sum(p)``, and its one deadline reaches every
+stage, the shift's set-up and rounds included.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from heapq import nsmallest
+from heapq import heapify, heappop, heappush, nsmallest
 from itertools import combinations
 from typing import Optional
 
@@ -92,19 +95,40 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
     )
 
 
-def _upward_closed(keys, q_size: int, p_size: int) -> bool:
-    """Upward closure of a collection of rank keys under the shift order.
+# Edges a shift's set-up handles between two polls of its deadline.
+_SETUP_STRIDE = 4096
+
+
+def _polled(items, deadline: float):
+    """The items, polling the deadline after every ``_SETUP_STRIDE``."""
+    for n, item in enumerate(items, 1):
+        if not n % _SETUP_STRIDE:
+            _time_left(deadline, "stability shift")
+        yield item
+
+
+def _upward_closed(keys, q_size: int, p_size: int, deadline: float) -> bool:
+    """Upward closure of a collection of int rank keys under the shift
+    order, the key of class rank i and other-class ranks a < b < c being
+    ``((i * p + a) * p + b) * p + c``.
 
     Checked through single-rank-step successors, which generate the
-    order, so this is equivalent to the all-pairs definition.
+    order, so this is equivalent to the all-pairs definition: a step
+    adds ``p^3``, ``p^2``, ``p`` or 1 to a key.  The deadline is polled
+    after every ``_SETUP_STRIDE`` keys.
     """
-    top = q_size - 1
-    for i, (a, b, c) in keys:
+    p = p_size
+    p2 = p * p
+    p3 = p2 * p
+    top = (q_size - 1) * p3
+    for key in _polled(keys, deadline):
+        a, bc = divmod(key % p3, p2)
+        b, c = divmod(bc, p)
         if (
-            i < top and (i + 1, (a, b, c)) not in keys
-            or a + 1 < b and (i, (a + 1, b, c)) not in keys
-            or b + 1 < c and (i, (a, b + 1, c)) not in keys
-            or c + 1 < p_size and (i, (a, b, c + 1)) not in keys
+            key < top and key + p3 not in keys
+            or a + 1 < b and key + p2 not in keys
+            or b + 1 < c and key + p not in keys
+            or c + 1 < p and key + 1 not in keys
         ):
             return False
     return True
@@ -189,63 +213,123 @@ def stable_shift(
     a selected triple would itself violate the threshold with a smaller
     rank sum.  Ranks in the trace are 0-based.
 
-    Each edge is ranked once.  ``edge_of`` maps the rank keys of the
-    surviving edges to the edges, and ``through[i, a, b]`` buckets those
-    keys by triple (class rank i, other-class ranks a < b): a triple
-    spans an edge while its bucket is non-empty, and the bucket of the
-    selected triple is exactly the edges a round deletes.  Buckets are
-    built only at *weak* class ranks, whose two smallest pair degrees sum
-    to at most ``threshold``: no triple elsewhere is deficient, and pair
-    degrees fall only in rounds at a deficient triple's class rank, so
-    none becomes deficient later.  The survivors are edges of the
-    validated input, so the result is built without re-validation.
+    Each edge is ranked once, into the int key
+    ``((i * p + a) * p + b) * p + c`` of its class rank i and other
+    ranks a < b < c; ``alive`` holds the keys of the surviving edges and
+    ``pair_deg[i * p + j]`` the degree of the pair of ranks (i, j).
+    ``through[t]`` buckets the keys by triple ``t = (i * p + j) * p + k``
+    (j < k): a triple spans an edge while its bucket is non-empty, and
+    the bucket of the selected triple is exactly the edges a round
+    deletes.  Buckets are built only at *weak* class ranks, whose two
+    smallest pair degrees sum to at most ``threshold``: no triple
+    elsewhere is deficient, and pair degrees fall only in rounds at a
+    deficient triple's class rank, so none becomes deficient later.
+
+    The deficient triples wait in a heap ordered by
+    ``(rank sum, i, j, k)``, packed into one int.  Pair degrees only
+    fall and buckets only shrink, so a deficient triple stays deficient
+    until its bucket empties, and an emptied triple is popped when it
+    reaches the top.  After a round at class rank i, only a triple
+    (i, x, y) with x a rank whose pair degree fell can have become
+    deficient: ``with_rank[i * p + x]`` lists those triples, and each
+    that now is deficient is pushed, once, as ``queued`` records.  So
+    the heap's top is the triple a rescan of every bucket would select.
 
     The input is checked to be upward closed, and ``stable`` checks the
-    survivors by the same predicate; a shift that deleted nothing
-    returns its input, so it is stable without a second scan.  The
-    deadline is polled once per round: a shift that runs out of
-    ``timeout`` raises :class:`SolverTimeout`.
+    survivors by the same predicate; a shift that runs no round returns
+    its input itself, stable without a second scan.  The survivors are
+    edges of the validated input, taken in its order, so the result is
+    built without re-validation.  The deadline is polled once per round
+    and, during the set-up, after every ``_SETUP_STRIDE`` edges: a shift
+    that runs out of ``timeout`` raises :class:`SolverTimeout`.
     """
     deadline = _deadline(timeout)
     g = start.graph
-    edge_of = {start.rank_key(e): e for e in g.edges}
-    if not _upward_closed(edge_of, g.q_size, g.p_size):
+    p = g.p_size
+    p2 = p * p
+    pair_deg = [0] * (g.q_size * p)
+    keys = []
+    for e in _polled(g.edges, deadline):
+        i, (a, b, c) = start.rank_key(e)
+        ip = i * p
+        pair_deg[ip + a] += 1
+        pair_deg[ip + b] += 1
+        pair_deg[ip + c] += 1
+        keys.append(((ip + a) * p + b) * p + c)
+    alive = set(keys)
+    if not _upward_closed(alive, g.q_size, p, deadline):
         raise ValueError("shift input must be stable under the given order")
-    pair_deg = Counter((i, j) for i, ranks in edge_of for j in ranks)
-    degs_at: dict[int, list[int]] = {}
-    for (i, _), d in pair_deg.items():
-        degs_at.setdefault(i, []).append(d)
-    weak = {i for i, degs in degs_at.items() if sum(nsmallest(2, degs)) <= threshold}
-    through: dict[tuple[int, int, int], set] = {}
-    for key in edge_of:
-        i, ranks = key
-        if i in weak:
-            for a, b in combinations(ranks, 2):
-                through.setdefault((i, a, b), set()).add(key)
+    weak = [
+        sum(nsmallest(2, filter(None, pair_deg[i * p : i * p + p]))) <= threshold
+        for i in range(g.q_size)
+    ]
+    through: dict[int, set[int]] = {}
+    with_rank: dict[int, list[int]] = {}
+    for key in _polled(keys, deadline) if any(weak) else ():
+        iab, c = divmod(key, p)
+        ia, b = divmod(iab, p)
+        i, a = divmod(ia, p)
+        if not weak[i]:
+            continue
+        ip = i * p
+        for x, y in ((a, b), (a, c), (b, c)):
+            t = (ip + x) * p + y
+            if t not in through:
+                through[t] = set()
+                with_rank.setdefault(ip + x, []).append(t)
+                with_rank.setdefault(ip + y, []).append(t)
+            through[t].add(key)
 
+    # (rank sum, i, j, k) as one int: t orders triples by (i, j, k).
+    span = g.q_size * p2
+    heap = []
+    for t in through:
+        i, jk = divmod(t, p2)
+        j, k = divmod(jk, p)
+        if pair_deg[i * p + j] + pair_deg[i * p + k] <= threshold:
+            heap.append((i + j + k) * span + t)
+    heapify(heap)
+    queued = {h % span for h in heap}
     steps: list[ShiftStep] = []
-    while True:
-        deficient = [
-            (i + j + k, i, j, k)
-            for (i, j, k), keys in through.items()
-            if keys and pair_deg[i, j] + pair_deg[i, k] <= threshold
-        ]
-        if not deficient:
-            break
+    while heap:
+        t = heap[0] % span
+        doomed = through[t]
+        if not doomed:
+            heappop(heap)
+            continue
         _time_left(deadline, "stability shift")
-        _, i, j, k = min(deficient)
-        doomed = list(through[i, j, k])
+        heappop(heap)
+        i, jk = divmod(t, p2)
+        j, k = divmod(jk, p)
+        ip = i * p
+        fell = set()
         for key in doomed:
-            del edge_of[key]
-            pair_deg.subtract((i, x) for x in key[1])
-            for a, b in combinations(key[1], 2):
-                through[i, a, b].remove(key)
+            alive.remove(key)
+            iab, c = divmod(key, p)
+            a, b = divmod(iab - ip * p, p)
+            pair_deg[ip + a] -= 1
+            pair_deg[ip + b] -= 1
+            pair_deg[ip + c] -= 1
+            fell.update((a, b, c))
+            for other in (iab, (ip + a) * p + c, (ip + b) * p + c):
+                if other != t:
+                    through[other].remove(key)
         steps.append(ShiftStep(i, j, k, removed=len(doomed)))
+        doomed.clear()
+        for x in fell:
+            for other in with_rank[ip + x]:
+                if other in queued or not through[other]:
+                    continue
+                y, z = divmod(other - ip * p, p)
+                if pair_deg[ip + y] + pair_deg[ip + z] <= threshold:
+                    queued.add(other)
+                    heappush(heap, (i + y + z) * span + other)
 
-    shifted = start.with_graph(
-        PartiteHypergraph._trusted(g.q_size, g.p_size, sorted(edge_of.values()))
-    )
-    stable = not steps or _upward_closed(edge_of, g.q_size, g.p_size)
+    if not steps:
+        return start, ShiftTrace(steps=(), stable=True)
+    survivors = [e for e, key in zip(g.edges, keys) if key in alive]
+    shifted = start.with_graph(PartiteHypergraph._trusted(g.q_size, p, survivors))
+    stable = _upward_closed(alive, g.q_size, p, deadline)
     return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
 
 
@@ -324,7 +408,7 @@ def fractional_pm_pipeline(
         extremal_adjacent_degree_sum(graph.p_size),
         timeout=_time_left(deadline, "shift pipeline"),
     )
-    containment_ok = set(graph.edges) <= set(shifted.graph.edges)
+    containment_ok = all(map(shifted.graph._has, graph.edges))
 
     matching = None
     if graph.q_size == 0:

@@ -26,7 +26,6 @@ from rainbow_lab.shift import (
     OrderedPartite,
     ShiftStep,
     ShiftTrace,
-    _upward_closed,
 )
 from rainbow_lab.solvers import SolverTimeout, _deadline
 
@@ -129,9 +128,21 @@ def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
 
 def is_stable(order: OrderedPartite) -> bool:
     """Upward closure of the edge set under the shift order, checked
-    through the single-rank steps that ``stable_shift`` uses."""
+    through single-rank steps on ``(class rank, sorted ranks)`` keys.
+
+    The steps generate the order, so this agrees with
+    :func:`brute_is_stable`; it shares no code with the package's own
+    closure check, which steps int keys."""
     g = order.graph
-    return _upward_closed({order.rank_key(e) for e in g.edges}, g.q_size, g.p_size)
+    keys = {order.rank_key(e) for e in g.edges}
+    top = g.q_size - 1
+    return not any(
+        i < top and (i + 1, (a, b, c)) not in keys
+        or a + 1 < b and (i, (a + 1, b, c)) not in keys
+        or b + 1 < c and (i, (a, b + 1, c)) not in keys
+        or c + 1 < g.p_size and (i, (a, b, c + 1)) not in keys
+        for i, (a, b, c) in keys
+    )
 
 
 def brute_is_stable(order) -> bool:

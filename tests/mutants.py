@@ -335,7 +335,7 @@ MUTANTS = [
     Mutant(
         "pipeline-containment",
         SHIFT,
-        "containment_ok = set(graph.edges) <= set(shifted.graph.edges)",
+        "containment_ok = all(map(shifted.graph._has, graph.edges))",
         "containment_ok = True",
         ("tests/test_shift.py",),
     ),
@@ -356,14 +356,35 @@ MUTANTS = [
     Mutant(
         "shift-input-stable",
         SHIFT,
-        "if not _upward_closed(edge_of, g.q_size, g.p_size):",
+        "if not _upward_closed(alive, g.q_size, p, deadline):",
         "if False:",
         ("tests/test_shift.py",),
     ),
     Mutant(
         "shift-round-deadline",
         SHIFT,
-        '        _time_left(deadline, "stability shift")\n',
+        '        _time_left(deadline, "stability shift")\n        heappop(heap)\n',
+        "        heappop(heap)\n",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "shift-setup-deadline",
+        SHIFT,
+        '        if not n % _SETUP_STRIDE:\n            _time_left(deadline, "stability shift")\n',
+        "",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-post-round-push",
+        SHIFT,
+        "                    heappush(heap, (i + y + z) * span + other)\n",
+        "                    pass\n",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "shift-empty-bucket",
+        SHIFT,
+        "        if not doomed:\n            heappop(heap)\n            continue\n",
         "",
         ("tests/test_shift.py",),
     ),
@@ -393,6 +414,13 @@ MUTANTS = [
         FRACTIONAL,
         "prow = [((c + bias) >> s & mask) - half for c in cols]",
         "prow = [((c >> s) + half & mask) - half for c in cols]",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "price-lane-bound",
+        FRACTIONAL,
+        "width = _lane_width(den + graph.k * max(map(abs, costs), default=0))",
+        "width = _lane_width(den + max(map(abs, costs), default=0))",
         ("tests/test_fractional.py",),
     ),
     Mutant(
@@ -472,7 +500,7 @@ UNREACHABLE = [
         Mutant(
             "shift-result-stable",
             SHIFT,
-            "stable = not steps or _upward_closed(edge_of, g.q_size, g.p_size)",
+            "stable = _upward_closed(alive, g.q_size, p, deadline)",
             "stable = True",
             ("tests/test_shift.py",),
         ),

@@ -27,7 +27,7 @@ from rainbow_lab.absorbing import (
 from rainbow_lab.constructions import complete_partite
 from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.kernel import _deadline, _time_left
-from rainbow_lab.shift import fractional_pm_pipeline, stable_shift
+from rainbow_lab.shift import fractional_pm_pipeline, identity_order, stable_shift
 from rainbow_lab.solvers import Matching, SolverTimeout, has_perfect_matching, max_matching
 
 BODY = [*range(1, 7), *range(10, 28)]  # 6 class + 18 other vertices
@@ -157,6 +157,16 @@ def test_pipeline_stages_share_the_deadline(monkeypatch):
     with pytest.raises(SolverTimeout, match="shift pipeline exceeded its deadline"):
         fractional_pm_pipeline(complete_partite(3, 9), timeout=0.05)
     assert len(shifting.timeouts) == len(link.timeouts) == 1
+
+
+def test_shift_setup_polls_the_deadline():
+    # 4,896 edges and threshold 0, so no triple is deficient and no round
+    # runs: only the set-up, polled every _SETUP_STRIDE edges, can expire
+    order = identity_order(complete_partite(6, 18))
+    assert order.graph.n_edges > shift._SETUP_STRIDE
+    assert stable_shift(order, 0, timeout=None)[1].steps == ()
+    with pytest.raises(SolverTimeout, match="stability shift exceeded its deadline"):
+        stable_shift(order, 0, timeout=1e-9)
 
 
 # An experiment trial takes one deadline too: the first solver call gets

@@ -429,3 +429,54 @@ def test_solve_matches_dense_tableau_on_wide_lanes(q):
     assert value == want_value
     assert matching.weights == want_matching.weights
     assert cover.weights == want_cover.weights
+
+
+# -- packed pricing --------------------------------------------------------------
+
+
+def list_prices(graph, costs, den):
+    return [den + sum(costs[v] for v in e) for e in graph.edges]
+
+
+# Costs up to 2^bits in absolute value take lanes of ``width`` bits; no
+# LP of the suite prices on lanes over 64 bits, so 128 is reached here.
+@pytest.mark.parametrize("bits, width", [(8, 16), (20, 32), (40, 64), (70, 128)])
+def test_edge_prices_decode_as_list_pricing(bits, width):
+    rng = random.Random(bits)
+    graph = Hypergraph(4, 12, [e for e in combinations(range(12), 4) if rng.random() < 0.3])
+    top = 1 << bits
+    for trial in range(20):
+        costs = [rng.randint(-top, top) for _ in range(12)]
+        costs[trial % 12] = rng.choice((-top, top))
+        den = rng.randint(1, top)
+        incidence = {}
+        lanes, half = fractional._edge_prices(graph, costs, den, incidence)
+        assert [x - half for x in lanes] == list_prices(graph, costs, den)
+        assert list(incidence) == [width]
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 128])
+def test_edge_prices_at_the_lane_bound(width):
+    # den + max|cost| just fits a lane of this width, but an edge sums k
+    # costs, so every lane is sized for den + k * max|cost|: equal costs
+    # on all four vertices reach that bound in both directions
+    graph = complete_hypergraph(4, 8)
+    top = (1 << width - 2) - 2
+    for costs in ([-top] * 8, [top] * 8, [top, -top] * 4):
+        lanes, half = fractional._edge_prices(graph, costs, 1, {})
+        assert [x - half for x in lanes] == list_prices(graph, costs, 1)
+
+
+def test_edge_prices_keep_one_incidence_per_width():
+    graph = complete_hypergraph(3, 7)
+    incidence = {}
+    for top, den in ((5, 1), (1 << 40, 3), (7, 2)):
+        costs = [top, -top, 0, 1, 0, -1, top]
+        lanes, half = fractional._edge_prices(graph, costs, den, incidence)
+        assert [x - half for x in lanes] == list_prices(graph, costs, den)
+    assert sorted(incidence) == [16, 64]
+
+
+def test_edge_prices_of_an_edgeless_graph():
+    lanes, _ = fractional._edge_prices(empty_hypergraph(3, 4), [1, -2, 0, 3], 5, {})
+    assert list(lanes) == []

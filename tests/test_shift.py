@@ -249,6 +249,17 @@ class TestStableShift:
         shifted, trace = stable_shift(order, threshold=100)
         assert shifted.graph.n_edges == 0 and trace.steps == ()
 
+    def test_no_round_returns_the_input_itself(self):
+        # p = 0 leaves no 4-set at all; the complete graph has no
+        # deficient triple at threshold 0
+        for order in (
+            identity_order(PartiteHypergraph(2, 0, [])),
+            identity_order(complete_partite(2, 6)),
+        ):
+            shifted, trace = stable_shift(order, 0)
+            assert shifted is order and trace.steps == () and trace.stable
+        assert fractional_pm_pipeline(PartiteHypergraph(0, 0, [])).found
+
     def test_rejects_unstable_input(self):
         pg = PartiteHypergraph(2, 6, [(0, 2, 3, 4)])
         with pytest.raises(ValueError):
@@ -330,6 +341,37 @@ class TestStableShift:
                     assert trace == want_trace
                     rounds.add(bool(trace.steps))
         assert rounds == {False, True}
+
+    def test_matches_reference_when_triples_turn_deficient(self):
+        # The heap starts with the triples deficient on the input; the
+        # others must be pushed when a round lowers one of their pair
+        # degrees.  The tight closure and two of the random ones select
+        # a triple that was not deficient on the input.
+        rng = random.Random(59)
+        closures = []
+        for _ in range(12):
+            q = rng.randint(2, 3)
+            p = 3 * q + rng.randint(0, 2)
+            closure = cover_closure(PartiteHypergraph(q, p, []), random_cover(rng, q + p))
+            closures.append((closure, rng.randint(0, (p - 1) * (p - 2))))
+        pg = extremal_partite(9)
+        tight = cover_closure(pg, min_fractional_cover(pg)[1])
+        closures.append((tight, extremal_adjacent_degree_sum(9)))
+        late = 0
+        for closure, threshold in closures:
+            shifted, trace = stable_shift(closure, threshold)
+            want, want_trace = reference_stable_shift(closure, threshold)
+            assert shifted.graph.edges == want.graph.edges
+            assert trace == want_trace
+            pair_deg = closure.graph.degrees(2)
+            u = closure.q_order
+            v = closure.p_order
+            late += any(
+                pair_deg[u[s.q_rank], v[s.p_rank_low]] + pair_deg[u[s.q_rank], v[s.p_rank_high]]
+                > threshold
+                for s in trace.steps
+            )
+        assert late >= 3
 
     def test_ranks_each_edge_once(self, monkeypatch):
         pg = extremal_partite(9)
