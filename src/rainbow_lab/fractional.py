@@ -16,48 +16,57 @@ the n x (m + n + 1) tableau it keeps only the n x (n + 1) block
 the m edge columns has k ones, so its column and its reduced cost are
 sums over its k vertices, and only the entering edge's column is formed.
 
+Both packed stores below, the edge prices and the columns, hold signed
+integers in the lanes of one Python int, lane j in bits ``j * w`` up,
+each read as its w bits less ``half = 2^(w - 1)``.  One rule,
+:func:`_lane_width`, sizes a lane for integers of absolute value at
+most a bound: the bound's bit length plus a sign bit, rounded up to 16,
+32 or 64 bits, and beyond 64 bits to a whole number of bytes.  One
+decoder, :func:`_unpack_lanes`, reads the lanes: through :mod:`struct`
+up to 64 bits, one ``int.from_bytes`` slice per lane beyond.  Whole
+bytes rather than 64-bit words keep wide lanes narrow (a 68-bit lane
+takes 72 bits, not 128), and every big-int update of the simplex is as
+wide as its lanes.
+
 Every edge is priced at every pivot, in one pass over packed lanes.
 With ``inc[v]`` the int that has a 1 in lane j for each edge j through
 v, lane j of ``(den + half) * ones + sum(cbar[v] * inc[v])`` is edge j's
 reduced cost ``den + sum(cbar[v] for v in edge j)`` plus ``half``: n
-big-int multiply-adds and one :mod:`struct` decode, where a list pass
-makes k * m Python additions.  An edge's reduced cost is at most
+big-int multiply-adds and one decode, where a list pass makes k * m
+Python additions.  An edge's reduced cost is at most
 ``den + k * max|cbar[v]|`` in absolute value, so each pivot takes its
-lane width from that bound plus a sign bit, rounded up to 16, 32 or a
-multiple of 64 bits, and ``inc`` is built once per solve and width, in
-O(k * m).  (A width fixed by Hadamard's bound would exceed 64 bits on
-sparse 80-vertex graphs whose costs fit in far fewer.)  The first
-largest lane is the edge that a list pass picks, so the pivot path and
-every stored integer are those of full pricing.  An early exit that
-entered the first edge whose vertices all have reduced cost 0 measured
-no faster than this pass, so pricing has this one path.
+lane width from that bound, and ``inc`` is built once per solve and
+width, in O(k * m).  (A width fixed by Hadamard's bound would exceed 64
+bits on sparse 80-vertex graphs whose costs fit in far fewer.)  The
+first largest lane is the edge that a list pass picks, so the pivot
+path and every stored integer are those of full pricing.  An early exit
+that entered the first edge whose vertices all have reduced cost 0
+measured no faster than this pass, so pricing has this one path.
 
 The block is stored by column, each of its n + 1 columns one Python
-int whose n lanes of w bits hold the column's rows as signed integers,
-row i in bits ``i * w`` up.  Only the n rows of ``[A | I | 1]`` are
-packed (the constraint matrix A, the slacks and the rhs); the reduced
-costs stay a list.  So every packed integer (an entry of
-``den * B^-1``, of the rhs or of an entering column) is, by Cramer's
-rule, a minor of order at most n of ``[A | I | 1]``, and Hadamard's
-inequality bounds it by the product of its column norms: at most
-sqrt(k) for an edge, 1 for a slack and sqrt(n) for the rhs, which a
-minor uses at most once.  Its square is thus at most
-``k^(n - 1) * max(n, k)``, and w, fixed once per solve, is the bit
-length of that bound's integer square root plus one for the sign
-(rounded up to 16, 32 or 64 when it fits, so that a column decodes
-through :mod:`struct`).  Packing is linear, so a column is updated as
-a whole: an edge's column is the sum of its k vertices' columns, and a
-pivot maps each column C, with entry p in the pivot row, to
-``(piv * C - p * E') // den``.  Each lane of the dividend is the
-Bareiss update of that row, an exact multiple of ``den``, so the whole
-int divides exactly and lane by lane; the dividend's lanes may outgrow
-w bits, but only the quotient, a stored integer, is ever decoded.  E'
-is the entering column with ``den`` taken from the pivot lane, which
-keeps the pivot row's entries.  A pivot thus makes n + 1 big-int
-updates where a store by row makes n(n + 1) small ones.  Every lane
-decodes to the integer a store by row holds, and pricing, the ratio
-test and the certificates read only decoded values, so the pivot path
-and both certificates are those of the dense tableau.
+int whose lane i of w bits holds the column's row i.  Only the n rows
+of ``[A | I | 1]`` are packed (the constraint matrix A, the slacks and
+the rhs); the reduced costs stay a list.  So every packed integer (an
+entry of ``den * B^-1``, of the rhs or of an entering column) is, by
+Cramer's rule, a minor of order at most n of ``[A | I | 1]``, and
+Hadamard's inequality bounds it by the product of its column norms: at
+most sqrt(k) for an edge, 1 for a slack and sqrt(n) for the rhs, which
+a minor uses at most once.  Its square is thus at most
+``k^(n - 1) * max(n, k)``, and w, fixed once per solve, is the lane
+width for that bound's integer square root.  Packing is linear, so a
+column is updated as a whole: an edge's column is the sum of its k
+vertices' columns, and a pivot maps each column C, with entry p in the
+pivot row, to ``(piv * C - p * E') // den``.  Each lane of the
+dividend is the Bareiss update of that row, an exact multiple of
+``den``, so the whole int divides exactly and lane by lane; the
+dividend's lanes may outgrow w bits, but only the quotient, a stored
+integer, is ever decoded.  E' is the entering column with ``den``
+taken from the pivot lane, which keeps the pivot row's entries.  A
+pivot thus makes n + 1 big-int updates where a store by row makes
+n(n + 1) small ones.  Every lane decodes to the integer a store by row
+holds, and pricing, the ratio test and the certificates read only
+decoded values, so the pivot path and both certificates are those of
+the dense tableau.
 
 Pivots follow Dantzig's rule, the largest reduced cost enters, with
 the lexicographic ratio test of Dantzig, Orden and Wolfe (Pacific J.
@@ -169,27 +178,26 @@ _LANE_CODES = {16: "H", 32: "I", 64: "Q"}
 
 def _lane_width(bound: int) -> int:
     """Bits per lane for signed integers of absolute value at most
-    ``bound``: its bit length plus a sign bit, rounded up to 16, 32 or a
-    multiple of 64, so that lanes decode through :mod:`struct`."""
+    ``bound``: the lane rule of the module docstring."""
     w = bound.bit_length() + 1
-    if w <= 32:
-        return 16 if w <= 16 else 32
-    return -(-w // 64) * 64
+    for width in _LANE_CODES:
+        if w <= width:
+            return width
+    return -(-w // 8) * 8
 
 
 def _unpack_lanes(packed: int, count: int, width: int) -> Sequence[int]:
     """The ``count`` unsigned ``width``-bit lanes of a non-negative int,
-    lane 0 lowest; a lane wider than 64 bits is combined from its
-    64-bit words, lowest first."""
+    lane 0 lowest: through :mod:`struct` up to 64 bits, one byte slice
+    per lane beyond."""
     data = packed.to_bytes(count * width // 8, "little")
-    if width <= 64:
+    if width in _LANE_CODES:
         return struct.unpack(f"<{count}{_LANE_CODES[width]}", data)
-    r = width // 64
-    words = struct.unpack(f"<{count * r}Q", data)
-    lanes = words[r - 1 :: r]
-    for t in range(r - 2, -1, -1):
-        lanes = [hi << 64 | lo for hi, lo in zip(lanes, words[t::r])]
-    return lanes
+    step = width // 8
+    return [
+        int.from_bytes(data[at : at + step], "little")
+        for at in range(0, len(data), step)
+    ]
 
 
 def _edge_prices(
@@ -274,12 +282,7 @@ def _solve(
     edges = graph.edges
     m = len(edges)
     n = graph.n_vertices
-    w = isqrt(graph.k ** max(n - 1, 0) * max(n, graph.k)).bit_length() + 1
-    unpack = None
-    for width, code in _LANE_CODES.items():
-        if w <= width:
-            w, unpack = width, struct.Struct(f"<{n}{code}").unpack
-            break
+    w = _lane_width(isqrt(graph.k ** max(n - 1, 0) * max(n, graph.k)))
     shifts = range(0, n * w, w)
     half = 1 << w - 1
     mask = (1 << w) - 1
@@ -287,10 +290,7 @@ def _solve(
     bias = half * ones
 
     def decode(col: int) -> list[int]:
-        col += bias
-        if unpack:
-            return [x - half for x in unpack(col.to_bytes(n * w // 8, "little"))]
-        return [(col >> s & mask) - half for s in shifts]
+        return [x - half for x in _unpack_lanes(col + bias, n, w)]
 
     cols = [1 << s for s in shifts] + [ones]
     cbar = [0] * (n + 1)  # den * (-y), then -den * objective

@@ -22,7 +22,7 @@ bucket.  One predicate, :func:`_upward_closed`, checks the input's
 stability on the int keys and, when a round deleted edges, the
 result's.  The pipeline shifts at the paper's one codegree bound,
 ``extremal_adjacent_degree_sum(p)``, and its one deadline reaches every
-stage, the shift's set-up and rounds included.
+stage, the cover closure and the shift's set-up and rounds included.
 """
 
 from __future__ import annotations
@@ -135,7 +135,9 @@ def _upward_closed(keys, q_size: int, p_size: int, deadline: float) -> bool:
 
 
 def cover_closure(
-    graph: PartiteHypergraph, cover: FractionalCover
+    graph: PartiteHypergraph,
+    cover: FractionalCover,
+    timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> OrderedPartite:
     """All partite 4-sets whose cover weight reaches 1, each class ranked
     by ascending cover weight, ties by vertex id.
@@ -146,8 +148,11 @@ def cover_closure(
     the edge set is upward closed, hence stable under the order returned
     with it, and it contains every edge of the covered graph.  The edges
     are generated in canonical sorted order, so the graph is built
-    without re-validation.
+    without re-validation.  The deadline is polled once per class
+    vertex: a closure that runs out of ``timeout`` raises
+    :class:`SolverTimeout`.
     """
+    deadline = _deadline(timeout)
     scaled = cover.scaled(graph)
     if scaled is None:
         raise ValueError("weights do not form a fractional cover of the graph")
@@ -158,6 +163,7 @@ def cover_closure(
     ]
     edges = []
     for u in graph.q_vertices():
+        _time_left(deadline, "cover closure")
         need = den - at[u]
         edges.extend((u,) + trio for trio, total in trios if total >= need)
     closed = PartiteHypergraph._trusted(graph.q_size, graph.p_size, edges)
@@ -390,8 +396,8 @@ def fractional_pm_pipeline(
     survived the shift the fractional matching number of the input must
     equal the class size; ``value_check`` records that cross-check
     against the optimum of the cover LP, whose value equals the
-    fractional matching number by LP duality.  Every stage, the shift
-    included, runs on the time left of one ``timeout``.
+    fractional matching number by LP duality.  Every stage, the closure
+    and the shift included, runs on the time left of one ``timeout``.
 
     ``found`` reports the construction only.  When the shift deletes
     input edges, the link can lack a perfect matching although tau* = q,
@@ -402,7 +408,9 @@ def fractional_pm_pipeline(
         raise ValueError("pipeline needs a balanced partite graph")
     deadline = _deadline(timeout)
     tau, cover = min_fractional_cover(graph, timeout=timeout)
-    closure = cover_closure(graph, cover)
+    closure = cover_closure(
+        graph, cover, timeout=_time_left(deadline, "shift pipeline")
+    )
     shifted, trace = stable_shift(
         closure,
         extremal_adjacent_degree_sum(graph.p_size),

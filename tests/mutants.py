@@ -405,8 +405,8 @@ MUTANTS = [
     Mutant(
         "solve-sign-bias",
         FRACTIONAL,
-        "        col += bias\n",
-        "",
+        "_unpack_lanes(col + bias, n, w)",
+        "_unpack_lanes(col, n, w)",
         ("tests/test_fractional.py",),
     ),
     Mutant(
@@ -414,6 +414,13 @@ MUTANTS = [
         FRACTIONAL,
         "prow = [((c + bias) >> s & mask) - half for c in cols]",
         "prow = [((c >> s) + half & mask) - half for c in cols]",
+        ("tests/test_fractional.py",),
+    ),
+    Mutant(
+        "unpack-byte-slice",
+        FRACTIONAL,
+        'int.from_bytes(data[at : at + step], "little")',
+        'int.from_bytes(data[at : at + step - 1], "little")',
         ("tests/test_fractional.py",),
     ),
     Mutant(

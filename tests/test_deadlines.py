@@ -27,7 +27,12 @@ from rainbow_lab.absorbing import (
 from rainbow_lab.constructions import complete_partite
 from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.kernel import _deadline, _time_left
-from rainbow_lab.shift import fractional_pm_pipeline, identity_order, stable_shift
+from rainbow_lab.shift import (
+    cover_closure,
+    fractional_pm_pipeline,
+    identity_order,
+    stable_shift,
+)
 from rainbow_lab.solvers import Matching, SolverTimeout, has_perfect_matching, max_matching
 
 BODY = [*range(1, 7), *range(10, 28)]  # 6 class + 18 other vertices
@@ -167,6 +172,16 @@ def test_shift_setup_polls_the_deadline():
     assert stable_shift(order, 0, timeout=None)[1].steps == ()
     with pytest.raises(SolverTimeout, match="stability shift exceeded its deadline"):
         stable_shift(order, 0, timeout=1e-9)
+
+
+def test_cover_closure_polls_the_deadline():
+    # the closure is polled once per class vertex, before it builds that
+    # vertex's edges, so an expired deadline stops it at the first
+    graph = complete_partite(3, 9)
+    cover = min_fractional_cover(graph, timeout=None)[1]
+    assert cover_closure(graph, cover, timeout=None).graph.n_edges == 252
+    with pytest.raises(SolverTimeout, match="cover closure exceeded its deadline"):
+        cover_closure(graph, cover, timeout=1e-9)
 
 
 # An experiment trial takes one deadline too: the first solver call gets

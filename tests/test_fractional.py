@@ -419,8 +419,8 @@ def _sparse_partite(seed: int, q: int, p: int) -> PartiteHypergraph:
 
 
 # The packed columns' lane width grows with the vertex count: 64 bits at
-# 40 vertices (struct decode) and 68 at 64 (lane-by-lane decode).
-@pytest.mark.parametrize("q", [10, 16], ids=["lanes-64", "lanes-68"])
+# 40 vertices (struct decode) and 72 at 64 (byte-slice decode).
+@pytest.mark.parametrize("q", [10, 16], ids=["lanes-64", "lanes-72"])
 def test_solve_matches_dense_tableau_on_wide_lanes(q):
     graph = _sparse_partite(q, q, 3 * q)
     # a deadline turns a decode fault that cycles into a failure
@@ -431,6 +431,31 @@ def test_solve_matches_dense_tableau_on_wide_lanes(q):
     assert cover.weights == want_cover.weights
 
 
+# -- the lane codec --------------------------------------------------------------
+
+
+# Each width with the one after it: lanes of 16, 32 and 64 bits decode
+# through struct, wider ones take whole bytes and decode by byte slices.
+@pytest.mark.parametrize(
+    "width, after", [(16, 32), (32, 64), (64, 72), (72, 80), (88, 96), (144, 152)]
+)
+def test_lane_width_is_the_smallest_that_holds_a_sign(width, after):
+    # a bound of bit length ``width - 1`` fills the lane with its sign bit
+    assert fractional._lane_width((1 << width - 1) - 1) == width
+    assert fractional._lane_width(1 << width - 1) == after
+
+
+@pytest.mark.parametrize("width", [16, 32, 64, 72, 88, 144])
+def test_unpack_lanes_matches_shift_and_mask(width):
+    rng = random.Random(width)
+    mask = (1 << width) - 1
+    randoms = [rng.getrandbits(width) for _ in range(9)]
+    for lanes in ([], [mask], [0, mask, 0], [*randoms, mask, 0]):
+        packed = sum(x << i * width for i, x in enumerate(lanes))
+        want = [packed >> i * width & mask for i in range(len(lanes))]
+        assert list(fractional._unpack_lanes(packed, len(lanes), width)) == want
+
+
 # -- packed pricing --------------------------------------------------------------
 
 
@@ -439,8 +464,9 @@ def list_prices(graph, costs, den):
 
 
 # Costs up to 2^bits in absolute value take lanes of ``width`` bits; no
-# LP of the suite prices on lanes over 64 bits, so 128 is reached here.
-@pytest.mark.parametrize("bits, width", [(8, 16), (20, 32), (40, 64), (70, 128)])
+# LP of the suite prices on lanes over 64 bits, so a byte width beyond
+# them (70-bit costs on four vertices need 74 bits) is reached here.
+@pytest.mark.parametrize("bits, width", [(8, 16), (20, 32), (40, 64), (70, 80)])
 def test_edge_prices_decode_as_list_pricing(bits, width):
     rng = random.Random(bits)
     graph = Hypergraph(4, 12, [e for e in combinations(range(12), 4) if rng.random() < 0.3])
@@ -455,7 +481,8 @@ def test_edge_prices_decode_as_list_pricing(bits, width):
         assert list(incidence) == [width]
 
 
-@pytest.mark.parametrize("width", [16, 32, 64, 128])
+# Past 64 bits a lane takes whole bytes: 72 is the first such width.
+@pytest.mark.parametrize("width", [16, 32, 64, 72, 128])
 def test_edge_prices_at_the_lane_bound(width):
     # den + max|cost| just fits a lane of this width, but an edge sums k
     # costs, so every lane is sized for den + k * max|cost|: equal costs

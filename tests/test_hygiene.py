@@ -13,9 +13,10 @@ package class, properties and dunder methods aside, is called as
 Nothing in ``src/`` or ``tests/`` calls ``.as_hypergraph()``: it
 returns the partite graph itself and stays only for the benchmark.
 Each check has one home: only ``fractional.py`` calls ``lcm``
-(``FractionalCover.scaled`` is the one integer cover check) and only
+(``FractionalCover.scaled`` is the one integer cover check), only
 ``kernel.py`` reads ``time.monotonic`` (every deadline goes through
-``_deadline`` and ``_time_left``).
+``_deadline`` and ``_time_left``) and only ``fractional._unpack_lanes``
+uses :mod:`struct` (it is the one decoder of packed lanes).
 """
 
 from __future__ import annotations
@@ -263,3 +264,47 @@ def test_scan_sees_a_clock_read():
 def test_no_clock_reads_outside_the_kernel(path):
     # deadlines are taken by kernel._deadline and checked by kernel._time_left
     assert named_calls(ast.parse(path.read_text()), "monotonic") == []
+
+
+def struct_uses(tree: ast.AST, home: str) -> list[int]:
+    """Lines that name ``struct`` or import from it, outside the
+    functions called ``home``."""
+    inside = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == home
+        for node in ast.walk(func)
+    }
+    return sorted(
+        {
+            node.lineno
+            for node in ast.walk(tree)
+            if id(node) not in inside
+            and (
+                isinstance(node, ast.Name) and node.id == "struct"
+                or isinstance(node, ast.ImportFrom) and node.module == "struct"
+            )
+        }
+    )
+
+
+def test_scan_sees_a_struct_use():
+    tree = ast.parse(
+        "import struct\n"
+        "from struct import unpack\n"
+        "def _unpack_lanes(d): return struct.unpack('<H', d)\n"
+        "def other(d): return struct.Struct('<H').unpack(d)\n"
+        "size = struct.calcsize('<Q')\n"
+    )
+    assert struct_uses(tree, "_unpack_lanes") == [2, 4, 5]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parent.name == "rainbow_lab"],
+    ids=lambda p: p.name,
+)
+def test_no_struct_outside_the_lane_decoder(path):
+    # fractional._unpack_lanes decodes every packed lane, columns and prices
+    home = "_unpack_lanes" if path.name == "fractional.py" else ""
+    assert struct_uses(ast.parse(path.read_text()), home) == []
