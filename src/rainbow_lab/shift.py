@@ -10,17 +10,22 @@ own edges all meet the codegree bound it also never deletes an original
 edge, so the fractional matching number is preserved along the way.
 In the pipeline the shift's input is a cover closure: every partite
 4-set of cover weight at least 1, each class ranked by cover weight, so
-it is stable by construction.  The shift ranks each edge once, into
-one int key, and counts its pair degrees in a list indexed by class
-rank and rank.  The keys are bucketed by (class rank, rank pair)
-triple, so a round's doomed edges are one bucket, but only at the class
-ranks whose triples can ever be deficient; on most closures there are
-none, and the shift runs no round, builds no bucket and returns its
-input.  The deficient triples wait in a heap, so a round costs the
-edges it deletes and the triples they touch, not a scan of every
-bucket.  One predicate, :func:`_upward_closed`, checks the input's
-stability on the int keys and, when a round deleted edges, the
-result's.  The pipeline shifts at the paper's one codegree bound,
+it is stable by construction.
+
+A round at class rank i deletes only class-i edges and lowers only
+class-i pair degrees, so the shift is one independent shift per class
+vertex's link, and equal links run equal rounds.  The shift groups the
+class vertices by link, ranks each distinct link's trios once, into one
+int key each, and shifts each distinct link on its own: its pair
+degrees sit in a list indexed by rank, and its keys are bucketed by rank
+pair, but only when some pair can ever be deficient; on most closures
+none can, and the shift runs no round, builds no bucket and returns its
+input.  The deficient pairs wait in a heap, so a round costs the edges
+it deletes and the pairs they touch, not a scan of every bucket.  The
+global trace merges the links' rounds, one sequence per class rank.
+One predicate, :func:`_stable`, checks the input's stability on the
+links' keys and, when a round deleted edges, the result's.  The pipeline
+shifts at the paper's one codegree bound,
 ``extremal_adjacent_degree_sum(p)``, and its one deadline reaches every
 stage, the cover closure and the shift's set-up and rounds included.
 """
@@ -28,9 +33,9 @@ stage, the cover closure and the shift's set-up and rounds included.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush, nsmallest
+from heapq import heapify, heappop, heappush, heapreplace, nsmallest
 from itertools import combinations
-from typing import Optional
+from typing import Callable, Optional
 
 from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
 from .fractional import FractionalCover, min_fractional_cover
@@ -63,25 +68,11 @@ class OrderedPartite:
         if sorted(self.p_order) != list(g.p_vertices()):
             raise ValueError("p_order is not a permutation of the class-P ids")
         object.__setattr__(
-            self, "_q_rank", {v: r for r, v in enumerate(self.q_order)}
-        )
-        object.__setattr__(
             self, "_p_rank", {v: r for r, v in enumerate(self.p_order)}
         )
 
     def p_rank(self, v: int) -> int:
         return self._p_rank[v]
-
-    def rank_key(self, edge: Edge) -> tuple[int, tuple[int, int, int]]:
-        """(class rank, sorted other-class ranks) of a partite 4-edge.
-
-        Nothing is checked: the caller passes an edge as a validated
-        :class:`PartiteHypergraph` stores it, sorted with its one class
-        vertex first, which that constructor guarantees.
-        """
-        u, a, b, c = edge
-        rank = self._p_rank
-        return self._q_rank[u], tuple(sorted((rank[a], rank[b], rank[c])))
 
     def with_graph(self, graph: PartiteHypergraph) -> "OrderedPartite":
         return OrderedPartite(graph=graph, q_order=self.q_order, p_order=self.p_order)
@@ -95,42 +86,72 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
     )
 
 
-# Edges a shift's set-up handles between two polls of its deadline.
+# Edges and trios a shift's set-up handles between two polls of its deadline.
 _SETUP_STRIDE = 4096
 
 
-def _polled(items, deadline: float):
-    """The items, polling the deadline after every ``_SETUP_STRIDE``."""
-    for n, item in enumerate(items, 1):
-        if not n % _SETUP_STRIDE:
+def _setup_count(deadline: float) -> Callable[[int], None]:
+    """``tick(n)``, called as the set-up takes up a run or a link of n
+    edges or trios: add n to the set-up's one count of them, polling
+    the deadline each time the count passes a multiple of
+    ``_SETUP_STRIDE``."""
+    done = 0
+
+    def tick(n: int) -> None:
+        nonlocal done
+        if (done + n) // _SETUP_STRIDE > done // _SETUP_STRIDE:
             _time_left(deadline, "stability shift")
-        yield item
+        done += n
+
+    return tick
 
 
-def _upward_closed(keys, q_size: int, p_size: int, deadline: float) -> bool:
-    """Upward closure of a collection of int rank keys under the shift
-    order, the key of class rank i and other-class ranks a < b < c being
-    ``((i * p + a) * p + b) * p + c``.
+def _rank_link(
+    trios: tuple[Edge, ...], rank: dict[int, int], p: int
+) -> tuple[list[int], list[int]]:
+    """The key ``(a * p + b) * p + c`` of each trio, a < b < c its
+    vertices' ranks, and the link's degree at each rank."""
+    keys = []
+    deg = [0] * p
+    for x, y, z in trios:
+        a, b, c = sorted((rank[x], rank[y], rank[z]))
+        deg[a] += 1
+        deg[b] += 1
+        deg[c] += 1
+        keys.append((a * p + b) * p + c)
+    return keys, deg
+
+
+def _stable(
+    links: list[set[int]], at_rank: list[int], p: int, tick: Callable[[int], None]
+) -> bool:
+    """Upward closure, under the shift order, of the 4-sets whose class
+    rank i and trio key lie in ``links[at_rank[i]]``.
 
     Checked through single-rank-step successors, which generate the
-    order, so this is equivalent to the all-pairs definition: a step
-    adds ``p^3``, ``p^2``, ``p`` or 1 to a key.  The deadline is polled
-    after every ``_SETUP_STRIDE`` keys.
+    order, so this is equivalent to the all-pairs definition: each
+    distinct link is upward closed under a step of one of its three
+    ranks, which adds ``p^2``, ``p`` or 1 to a key, and the class-rank
+    step holds when each class rank's link lies inside the next one's,
+    checked only where the two links differ.
     """
-    p = p_size
     p2 = p * p
-    p3 = p2 * p
-    top = (q_size - 1) * p3
-    for key in _polled(keys, deadline):
-        a, bc = divmod(key % p3, p2)
-        b, c = divmod(bc, p)
-        if (
-            key < top and key + p3 not in keys
-            or a + 1 < b and key + p2 not in keys
-            or b + 1 < c and key + p not in keys
-            or c + 1 < p and key + 1 not in keys
-        ):
-            return False
+    for keys in links:
+        tick(len(keys))
+        for key in keys:
+            a, bc = divmod(key, p2)
+            b, c = divmod(bc, p)
+            if (
+                a + 1 < b and key + p2 not in keys
+                or b + 1 < c and key + p not in keys
+                or c + 1 < p and key + 1 not in keys
+            ):
+                return False
+    for low, high in zip(at_rank, at_rank[1:]):
+        if low != high:
+            tick(len(links[low]))
+            if not links[low] <= links[high]:
+                return False
     return True
 
 
@@ -146,11 +167,11 @@ def cover_closure(
     where an absent weight counts as 0; a cover it rejects raises
     ``ValueError``.  Raising a vertex's rank never lowers its weight, so
     the edge set is upward closed, hence stable under the order returned
-    with it, and it contains every edge of the covered graph.  The edges
-    are generated in canonical sorted order, so the graph is built
-    without re-validation.  The deadline is polled once per class
-    vertex: a closure that runs out of ``timeout`` raises
-    :class:`SolverTimeout`.
+    with it, and it contains every edge of the covered graph.  The trios
+    are filtered once per distinct class weight, and the edges are
+    generated in canonical sorted order, so the graph is built without
+    re-validation.  The deadline is polled once per class vertex: a
+    closure that runs out of ``timeout`` raises :class:`SolverTimeout`.
     """
     deadline = _deadline(timeout)
     scaled = cover.scaled(graph)
@@ -161,11 +182,14 @@ def cover_closure(
         (trio, at[trio[0]] + at[trio[1]] + at[trio[2]])
         for trio in combinations(graph.p_vertices(), 3)
     ]
+    links: dict[int, list[Edge]] = {}
     edges = []
     for u in graph.q_vertices():
         _time_left(deadline, "cover closure")
         need = den - at[u]
-        edges.extend((u,) + trio for trio, total in trios if total >= need)
+        if need not in links:
+            links[need] = [trio for trio, total in trios if total >= need]
+        edges.extend((u,) + trio for trio in links[need])
     closed = PartiteHypergraph._trusted(graph.q_size, graph.p_size, edges)
     return OrderedPartite(
         graph=closed,
@@ -204,6 +228,126 @@ class ShiftTrace:
         }
 
 
+def _shift_link(
+    keys: list[int],
+    alive: set[int],
+    deg: list[int],
+    threshold: int,
+    deadline: float,
+    tick: Callable[[int], None],
+) -> list[tuple[int, int, int]]:
+    """The rounds ``(j, k, removed)`` of one link's shift, in order.
+
+    ``alive``, the set of the link's keys, keeps the survivors, and
+    ``deg``, the link's degree at each rank, falls with the deletions.
+
+    Runs no round, and builds nothing, unless the link is *weak*: its
+    two smallest nonzero degrees sum to at most ``threshold``.  No pair
+    of a link that is not weak is deficient, and degrees fall only in
+    its own rounds, so none becomes deficient later.  ``through[t]``
+    buckets the keys by rank pair ``t = j * p + k`` (j < k): a pair
+    spans an edge while its bucket is non-empty, and the bucket of the
+    selected pair is exactly the edges a round deletes.
+
+    The deficient pairs wait in a heap ordered by ``(j + k, j, k)``,
+    packed into one int.  Degrees only fall and buckets only shrink, so
+    a deficient pair stays deficient until its bucket empties, and an
+    emptied pair is popped when it reaches the top.  After a round, only
+    a pair (x, y) with x a rank whose degree fell can have become
+    deficient: ``with_rank[x]`` lists those pairs, and each that now is
+    deficient is pushed, once, as ``queued`` records.  So the heap's top
+    is the pair a rescan of every bucket would select.
+    """
+    if not keys or sum(nsmallest(2, filter(None, deg))) > threshold:
+        return []
+    p = len(deg)
+    p2 = p * p
+    tick(len(keys))
+    through: dict[int, set[int]] = {}
+    with_rank: dict[int, list[int]] = {}
+    for key in keys:
+        ab, c = divmod(key, p)
+        a, b = divmod(ab, p)
+        for x, y in ((a, b), (a, c), (b, c)):
+            t = x * p + y
+            if t not in through:
+                through[t] = set()
+                with_rank.setdefault(x, []).append(t)
+                with_rank.setdefault(y, []).append(t)
+            through[t].add(key)
+
+    heap = []
+    for t in through:
+        j, k = divmod(t, p)
+        if deg[j] + deg[k] <= threshold:
+            heap.append((j + k) * p2 + t)
+    heapify(heap)
+    queued = {h % p2 for h in heap}
+    rounds = []
+    while heap:
+        t = heap[0] % p2
+        doomed = through[t]
+        if not doomed:
+            heappop(heap)
+            continue
+        _time_left(deadline, "stability shift")
+        heappop(heap)
+        fell = set()
+        for key in doomed:
+            alive.remove(key)
+            ab, c = divmod(key, p)
+            a, b = divmod(ab, p)
+            deg[a] -= 1
+            deg[b] -= 1
+            deg[c] -= 1
+            fell.update((a, b, c))
+            for other in (ab, a * p + c, b * p + c):
+                if other != t:
+                    through[other].remove(key)
+        rounds.append((*divmod(t, p), len(doomed)))
+        doomed.clear()
+        for x in fell:
+            for other in with_rank[x]:
+                if other in queued or not through[other]:
+                    continue
+                y, z = divmod(other, p)
+                if deg[y] + deg[z] <= threshold:
+                    queued.add(other)
+                    heappush(heap, (y + z) * p2 + other)
+    return rounds
+
+
+def _merged(
+    rounds: list[list[tuple[int, int, int]]], at_rank: list[int]
+) -> tuple[ShiftStep, ...]:
+    """The global trace: class rank i repeats the rounds of its link
+    ``at_rank[i]``, and the trace repeatedly takes the class rank whose
+    next round has the least ``(rank sum, i, j, k)``.
+
+    A link's rounds need not come in that order, since a round can make
+    a lower pair deficient, so this is no merge of sorted sequences: it
+    compares only the class ranks' next rounds, each the least deficient
+    triple at its class rank.
+    """
+    heads = []
+    for i, h in enumerate(at_rank):
+        if rounds[h]:
+            j, k, _ = rounds[h][0]
+            heads.append((i + j + k, i, j, k, 0))
+    heapify(heads)
+    steps = []
+    while heads:
+        _, i, j, k, n = heads[0]
+        mine = rounds[at_rank[i]]
+        steps.append(ShiftStep(i, j, k, removed=mine[n][2]))
+        if n + 1 < len(mine):
+            j, k, _ = mine[n + 1]
+            heapreplace(heads, (i + j + k, i, j, k, n + 1))
+        else:
+            heappop(heads)
+    return tuple(steps)
+
+
 def stable_shift(
     start: OrderedPartite,
     threshold: int,
@@ -219,124 +363,64 @@ def stable_shift(
     a selected triple would itself violate the threshold with a smaller
     rank sum.  Ranks in the trace are 0-based.
 
-    Each edge is ranked once, into the int key
-    ``((i * p + a) * p + b) * p + c`` of its class rank i and other
-    ranks a < b < c; ``alive`` holds the keys of the surviving edges and
-    ``pair_deg[i * p + j]`` the degree of the pair of ranks (i, j).
-    ``through[t]`` buckets the keys by triple ``t = (i * p + j) * p + k``
-    (j < k): a triple spans an edge while its bucket is non-empty, and
-    the bucket of the selected triple is exactly the edges a round
-    deletes.  Buckets are built only at *weak* class ranks, whose two
-    smallest pair degrees sum to at most ``threshold``: no triple
-    elsewhere is deficient, and pair degrees fall only in rounds at a
-    deficient triple's class rank, so none becomes deficient later.
+    A round at class rank i deletes only class-i edges, lowers only
+    class-i pair degrees, and whether a class-i triple is deficient
+    depends only on those.  So each class vertex's link shifts on its
+    own, and links that are equal shift alike.  The class vertices are
+    grouped by the trios of their runs; each distinct link's trios are
+    ranked once, into the int key ``(a * p + b) * p + c`` of their ranks
+    a < b < c, and shifted once by :func:`_shift_link`.  Class rank i
+    then repeats its link's rounds, and the global trace repeatedly
+    takes the class rank whose next round has the least
+    ``(rank sum, i, j, k)``: that round is the least deficient triple
+    of all, since each class rank's next round is its least.
 
-    The deficient triples wait in a heap ordered by
-    ``(rank sum, i, j, k)``, packed into one int.  Pair degrees only
-    fall and buckets only shrink, so a deficient triple stays deficient
-    until its bucket empties, and an emptied triple is popped when it
-    reaches the top.  After a round at class rank i, only a triple
-    (i, x, y) with x a rank whose pair degree fell can have become
-    deficient: ``with_rank[i * p + x]`` lists those triples, and each
-    that now is deficient is pushed, once, as ``queued`` records.  So
-    the heap's top is the triple a rescan of every bucket would select.
-
-    The input is checked to be upward closed, and ``stable`` checks the
-    survivors by the same predicate; a shift that runs no round returns
-    its input itself, stable without a second scan.  The survivors are
-    edges of the validated input, taken in its order, so the result is
-    built without re-validation.  The deadline is polled once per round
-    and, during the set-up, after every ``_SETUP_STRIDE`` edges: a shift
-    that runs out of ``timeout`` raises :class:`SolverTimeout`.
+    The input is checked to be stable by :func:`_stable`, and ``stable``
+    checks the survivors by the same predicate; a shift that runs no
+    round returns its input itself, stable without a second scan.  The
+    survivors are each class vertex's run in input order, less what its
+    link lost, so the result is built without re-validation.  The
+    deadline is polled once per round and, during the set-up, each time
+    one count of the edges and trios it takes up, over every run and
+    link, passes a multiple of ``_SETUP_STRIDE``: a shift that runs out
+    of ``timeout`` raises :class:`SolverTimeout`.
     """
     deadline = _deadline(timeout)
+    tick = _setup_count(deadline)
     g = start.graph
     p = g.p_size
-    p2 = p * p
-    pair_deg = [0] * (g.q_size * p)
-    keys = []
-    for e in _polled(g.edges, deadline):
-        i, (a, b, c) = start.rank_key(e)
-        ip = i * p
-        pair_deg[ip + a] += 1
-        pair_deg[ip + b] += 1
-        pair_deg[ip + c] += 1
-        keys.append(((ip + a) * p + b) * p + c)
-    alive = set(keys)
-    if not _upward_closed(alive, g.q_size, p, deadline):
+    index: dict[tuple[Edge, ...], int] = {}
+    link_of = []
+    for u in g.q_vertices():
+        run = g._run(u)
+        tick(len(run))
+        link_of.append(index.setdefault(tuple([e[1:] for e in run]), len(index)))
+    ranked = []
+    for trios in index:
+        tick(len(trios))
+        ranked.append(_rank_link(trios, start._p_rank, p))
+    at_rank = [link_of[u] for u in start.q_order]
+    alive = [set(keys) for keys, _ in ranked]
+    if not _stable(alive, at_rank, p, tick):
         raise ValueError("shift input must be stable under the given order")
-    weak = [
-        sum(nsmallest(2, filter(None, pair_deg[i * p : i * p + p]))) <= threshold
-        for i in range(g.q_size)
+
+    rounds = [
+        _shift_link(keys, kept, deg, threshold, deadline, tick)
+        for (keys, deg), kept in zip(ranked, alive)
     ]
-    through: dict[int, set[int]] = {}
-    with_rank: dict[int, list[int]] = {}
-    for key in _polled(keys, deadline) if any(weak) else ():
-        iab, c = divmod(key, p)
-        ia, b = divmod(iab, p)
-        i, a = divmod(ia, p)
-        if not weak[i]:
-            continue
-        ip = i * p
-        for x, y in ((a, b), (a, c), (b, c)):
-            t = (ip + x) * p + y
-            if t not in through:
-                through[t] = set()
-                with_rank.setdefault(ip + x, []).append(t)
-                with_rank.setdefault(ip + y, []).append(t)
-            through[t].add(key)
-
-    # (rank sum, i, j, k) as one int: t orders triples by (i, j, k).
-    span = g.q_size * p2
-    heap = []
-    for t in through:
-        i, jk = divmod(t, p2)
-        j, k = divmod(jk, p)
-        if pair_deg[i * p + j] + pair_deg[i * p + k] <= threshold:
-            heap.append((i + j + k) * span + t)
-    heapify(heap)
-    queued = {h % span for h in heap}
-    steps: list[ShiftStep] = []
-    while heap:
-        t = heap[0] % span
-        doomed = through[t]
-        if not doomed:
-            heappop(heap)
-            continue
-        _time_left(deadline, "stability shift")
-        heappop(heap)
-        i, jk = divmod(t, p2)
-        j, k = divmod(jk, p)
-        ip = i * p
-        fell = set()
-        for key in doomed:
-            alive.remove(key)
-            iab, c = divmod(key, p)
-            a, b = divmod(iab - ip * p, p)
-            pair_deg[ip + a] -= 1
-            pair_deg[ip + b] -= 1
-            pair_deg[ip + c] -= 1
-            fell.update((a, b, c))
-            for other in (iab, (ip + a) * p + c, (ip + b) * p + c):
-                if other != t:
-                    through[other].remove(key)
-        steps.append(ShiftStep(i, j, k, removed=len(doomed)))
-        doomed.clear()
-        for x in fell:
-            for other in with_rank[ip + x]:
-                if other in queued or not through[other]:
-                    continue
-                y, z = divmod(other - ip * p, p)
-                if pair_deg[ip + y] + pair_deg[ip + z] <= threshold:
-                    queued.add(other)
-                    heappush(heap, (i + y + z) * span + other)
-
+    steps = _merged(rounds, at_rank)
     if not steps:
         return start, ShiftTrace(steps=(), stable=True)
-    survivors = [e for e, key in zip(g.edges, keys) if key in alive]
-    shifted = start.with_graph(PartiteHypergraph._trusted(g.q_size, p, survivors))
-    stable = _upward_closed(alive, g.q_size, p, deadline)
-    return shifted, ShiftTrace(steps=tuple(steps), stable=stable)
+    survivors = []
+    for u, h in enumerate(link_of):
+        kept, keys = alive[h], ranked[h][0]
+        if len(kept) == len(keys):
+            survivors.extend(g._run(u))
+        elif kept:
+            survivors.extend(e for e, key in zip(g._run(u), keys) if key in kept)
+    result = start.with_graph(PartiteHypergraph._trusted(g.q_size, p, survivors))
+    stable = _stable(alive, at_rank, p, tick)
+    return result, ShiftTrace(steps=steps, stable=stable)
 
 
 def extend_link_matching(order: OrderedPartite, link_pm: Matching) -> Matching:

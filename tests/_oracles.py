@@ -114,6 +114,17 @@ def all_partite_four_sets(q_size: int, p_size: int):
             yield (u,) + trio
 
 
+def rank_key(order: OrderedPartite, edge: Edge) -> tuple[int, tuple[int, int, int]]:
+    """(class rank, sorted other-class ranks) of a partite 4-edge.
+
+    Nothing is checked: the caller passes an edge as a validated
+    :class:`PartiteHypergraph` stores it, sorted with its one class
+    vertex first, which that constructor guarantees.
+    """
+    u, a, b, c = edge
+    return order.q_order.index(u), tuple(sorted(map(order.p_rank, (a, b, c))))
+
+
 def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
     """The shift order: ranks of e bound those of f componentwise.
 
@@ -121,8 +132,8 @@ def edge_precedes(e: Edge, f: Edge, order: OrderedPartite) -> bool:
     partite 4-set of the order's graph (``ValueError`` otherwise)."""
     g = order.graph
     e, f = (PartiteHypergraph(g.q_size, g.p_size, [x]).edges[0] for x in (e, f))
-    qi, ep = order.rank_key(e)
-    qj, fp = order.rank_key(f)
+    qi, ep = rank_key(order, e)
+    qj, fp = rank_key(order, f)
     return qi <= qj and all(a <= b for a, b in zip(ep, fp))
 
 
@@ -134,7 +145,7 @@ def is_stable(order: OrderedPartite) -> bool:
     :func:`brute_is_stable`; it shares no code with the package's own
     closure check, which steps int keys."""
     g = order.graph
-    keys = {order.rank_key(e) for e in g.edges}
+    keys = {rank_key(order, e) for e in g.edges}
     top = g.q_size - 1
     return not any(
         i < top and (i + 1, (a, b, c)) not in keys
@@ -484,7 +495,7 @@ def reference_stable_shift(
     triple_deg: dict[tuple[int, int, int], int] = {}
 
     def bump(edge: Edge, delta: int) -> None:
-        i, (j1, j2, j3) = start.rank_key(edge)
+        i, (j1, j2, j3) = rank_key(start, edge)
         for j in (j1, j2, j3):
             key2 = (i, j)
             pair_deg[key2] = pair_deg.get(key2, 0) + delta
@@ -511,7 +522,7 @@ def reference_stable_shift(
         _, i, j, k = worst
         doomed = []
         for e in edges:
-            ei, ranks = start.rank_key(e)
+            ei, ranks = rank_key(start, e)
             if ei == i and j in ranks and k in ranks:
                 doomed.append(e)
         for e in doomed:

@@ -356,7 +356,7 @@ MUTANTS = [
     Mutant(
         "shift-input-stable",
         SHIFT,
-        "if not _upward_closed(alive, g.q_size, p, deadline):",
+        "if not _stable(alive, at_rank, p, tick):",
         "if False:",
         ("tests/test_shift.py",),
     ),
@@ -370,14 +370,15 @@ MUTANTS = [
     Mutant(
         "shift-setup-deadline",
         SHIFT,
-        '        if not n % _SETUP_STRIDE:\n            _time_left(deadline, "stability shift")\n',
+        "        if (done + n) // _SETUP_STRIDE > done // _SETUP_STRIDE:\n"
+        '            _time_left(deadline, "stability shift")\n',
         "",
         ("tests/test_deadlines.py",),
     ),
     Mutant(
         "shift-post-round-push",
         SHIFT,
-        "                    heappush(heap, (i + y + z) * span + other)\n",
+        "                    heappush(heap, (y + z) * p2 + other)\n",
         "                    pass\n",
         ("tests/test_shift.py",),
     ),
@@ -386,6 +387,13 @@ MUTANTS = [
         SHIFT,
         "        if not doomed:\n            heappop(heap)\n            continue\n",
         "",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "shift-link-nesting",
+        SHIFT,
+        "if not links[low] <= links[high]:",
+        "if False:",
         ("tests/test_shift.py",),
     ),
     Mutant(
@@ -507,7 +515,7 @@ UNREACHABLE = [
         Mutant(
             "shift-result-stable",
             SHIFT,
-            "stable = _upward_closed(alive, g.q_size, p, deadline)",
+            "stable = _stable(alive, at_rank, p, tick)",
             "stable = True",
             ("tests/test_shift.py",),
         ),

@@ -44,6 +44,7 @@ from _oracles import (
     cover_order,
     edge_precedes,
     is_stable,
+    rank_key,
     reference_stable_shift,
 )
 
@@ -65,6 +66,14 @@ def random_cover(rng, n):
         d = rng.randint(1, 7)
         weights[v] = Fraction(rng.randint(0, d), d)
     return FractionalCover(weights=weights)
+
+
+def upward_closure(trios, p):
+    """The rank trios at or above some given one, componentwise."""
+    return sorted(
+        t for t in combinations(range(p), 3)
+        if any(all(x <= y for x, y in zip(s, t)) for s in trios)
+    )
 
 
 def uniform_cover(graph, value):
@@ -373,21 +382,108 @@ class TestStableShift:
             )
         assert late >= 3
 
-    def test_ranks_each_edge_once(self, monkeypatch):
+    def test_ranks_each_distinct_link_once(self, monkeypatch):
+        # the tight n = 9 closure has three equal links of 50 trios, so
+        # 50 of its 150 edges' trios are ranked, in one call
         pg = extremal_partite(9)
         _, cover = min_fractional_cover(pg)
         closure = cover_closure(pg, cover)
         calls = []
-        rank_key = OrderedPartite.rank_key
+        rank_link = shift._rank_link
 
-        def counting_rank_key(self, edge):
-            calls.append(edge)
-            return rank_key(self, edge)
+        def counting_rank_link(trios, rank, p):
+            calls.append(len(trios))
+            return rank_link(trios, rank, p)
 
-        monkeypatch.setattr(OrderedPartite, "rank_key", counting_rank_key)
+        monkeypatch.setattr(shift, "_rank_link", counting_rank_link)
         _, trace = stable_shift(closure, threshold=35)
         assert len(trace.steps) > 1
-        assert len(calls) == closure.graph.n_edges
+        links = {tuple(e[1:] for e in closure.graph._run(u)) for u in pg.q_vertices()}
+        assert calls == [50] and sum(map(len, links)) == 50
+        assert closure.graph.n_edges == 150
+
+    def test_matches_reference_on_several_class_weights(self):
+        # class weights drawn apart, so most closures have several
+        # distinct links; the trace interleaves their rounds
+        rng = random.Random(61)
+        distinct = interleaved = 0
+        for _ in range(60):
+            q = rng.randint(2, 3)
+            p = 3 * q + rng.randint(0, 2)
+            cover = random_cover(rng, q + p)
+            for u in range(q):
+                cover.weights[u] = Fraction(rng.randint(0, 4), 4)
+            closure = cover_closure(PartiteHypergraph(q, p, []), cover)
+            g = closure.graph
+            links = {tuple(e[1:] for e in g._run(u)) for u in g.q_vertices()}
+            distinct += len(links) > 1
+            threshold = rng.randint(0, (p - 1) * (p - 2))
+            shifted, trace = stable_shift(closure, threshold)
+            want, want_trace = reference_stable_shift(closure, threshold)
+            assert shifted.graph.edges == want.graph.edges
+            assert trace == want_trace
+            ranks = [s.q_rank for s in trace.steps]
+            interleaved += any(a > b for a, b in zip(ranks, ranks[1:]))
+        assert distinct >= 30 and interleaved >= 5
+
+    def test_matches_reference_on_shared_and_distinct_links(self):
+        # stable inputs that are no cover closure: class ranks 0 and 1
+        # share an upward closed link, class rank 2 has a larger one,
+        # and neither class is ranked by vertex id
+        rng = random.Random(67)
+        q_order, p = (2, 0, 1), 7
+        rounds = set()
+        differ = 0
+        for _ in range(20):
+            p_order = tuple(rng.sample(range(3, 3 + p), p))
+            low = upward_closure(rng.sample(list(combinations(range(p), 3)), 2), p)
+            high = upward_closure(
+                list(low) + rng.sample(list(combinations(range(p), 3)), 2), p
+            )
+            differ += high != low
+            edges = [
+                (u,) + tuple(sorted(p_order[r] for r in trio))
+                for u, link in zip(q_order, (low, low, high))
+                for trio in link
+            ]
+            order = OrderedPartite(PartiteHypergraph(3, p, edges), q_order, p_order)
+            assert is_stable(order)
+            for threshold in range(0, 30, 3):
+                shifted, trace = stable_shift(order, threshold)
+                want, want_trace = reference_stable_shift(order, threshold)
+                assert shifted.graph.edges == want.graph.edges
+                assert trace == want_trace
+                rounds.add(frozenset(s.q_rank for s in trace.steps))
+        assert frozenset({0, 1, 2}) in rounds and frozenset() in rounds
+        assert differ >= 10
+
+    def test_matches_reference_when_a_link_runs_out_of_order(self):
+        # on this upward closed link, at threshold 12, the round at rank
+        # pair (2, 3) lowers pair (0, 4) into deficiency: the link's
+        # rounds are not sorted by (rank sum, j, k), so the trace cannot
+        # be a sort of the two class ranks' rounds
+        link = upward_closure([(0, 4, 5), (2, 3, 4)], 7)
+        pg = PartiteHypergraph(
+            2, 7, [(u,) + tuple(2 + r for r in t) for u in range(2) for t in link]
+        )
+        order = identity_order(pg)
+        shifted, trace = stable_shift(order, 12)
+        want, want_trace = reference_stable_shift(order, 12)
+        assert shifted.graph.edges == want.graph.edges
+        assert trace == want_trace
+        ranks = [(s.p_rank_low + s.p_rank_high, s.p_rank_low) for s in trace.steps]
+        assert ranks[:2] == [(5, 2), (4, 0)]
+        assert [s.q_rank for s in trace.steps] != sorted(s.q_rank for s in trace.steps)
+
+    def test_rejects_links_that_do_not_nest(self):
+        # each link is upward closed, but class rank 0's is not inside
+        # class rank 1's
+        pg = PartiteHypergraph(2, 6, [(0, 4, 6, 7), (0, 5, 6, 7), (1, 5, 6, 7)])
+        order = identity_order(pg)
+        assert not is_stable(order)
+        assert is_stable(identity_order(PartiteHypergraph(2, 6, pg.edges[1:])))
+        with pytest.raises(ValueError, match="must be stable"):
+            stable_shift(order, 0)
 
     def test_removals_deterministic(self):
         # class weights 0, 1/4, 1/2 and four of the nine P-vertices at
@@ -575,7 +671,7 @@ class TestPipeline:
             for step in trace.steps:
                 doomed = set()
                 for e in working:
-                    i, ranks = closure.rank_key(e)
+                    i, ranks = rank_key(closure, e)
                     if (
                         i == step.q_rank
                         and step.p_rank_low in ranks
