@@ -454,8 +454,9 @@ def absorb_scenario(
     (``ValueError``, before any search).  Builds one gadget per target
     (failing loudly when none is found), drawing helper vertices from
     the vertices adjacent to the low-degree anchor of some class
-    vertex's link (:func:`popular_vertices` at threshold 1), reserves the bodies, matches the remaining vertices exhaustively,
-    and absorbs the leftover through the pool.  Each gadget is searched
+    vertex's link (:func:`popular_vertices` at threshold 1), reserves
+    the bodies, matches the remaining vertices exhaustively, and
+    absorbs the leftover through the pool.  Each gadget is searched
     on the edges that miss the bodies built before it and every other
     target, so the bodies are pairwise disjoint and miss every target.
     Returns the assembled perfect matching and the pool.

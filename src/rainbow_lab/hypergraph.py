@@ -121,9 +121,6 @@ class Hypergraph:
     def n_edges(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, edge: Iterable[int]) -> bool:
-        return self._has(canonical_edge(edge))
-
     def _has(self, edge: tuple[int, ...]) -> bool:
         """Is the tuple, exactly as given, one of ``edges``?  The package's
         one edge lookup, by bisection in the sorted ``edges``; an unsorted

@@ -15,19 +15,21 @@ it is stable by construction.
 A round at class rank i deletes only class-i edges and lowers only
 class-i pair degrees, so the shift is one independent shift per class
 vertex's link, and equal links run equal rounds.  The shift groups the
-class vertices by link, ranks each distinct link's trios once, into one
-int key each, and shifts each distinct link on its own: its pair
-degrees sit in a list indexed by rank, and its keys are bucketed by rank
-pair, but only when some pair can ever be deficient; on most closures
-none can, and the shift runs no round, builds no bucket and returns its
-input.  The deficient pairs wait in a heap, so a round costs the edges
-it deletes and the pairs they touch, not a scan of every bucket.  The
-global trace merges the links' rounds, one sequence per class rank.
-One predicate, :func:`_stable`, checks the input's stability on the
-links' keys and, when a round deleted edges, the result's.  The pipeline
-shifts at the paper's one codegree bound,
+class vertices by :meth:`PartiteHypergraph.link`, ranks each distinct
+link's trios once, into one int key each, and shifts each distinct link
+on its own: its pair degrees sit in a list indexed by rank, and its keys
+are bucketed by rank pair, but only when some pair can ever be
+deficient; on most closures none can, and the shift runs no round,
+builds no bucket and returns its input.  The deficient pairs wait in a
+heap, so a round costs the edges it deletes and the pairs they touch,
+not a scan of every bucket.  The global trace merges the links' rounds,
+one sequence per class rank.  One predicate, :func:`_stable`, checks the
+input's stability on the links' keys and, when a round deleted edges,
+the result's.  The pipeline shifts at the paper's one codegree bound,
 ``extremal_adjacent_degree_sum(p)``, and its one deadline reaches every
-stage, the cover closure and the shift's set-up and rounds included.
+stage: the cover closure polls it once per class vertex, and the shift
+once per round and once before each unit of its set-up.  A missing
+extension edge is a fault and raises ``AssertionError``.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace, nsmallest
 from itertools import combinations
-from typing import Callable, Optional
+from typing import Optional
 
 from .constructions import PartiteHypergraph, extremal_adjacent_degree_sum
 from .fractional import FractionalCover, min_fractional_cover
@@ -43,10 +45,6 @@ from .kernel import _deadline, _time_left
 from .solvers import DEFAULT_TIMEOUT, Matching, has_perfect_matching
 
 Edge = tuple[int, ...]
-
-
-class ContractViolation(RuntimeError):
-    """An operation's guaranteed postcondition failed; signals a bug."""
 
 
 @dataclass(frozen=True)
@@ -86,26 +84,6 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
     )
 
 
-# Edges and trios a shift's set-up handles between two polls of its deadline.
-_SETUP_STRIDE = 4096
-
-
-def _setup_count(deadline: float) -> Callable[[int], None]:
-    """``tick(n)``, called as the set-up takes up a run or a link of n
-    edges or trios: add n to the set-up's one count of them, polling
-    the deadline each time the count passes a multiple of
-    ``_SETUP_STRIDE``."""
-    done = 0
-
-    def tick(n: int) -> None:
-        nonlocal done
-        if (done + n) // _SETUP_STRIDE > done // _SETUP_STRIDE:
-            _time_left(deadline, "stability shift")
-        done += n
-
-    return tick
-
-
 def _rank_link(
     trios: tuple[Edge, ...], rank: dict[int, int], p: int
 ) -> tuple[list[int], list[int]]:
@@ -122,9 +100,7 @@ def _rank_link(
     return keys, deg
 
 
-def _stable(
-    links: list[set[int]], at_rank: list[int], p: int, tick: Callable[[int], None]
-) -> bool:
+def _stable(links: list[set[int]], at_rank: list[int], p: int, deadline: float) -> bool:
     """Upward closure, under the shift order, of the 4-sets whose class
     rank i and trio key lie in ``links[at_rank[i]]``.
 
@@ -133,11 +109,12 @@ def _stable(
     distinct link is upward closed under a step of one of its three
     ranks, which adds ``p^2``, ``p`` or 1 to a key, and the class-rank
     step holds when each class rank's link lies inside the next one's,
-    checked only where the two links differ.
+    checked only where the two links differ.  The deadline is polled
+    before each link's scan and each nesting check.
     """
     p2 = p * p
     for keys in links:
-        tick(len(keys))
+        _time_left(deadline, "stability shift")
         for key in keys:
             a, bc = divmod(key, p2)
             b, c = divmod(bc, p)
@@ -149,7 +126,7 @@ def _stable(
                 return False
     for low, high in zip(at_rank, at_rank[1:]):
         if low != high:
-            tick(len(links[low]))
+            _time_left(deadline, "stability shift")
             if not links[low] <= links[high]:
                 return False
     return True
@@ -234,7 +211,6 @@ def _shift_link(
     deg: list[int],
     threshold: int,
     deadline: float,
-    tick: Callable[[int], None],
 ) -> list[tuple[int, int, int]]:
     """The rounds ``(j, k, removed)`` of one link's shift, in order.
 
@@ -262,7 +238,7 @@ def _shift_link(
         return []
     p = len(deg)
     p2 = p * p
-    tick(len(keys))
+    _time_left(deadline, "stability shift")
     through: dict[int, set[int]] = {}
     with_rank: dict[int, list[int]] = {}
     for key in keys:
@@ -367,9 +343,9 @@ def stable_shift(
     class-i pair degrees, and whether a class-i triple is deficient
     depends only on those.  So each class vertex's link shifts on its
     own, and links that are equal shift alike.  The class vertices are
-    grouped by the trios of their runs; each distinct link's trios are
-    ranked once, into the int key ``(a * p + b) * p + c`` of their ranks
-    a < b < c, and shifted once by :func:`_shift_link`.  Class rank i
+    grouped by :meth:`PartiteHypergraph.link`; each distinct link's trios
+    are ranked once, into the int key ``(a * p + b) * p + c`` of their
+    ranks a < b < c, and shifted once by :func:`_shift_link`.  Class rank i
     then repeats its link's rounds, and the global trace repeatedly
     takes the class rank whose next round has the least
     ``(rank sum, i, j, k)``: that round is the least deficient triple
@@ -380,32 +356,30 @@ def stable_shift(
     round returns its input itself, stable without a second scan.  The
     survivors are each class vertex's run in input order, less what its
     link lost, so the result is built without re-validation.  The
-    deadline is polled once per round and, during the set-up, each time
-    one count of the edges and trios it takes up, over every run and
-    link, passes a multiple of ``_SETUP_STRIDE``: a shift that runs out
-    of ``timeout`` raises :class:`SolverTimeout`.
+    deadline is polled once per round, and during the set-up once before
+    each unit of work: a class vertex's link, a distinct link's ranking,
+    stability scan or bucketing, and a nesting check.  A shift that runs
+    out of ``timeout`` raises :class:`SolverTimeout`, in its set-up too.
     """
     deadline = _deadline(timeout)
-    tick = _setup_count(deadline)
     g = start.graph
     p = g.p_size
     index: dict[tuple[Edge, ...], int] = {}
     link_of = []
     for u in g.q_vertices():
-        run = g._run(u)
-        tick(len(run))
-        link_of.append(index.setdefault(tuple([e[1:] for e in run]), len(index)))
+        _time_left(deadline, "stability shift")
+        link_of.append(index.setdefault(g.link(u).edges, len(index)))
     ranked = []
     for trios in index:
-        tick(len(trios))
+        _time_left(deadline, "stability shift")
         ranked.append(_rank_link(trios, start._p_rank, p))
     at_rank = [link_of[u] for u in start.q_order]
     alive = [set(keys) for keys, _ in ranked]
-    if not _stable(alive, at_rank, p, tick):
+    if not _stable(alive, at_rank, p, deadline):
         raise ValueError("shift input must be stable under the given order")
 
     rounds = [
-        _shift_link(keys, kept, deg, threshold, deadline, tick)
+        _shift_link(keys, kept, deg, threshold, deadline)
         for (keys, deg), kept in zip(ranked, alive)
     ]
     steps = _merged(rounds, at_rank)
@@ -419,7 +393,7 @@ def stable_shift(
         elif kept:
             survivors.extend(e for e, key in zip(g._run(u), keys) if key in kept)
     result = start.with_graph(PartiteHypergraph._trusted(g.q_size, p, survivors))
-    stable = _stable(alive, at_rank, p, tick)
+    stable = _stable(alive, at_rank, p, deadline)
     return result, ShiftTrace(steps=steps, stable=stable)
 
 
@@ -429,8 +403,10 @@ def extend_link_matching(order: OrderedPartite, link_pm: Matching) -> Matching:
     Link edges are sorted descending by their rank triples and the class
     vertices are attached in ascending rank order.  Every assembled edge
     must already be present (guaranteed when the graph is stable, since
-    only the class rank grows); a missing edge raises
-    :class:`ContractViolation`.
+    only the class rank grows, and the pipeline extends only stable
+    graphs), so a missing edge is a fault and raises ``AssertionError``.
+    Each link edge is sorted once, when it is ranked; the class vertex
+    precedes every class-P vertex, so ``(u,) + e`` is sorted already.
     """
     g = order.graph
     if link_pm.vertices() != frozenset(g.p_vertices()):
@@ -443,9 +419,9 @@ def extend_link_matching(order: OrderedPartite, link_pm: Matching) -> Matching:
     assembled = []
     for rank, (_, e) in enumerate(ranked):
         u = order.q_order[rank]
-        full = tuple(sorted((u,) + e))
-        if not g.has_edge(full):
-            raise ContractViolation(
+        full = (u,) + e
+        if not g._has(full):
+            raise AssertionError(
                 f"extension edge {full} is missing; input graph is not stable"
             )
         assembled.append(full)

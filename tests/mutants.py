@@ -61,6 +61,7 @@ KERNEL = "src/rainbow_lab/kernel.py"
 ABSORBING = "src/rainbow_lab/absorbing.py"
 SHIFT = "src/rainbow_lab/shift.py"
 JSONIO = "src/rainbow_lab/jsonio.py"
+EXPERIMENTS = "src/rainbow_lab/experiments.py"
 
 MUTANTS = [
     Mutant(
@@ -356,7 +357,7 @@ MUTANTS = [
     Mutant(
         "shift-input-stable",
         SHIFT,
-        "if not _stable(alive, at_rank, p, tick):",
+        "if not _stable(alive, at_rank, p, deadline):",
         "if False:",
         ("tests/test_shift.py",),
     ),
@@ -365,15 +366,57 @@ MUTANTS = [
         SHIFT,
         '        _time_left(deadline, "stability shift")\n        heappop(heap)\n',
         "        heappop(heap)\n",
-        ("tests/test_shift.py",),
+        ("tests/test_shift.py", "tests/test_deadlines.py"),
     ),
     Mutant(
         "shift-setup-deadline",
         SHIFT,
-        "        if (done + n) // _SETUP_STRIDE > done // _SETUP_STRIDE:\n"
-        '            _time_left(deadline, "stability shift")\n',
-        "",
+        '        _time_left(deadline, "stability shift")\n        link_of.append(',
+        "        link_of.append(",
         ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-rank-deadline",
+        SHIFT,
+        '        _time_left(deadline, "stability shift")\n        ranked.append(',
+        "        ranked.append(",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-scan-deadline",
+        SHIFT,
+        '        _time_left(deadline, "stability shift")\n        for key in keys:\n',
+        "        for key in keys:\n",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-nesting-deadline",
+        SHIFT,
+        '            _time_left(deadline, "stability shift")\n'
+        "            if not links[low] <= links[high]:",
+        "            if not links[low] <= links[high]:",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-bucket-deadline",
+        SHIFT,
+        '    _time_left(deadline, "stability shift")\n    through: dict',
+        "    through: dict",
+        ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "extension-edge-check",
+        SHIFT,
+        "if not g._has(full):",
+        "if False:",
+        ("tests/test_shift.py",),
+    ),
+    Mutant(
+        "sharpness-size-floor",
+        EXPERIMENTS,
+        "if n < 6:",
+        "if False:",
+        ("tests/test_cli.py",),
     ),
     Mutant(
         "shift-post-round-push",
@@ -515,7 +558,7 @@ UNREACHABLE = [
         Mutant(
             "shift-result-stable",
             SHIFT,
-            "stable = _stable(alive, at_rank, p, tick)",
+            "stable = _stable(alive, at_rank, p, deadline)",
             "stable = True",
             ("tests/test_shift.py",),
         ),

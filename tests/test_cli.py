@@ -299,6 +299,24 @@ def test_exp_sharpness_accepts_one_trial(monkeypatch, capsys):
     assert "trials: 1" in out
 
 
+@pytest.mark.parametrize("n_values", ["0", "3,6"])
+def test_exp_sharpness_refuses_sizes_below_six(monkeypatch, capsys, n_values):
+    # below n = 6 the tight member has no edge, so its degree-sum minimum
+    # is None, not the closed form: the suite refuses such a size before
+    # any trial runs, rather than printing a fail row or an error about
+    # an argument the user never gave
+    monkeypatch.setattr(experiments, "rainbow_matching", None)
+    code, out, err = run_raw(
+        monkeypatch, capsys, "", "exp", "sharpness", "--n-values", n_values
+    )
+    assert code == EXIT_INPUT
+    assert out == ""
+    assert err == (
+        f"error: sharpness sizes must be at least 6, got {n_values[0]}: the tight "
+        "member extremal_graph(n, n/3, 2) has no edge below n = 6\n"
+    )
+
+
 def test_deeply_nested_json_exits_3(monkeypatch, capsys):
     code, out, err = run_raw(monkeypatch, capsys, "[" * 100000 + "]" * 100000, "stats")
     assert code == EXIT_INPUT

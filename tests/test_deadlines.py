@@ -10,7 +10,9 @@ stalled test machine cannot expire it first.
 
 from __future__ import annotations
 
+import sys
 import time
+from itertools import combinations
 
 import pytest
 
@@ -24,7 +26,7 @@ from rainbow_lab.absorbing import (
     build_gadget,
     is_absorbing,
 )
-from rainbow_lab.constructions import complete_partite
+from rainbow_lab.constructions import PartiteHypergraph, complete_partite
 from rainbow_lab.fractional import min_fractional_cover
 from rainbow_lab.kernel import _deadline, _time_left
 from rainbow_lab.shift import (
@@ -165,13 +167,48 @@ def test_pipeline_stages_share_the_deadline(monkeypatch):
 
 
 def test_shift_setup_polls_the_deadline():
-    # 4,896 edges and threshold 0, so no triple is deficient and no round
-    # runs: only the set-up, polled every _SETUP_STRIDE edges, can expire
-    order = identity_order(complete_partite(6, 18))
-    assert order.graph.n_edges > shift._SETUP_STRIDE
+    # threshold 0, so no triple is deficient and no round runs: only the
+    # set-up, polled before each class vertex's link, can expire
+    order = identity_order(complete_partite(2, 6))
     assert stable_shift(order, 0, timeout=None)[1].steps == ()
     with pytest.raises(SolverTimeout, match="stability shift exceeded its deadline"):
         stable_shift(order, 0, timeout=1e-9)
+
+
+def shift_polls(monkeypatch, order, threshold):
+    """The functions that poll the shift's deadline, one entry per poll
+    in order, and the shift's trace."""
+    polls = []
+
+    def counting(deadline, what):
+        if what == "stability shift":
+            polls.append(sys._getframe(1).f_code.co_name)
+        return _time_left(deadline, what)
+
+    monkeypatch.setattr(shift, "_time_left", counting)
+    trace = stable_shift(order, threshold, timeout=60.0)[1]
+    return polls, trace
+
+
+def test_shift_polls_once_per_unit(monkeypatch):
+    # Class vertex 0 has the upward closed link of the trios through the
+    # top vertex 8, and class vertices 1 and 2 have every trio: three
+    # runs, two distinct links and one nesting check.  At threshold 0 no
+    # link is weak, so nothing is bucketed and no round runs.
+    every = list(combinations(range(3, 9), 3))
+    top = [t for t in every if 8 in t]
+    graph = PartiteHypergraph(
+        3, 6, [(0, *t) for t in top] + [(u, *t) for u in (1, 2) for t in every]
+    )
+    polls, trace = shift_polls(monkeypatch, identity_order(graph), 0)
+    assert trace.steps == ()
+    # three runs, two rankings, then two stability scans and a nesting check
+    assert polls == ["stable_shift"] * 5 + ["_stable"] * 3
+    # one weak link: its bucketing and each of its rounds poll once, and
+    # the result is scanned again
+    polls, trace = shift_polls(monkeypatch, identity_order(complete_partite(1, 4)), 6)
+    assert len(trace.steps) == 3
+    assert polls == ["stable_shift"] * 2 + ["_stable"] + ["_shift_link"] * 4 + ["_stable"]
 
 
 def test_cover_closure_polls_the_deadline():

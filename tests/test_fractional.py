@@ -309,7 +309,7 @@ def seeded_fractional_matching(seed):
         w = {e: x / top for e, x in w.items()}
     fault = seed % 4
     if fault == NON_EDGE:
-        missing = [e for e in combinations(range(n), 3) if not graph.has_edge(e)]
+        missing = [e for e in combinations(range(n), 3) if not graph._has(e)]
         keys = [(0, 1, n)] + missing[:1] + [e[::-1] for e in graph.edges[:1]]
         w[rng.choice(keys)] = rng.choice([Fraction(0), Fraction(1, 2)])
     elif fault == OUT_OF_UNIT and graph.edges:

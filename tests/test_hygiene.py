@@ -16,7 +16,11 @@ Each check has one home: only ``fractional.py`` calls ``lcm``
 (``FractionalCover.scaled`` is the one integer cover check), only
 ``kernel.py`` reads ``time.monotonic`` (every deadline goes through
 ``_deadline`` and ``_time_left``) and only ``fractional._unpack_lanes``
-uses :mod:`struct` (it is the one decoder of packed lanes).
+uses :mod:`struct` (it is the one decoder of packed lanes).  One poll
+rule: a stage polls its deadline once before each unit of its work (a
+class vertex, a link, a pivot, a search node of the gadget search), and
+only the kernel's searches, whose one unit is the node, poll on a count;
+so only ``kernel.py`` defines a module-level ``*_STRIDE`` constant.
 """
 
 from __future__ import annotations
@@ -308,3 +312,42 @@ def test_no_struct_outside_the_lane_decoder(path):
     # fractional._unpack_lanes decodes every packed lane, columns and prices
     home = "_unpack_lanes" if path.name == "fractional.py" else ""
     assert struct_uses(ast.parse(path.read_text()), home) == []
+
+
+def stride_constants(tree: ast.Module) -> list[int]:
+    """Lines that bind a module-level name ending in ``_STRIDE``."""
+    lines = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        if any(name.endswith("_STRIDE") for name in names):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_scan_sees_a_stride_constant():
+    tree = ast.parse(
+        "_SETUP_STRIDE = 4096\n"
+        "STRIDE = 2\n"
+        "_POLL_STRIDE: int = 64\n"
+        "A, B_STRIDE = 1, 2\n"
+        "def f():\n"
+        "    _LOCAL_STRIDE = 8\n"
+        "    return _LOCAL_STRIDE\n"
+    )
+    assert stride_constants(tree) == [1, 3, 4]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.parent.name == "rainbow_lab" and p.name != "kernel.py"],
+    ids=lambda p: p.name,
+)
+def test_no_poll_stride_outside_the_kernel(path):
+    # every other stage polls once per unit of its work, not on a count
+    assert stride_constants(ast.parse(path.read_text())) == []

@@ -61,13 +61,12 @@ class TestHasEdge:
         # (0, 1, 3) sorts between the two edges, so bisection lands inside
         # the edge list: only the equality test rejects it.
         h = Hypergraph(3, 6, [(0, 1, 2), (0, 1, 4)])
-        assert h.has_edge((0, 1, 2)) and h.has_edge((4, 1, 0))
-        assert not h.has_edge((0, 1, 3)) and not h.has_edge((3, 1, 0))
-        assert not h.has_edge((3, 4, 5))
+        assert h._has((0, 1, 2)) and h._has((0, 1, 4))
+        assert not h._has((0, 1, 3)) and not h._has((3, 4, 5))
 
     def test_lookup_is_exact(self):
         # The package's one lookup takes the tuple as given: an unsorted
-        # tuple is never an edge; ``has_edge`` sorts it first.
+        # tuple is never an edge, so callers pass sorted tuples.
         h = complete_hypergraph(3, 6)
         assert h._has((0, 1, 2)) and not h._has((2, 1, 0))
 
