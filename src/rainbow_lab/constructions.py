@@ -213,7 +213,13 @@ def partite_to_family(graph: PartiteHypergraph) -> HypergraphFamily:
 
 
 def extremal_partite(n: int) -> PartiteHypergraph:
-    """Reduction of n/3 copies of the tight extremal 3-graph on n vertices."""
+    """Reduction of n/3 copies of the tight extremal 3-graph on n vertices.
+
+    n = 3 gives the edgeless graph: one copy, whose blocking set of one
+    vertex holds two vertices of no triple.
+    """
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
     if n % 3 != 0:
         raise ValueError(f"n must be divisible by 3, got {n}")
     t = n // 3

@@ -40,6 +40,22 @@ count is that of the full scan minus the subtrees in the table; the
 witness is the full scan's, and an abort still reports exactly
 ``node_budget``, because the scan is a subsequence of the full one.
 
+The exact-cover search may be given groups of twin vertices: vertices
+any two of which can be swapped without changing the edge set.  Each
+swap is an automorphism, so it maps a dead state to a dead one, and the
+table then holds covered sets modulo the swaps.  A set is keyed by its
+image with the covered vertices of each group moved to the group's
+lowest ones, one key for its whole orbit, so a candidate is skipped
+exactly when an image of its next state has died.  That is still a dead
+state, so the witness, the verdict and an abort's count stay those of
+the full scan, and only the node count falls.  Without groups the table
+is a plain set, and a candidate costs one lookup in it.  One key per
+orbit keeps the table no larger than without groups.  Recording every
+image of each dead state instead, up to C(t, c) of them for c covered
+vertices of a group of t, would keep the set lookup but not the size:
+on ``extremal_partite(27)`` the table reached 557 MB after 15 s against
+22 MB keyed by orbit (2-CPU x86-64 box).
+
 Status codes: 0 = search completed (witness present for system/cover
 search, best-so-far is optimal for the max search), 1 = completed with
 no solution, 2 = node budget or deadline exhausted.
@@ -230,6 +246,7 @@ def exact_cover(
     n_vertices: int,
     node_budget: int = 0,
     deadline: float = 0.0,
+    groups: Sequence[int] = (),
 ) -> tuple[int, Optional[list[int]], int]:
     """Partition every vertex into chosen edges (a perfect matching).
 
@@ -237,6 +254,11 @@ def exact_cover(
     edges (ties to the smallest id) and tries its candidates in
     canonical order, which keeps scarce vertices from being silently
     over-committed by earlier choices.
+
+    ``groups`` are disjoint vertex bitmasks of twins: the caller
+    guarantees that swapping any two vertices of one group maps the
+    edges onto themselves.  The dead-end table is then keyed modulo
+    those swaps (:class:`_Orbits`).
     """
     lists = list(masks)
     full = (1 << n_vertices) - 1
@@ -250,8 +272,9 @@ def exact_cover(
     # a successful search.
     picks: list[int] = []
     # Covered vertex sets known to leave no exact cover; ``alive`` and
-    # the pivot follow from ``occ``, so it alone is the key.
-    dead: set[int] = set()
+    # the pivot follow from ``occ``, so it alone is the key (its orbit's
+    # key, given twin groups).
+    dead = _Orbits(groups, full) if groups else set()
     nodes = 0
     due = _next_check(0, node_budget, deadline)
 
@@ -299,6 +322,39 @@ def exact_cover(
         return NONE, None, nodes
     except _Abort as stop:
         return ABORTED, None, stop.args[0]
+
+
+class _Orbits:
+    """A dead-end table of covered sets modulo twin swaps: a set is
+    stored, and found, as its image with the covered vertices of each
+    group moved to the group's lowest ones, the same image for every set
+    in its orbit."""
+
+    __slots__ = ("keys", "rest", "groups")
+
+    def __init__(self, groups: Sequence[int], full: int):
+        self.keys: set[int] = set()
+        self.rest = full
+        # Each group with its lows: lows[c] is its c lowest vertices.
+        self.groups = []
+        for group in groups:
+            self.rest &= ~group
+            lows = [0]
+            for v in _vertices(group):
+                lows.append(lows[-1] | 1 << v)
+            self.groups.append((group, lows))
+
+    def _key(self, occ: int) -> int:
+        key = occ & self.rest
+        for group, lows in self.groups:
+            key |= lows[(occ & group).bit_count()]
+        return key
+
+    def __contains__(self, occ: int) -> bool:
+        return self._key(occ) in self.keys
+
+    def add(self, occ: int) -> None:
+        self.keys.add(self._key(occ))
 
 
 def max_disjoint_edges(

@@ -166,6 +166,8 @@ def has_perfect_matching(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     node_budget: int = 0,
     vertices: Optional[Iterable[int]] = None,
+    *,
+    _twins: Sequence[int] = (),
 ) -> tuple[bool, Optional[Matching]]:
     """Perfect-matching decision with witness.
 
@@ -173,7 +175,9 @@ def has_perfect_matching(
     the search branches on the most constrained uncovered vertex.  With
     ``vertices``, the decision is for the subgraph induced on them and
     the witness is in the graph's own vertex ids; a repeated or
-    out-of-range vertex raises ``ValueError``.
+    out-of-range vertex raises ``ValueError``.  ``_twins`` is for
+    :func:`partite_perfect_matching`, which passes no ``vertices``: the
+    twin groups of ``kernel.exact_cover``, as bitmasks of vertex ids.
     """
     edges, masks, n = _subproblem(graph, vertices)
     if n % graph.k != 0:
@@ -183,6 +187,7 @@ def has_perfect_matching(
         n_vertices=n,
         node_budget=node_budget,
         deadline=_deadline(timeout),
+        groups=_twins,
     )
     if status == kernel.ABORTED:
         raise _aborted("perfect-matching search", nodes, node_budget)
@@ -309,7 +314,12 @@ def partite_perfect_matching(
 
     Deliberately runs the generic exact-cover search on the flat
     4-graph rather than decomposing by class vertex, so its verdict is
-    an independent cross-check on the rainbow solver.
+    an independent cross-check on the rainbow solver.  The one thing it
+    tells the search about the graph is its twin classes
+    (:func:`_twin_classes`): swapping two twins is an automorphism, so
+    the search may treat a covered set as dead when an image of it is.
+    That prunes only dead states, so the witness and the verdict are
+    those of the plain search; only the node count falls.
     """
     if not graph.balanced:
         raise ValueError(
@@ -317,6 +327,29 @@ def partite_perfect_matching(
             f"|P|={graph.p_size}"
         )
     found, matching = has_perfect_matching(
-        graph, timeout=timeout, node_budget=node_budget
+        graph, timeout=timeout, node_budget=node_budget, _twins=_twin_classes(graph)
     )
     return matching if found else None
+
+
+def _twin_classes(graph: PartiteHypergraph) -> list[int]:
+    """The classes of two or more class vertices with equal links, each
+    as a bitmask of vertex ids.  Every edge holds one class vertex, so
+    swapping two twins maps the edges onto themselves.
+
+    A link is its run (:meth:`Hypergraph._run`) without the class
+    vertex, in the run's order, so two links are equal when their runs
+    match edge by edge past the first vertex.  Run lengths are compared
+    first, and links stop at the first edge that differs.
+    """
+    runs = [graph._run(u) for u in graph.q_vertices()]
+    classes: list[list[int]] = []
+    for u, run in enumerate(runs):
+        for same in classes:
+            first = runs[same[0]]
+            if len(first) == len(run) and all(e[1:] == f[1:] for e, f in zip(run, first)):
+                same.append(u)
+                break
+        else:
+            classes.append([u])
+    return [sum(1 << u for u in same) for same in classes if len(same) > 1]

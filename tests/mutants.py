@@ -200,6 +200,27 @@ MUTANTS = [
         ("tests/test_kernel.py",),
     ),
     Mutant(
+        "exact-cover-orbit-key",
+        KERNEL,
+        "key |= lows[(occ & group).bit_count()]",
+        "key |= occ & group",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "exact-cover-orbit-rest",
+        KERNEL,
+        "key = occ & self.rest",
+        "key = occ",
+        ("tests/test_kernel.py",),
+    ),
+    Mutant(
+        "twin-links-compared",
+        SOLVERS,
+        " and all(e[1:] == f[1:] for e, f in zip(run, first)):",
+        ":",
+        ("tests/test_solvers.py",),
+    ),
+    Mutant(
         "rainbow-search-dead-lookup",
         KERNEL,
         "            if nxt_occ in dead_next:\n                continue\n",

@@ -119,6 +119,18 @@ def test_gen_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
     assert err.startswith("error: vertex count")
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_gen_partite_extremal_refuses_n_below_three(monkeypatch, capsys, n):
+    code, out, err = run_raw(monkeypatch, capsys, "", "gen", "partite-extremal", "--n", n)
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: n must be >= 3, got {n}\n")
+
+
+def test_gen_partite_extremal_three_is_edgeless(monkeypatch, capsys):
+    code, out, _ = run_raw(monkeypatch, capsys, "", "gen", "partite-extremal", "--n", "3")
+    assert code == EXIT_FOUND
+    assert json.loads(out) == {"edges": [], "p": 3, "q": 1}
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -147,6 +147,16 @@ class TestReduction:
         assert pg.q_size == 2 and pg.p_size == 6 and pg.balanced
         assert pg.n_edges == 2 * 10
 
+    @pytest.mark.parametrize("n", [0, 1, 2, -3])
+    def test_extremal_partite_refuses_fewer_than_three(self, n):
+        # n = 0 must not reach extremal_graph(0, 0, 2), whose error names s.
+        with pytest.raises(ValueError, match=rf"^n must be >= 3, got {n}$"):
+            extremal_partite(n)
+
+    def test_extremal_partite_three_is_edgeless(self):
+        pg = extremal_partite(3)
+        assert (pg.q_size, pg.p_size, pg.edges) == (1, 3, ())
+
     def test_round_trip_family(self):
         pg = extremal_partite(6)
         assert family_to_partite(partite_to_family(pg)) == pg

@@ -43,6 +43,21 @@ def test_exact_cover_refutes_tight_partite_twelve():
     assert kernel.exact_cover(masks_of(h), h.n_vertices) == (kernel.NONE, None, 3864)
 
 
+@pytest.mark.parametrize("n, nodes", [(9, 90), (12, 924)])
+def test_exact_cover_refutes_tight_partite_modulo_twins(n, nodes):
+    # The n/3 class vertices are all twins: one group.
+    h = extremal_partite(n)
+    twins = [(1 << h.q_size) - 1]
+    got = kernel.exact_cover(masks_of(h), h.n_vertices, groups=twins)
+    assert got == (kernel.NONE, None, nodes)
+
+
+def test_exact_cover_modulo_twins_keeps_the_witness():
+    h = complete_partite(6, 18)
+    got = kernel.exact_cover(masks_of(h), h.n_vertices, groups=[0b111111])
+    assert got == (kernel.FOUND, [0, 1177, 2228, 3180, 4060, 4895], 6)
+
+
 def test_rainbow_search_refutes_tight_family():
     g = extremal_graph(9, 3, 2)
     assert kernel.rainbow_search([masks_of(g)] * 3) == (kernel.NONE, None, 2550)
