@@ -33,6 +33,7 @@ from .constructions import (
     HypergraphFamily,
     PartiteHypergraph,
     _extremal_edge_count,
+    _tight_class_count,
     extremal_graph,
     extremal_partite,
     family_to_partite,
@@ -120,7 +121,7 @@ def _cmd_gen(args) -> int:
         bound_edges(_extremal_edge_count(args.n, args.s, args.ell), "gen extremal")
         instance = extremal_graph(args.n, args.s, args.ell)
     elif args.what == "partite-extremal":
-        t = args.n // 3
+        t = _tight_class_count(args.n)
         vertex_count(args.n + t)
         bound_edges(t * _extremal_edge_count(args.n, t, 2), "gen partite-extremal")
         instance = extremal_partite(args.n)

@@ -10,10 +10,11 @@ the reduction, which is what the solvers exploit.  The reduction is a
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .hypergraph import Hypergraph
 
@@ -52,6 +53,12 @@ class PartiteHypergraph(Hypergraph):
     exactly one Q-vertex and three P-vertices; as ids in Q come first,
     the class vertex of an edge ``e`` is ``e[0]``.  Instances are
     immutable, and never equal to a plain :class:`Hypergraph`.
+
+    A class vertex's edges are its run; its link, member i of the
+    family when it is u_i, is the run with the vertex removed
+    (:meth:`link`).  Which class vertices share a link is decided in
+    one place, :meth:`_link_classes`, read by both the stability shift
+    and the partite perfect-matching search.
     """
 
     __slots__ = ("q_size", "p_size")
@@ -118,6 +125,27 @@ class PartiteHypergraph(Hypergraph):
         if not 0 <= u < self.q_size:
             raise ValueError(f"vertex {u} is not a class vertex in [0, {self.q_size})")
         return Hypergraph._trusted(3, self.n_vertices, [e[1:] for e in self._run(u)])
+
+    def _link_classes(self) -> Iterator[int]:
+        """For each class vertex in order, the index of its link among the
+        distinct links, numbered by first appearance: the package's one
+        rule for which class vertices share a link.  One index is yielded
+        per vertex, so that a caller can poll a deadline in between.
+
+        A link is its vertex's run (:meth:`Hypergraph._run`) without the
+        class column, so two links are equal when the runs' other three
+        columns are.  A run whose length no other run has is a link of
+        its own, keyed by that length alone; only the others are
+        flattened, and their columns cut from the flat run by strides.
+        No edge is sliced, and no object is built per edge.
+        """
+        runs = [self._run(u) for u in self.q_vertices()]
+        lengths = Counter(map(len, runs))
+        index: dict[object, int] = {}
+        for run in runs:
+            flat = tuple(chain.from_iterable(run)) if lengths[len(run)] > 1 else ()
+            key = len(run), flat[1::4], flat[2::4], flat[3::4]
+            yield index.setdefault(key, len(index))
 
     def as_hypergraph(self) -> Hypergraph:
         """The graph itself, already a 4-graph; ``perfbench`` still calls this."""
@@ -197,19 +225,29 @@ def family_to_partite(family: HypergraphFamily) -> PartiteHypergraph:
 
 
 def partite_to_family(graph: PartiteHypergraph) -> HypergraphFamily:
-    """Inverse of family_to_partite: member i is the link of u_i.
+    """Inverse of family_to_partite: member i is the link of u_i, read
+    off its run with every id shifted down by q.
 
     Class vertices with no edges yield empty members, so the round trip
     is total.
     """
-    q = graph.q_size
-    buckets: list[list[tuple[int, ...]]] = [[] for _ in range(q)]
-    for u, a, b, c in graph.edges:
-        buckets[u].append((a - q, b - q, c - q))
+    q, p = graph.q_size, graph.p_size
     members = tuple(
-        Hypergraph._trusted(3, graph.p_size, bucket) for bucket in buckets
+        Hypergraph._trusted(3, p, [(a - q, b - q, c - q) for _, a, b, c in graph._run(u)])
+        for u in graph.q_vertices()
     )
-    return HypergraphFamily(n_vertices=graph.p_size, members=members)
+    return HypergraphFamily(n_vertices=p, members=members)
+
+
+def _tight_class_count(n: int) -> int:
+    """n // 3, the class size of ``extremal_partite(n)``; ``ValueError``
+    unless n >= 3 and 3 divides n, so that a caller can bound the
+    instance before building it."""
+    if n < 3:
+        raise ValueError(f"n must be >= 3, got {n}")
+    if n % 3 != 0:
+        raise ValueError(f"n must be divisible by 3, got {n}")
+    return n // 3
 
 
 def extremal_partite(n: int) -> PartiteHypergraph:
@@ -218,14 +256,8 @@ def extremal_partite(n: int) -> PartiteHypergraph:
     n = 3 gives the edgeless graph: one copy, whose blocking set of one
     vertex holds two vertices of no triple.
     """
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    if n % 3 != 0:
-        raise ValueError(f"n must be divisible by 3, got {n}")
-    t = n // 3
-    member = extremal_graph(n, t, 2)
-    family = HypergraphFamily(n_vertices=n, members=(member,) * t)
-    return family_to_partite(family)
+    t = _tight_class_count(n)
+    return family_to_partite(HypergraphFamily(n, (extremal_graph(n, t, 2),) * t))
 
 
 def complete_partite(q_size: int, p_size: int) -> PartiteHypergraph:

@@ -14,21 +14,23 @@ it is stable by construction.
 
 A round at class rank i deletes only class-i edges and lowers only
 class-i pair degrees, so the shift is one independent shift per class
-vertex's link, and equal links run equal rounds.  The shift groups the
-class vertices by :meth:`PartiteHypergraph.link`, ranks each distinct
-link's trios once, into one int key each, and shifts each distinct link
-on its own: its pair degrees sit in a list indexed by rank, and its keys
-are bucketed by rank pair, but only when some pair can ever be
-deficient; on most closures none can, and the shift runs no round,
-builds no bucket and returns its input.  The deficient pairs wait in a
-heap, so a round costs the edges it deletes and the pairs they touch,
-not a scan of every bucket.  The global trace merges the links' rounds,
+vertex's link, and equal links run equal rounds.  The shift reads which
+class vertices share a link from :meth:`PartiteHypergraph._link_classes`,
+ranks each distinct link's trios once, off the run of its first class
+vertex, into one int key each, and shifts each distinct link on its
+own: its pair degrees sit in a list indexed by rank, and its keys are
+bucketed by rank pair, but only when some pair can ever be deficient;
+on most closures none can, and the shift runs no round, builds no
+bucket and returns its input.  The deficient pairs wait in a heap, so a
+round costs the edges it deletes and the pairs they touch, not a scan
+of every bucket.  The global trace merges the links' rounds,
 one sequence per class rank.  One predicate, :func:`_stable`, checks the
 input's stability on the links' keys and, when a round deleted edges,
 the result's.  The pipeline shifts at the paper's one codegree bound,
 ``extremal_adjacent_degree_sum(p)``, and its one deadline reaches every
 stage: the cover closure polls it once per class vertex, and the shift
-once per round and once before each unit of its set-up.  A missing
+once per round, once per class vertex as the partition yields it, and
+once before each other unit of its set-up.  A missing
 extension edge is a fault and raises ``AssertionError``.
 """
 
@@ -85,13 +87,14 @@ def identity_order(graph: PartiteHypergraph) -> OrderedPartite:
 
 
 def _rank_link(
-    trios: tuple[Edge, ...], rank: dict[int, int], p: int
+    run: tuple[Edge, ...], rank: dict[int, int], p: int
 ) -> tuple[list[int], list[int]]:
-    """The key ``(a * p + b) * p + c`` of each trio, a < b < c its
-    vertices' ranks, and the link's degree at each rank."""
+    """The key ``(a * p + b) * p + c`` of each edge's trio, a < b < c its
+    vertices' ranks, and the link's degree at each rank.  ``run`` is a
+    class vertex's run; its class column is skipped, not sliced off."""
     keys = []
     deg = [0] * p
-    for x, y, z in trios:
+    for _, x, y, z in run:
         a, b, c = sorted((rank[x], rank[y], rank[z]))
         deg[a] += 1
         deg[b] += 1
@@ -342,37 +345,38 @@ def stable_shift(
     A round at class rank i deletes only class-i edges, lowers only
     class-i pair degrees, and whether a class-i triple is deficient
     depends only on those.  So each class vertex's link shifts on its
-    own, and links that are equal shift alike.  The class vertices are
-    grouped by :meth:`PartiteHypergraph.link`; each distinct link's trios
-    are ranked once, into the int key ``(a * p + b) * p + c`` of their
-    ranks a < b < c, and shifted once by :func:`_shift_link`.  Class rank i
-    then repeats its link's rounds, and the global trace repeatedly
-    takes the class rank whose next round has the least
-    ``(rank sum, i, j, k)``: that round is the least deficient triple
-    of all, since each class rank's next round is its least.
+    own, and links that are equal shift alike.  Which class vertices
+    share a link is :meth:`PartiteHypergraph._link_classes`'s to say;
+    each distinct link's trios are ranked once, when its first class
+    vertex comes, straight off that vertex's run, into the int key
+    ``(a * p + b) * p + c`` of their ranks a < b < c, and shifted once by
+    :func:`_shift_link`.  Class rank i then repeats its link's rounds,
+    and the global trace repeatedly takes the class rank whose next
+    round has the least ``(rank sum, i, j, k)``: that round is the least
+    deficient triple of all, since each class rank's next round is its
+    least.
 
     The input is checked to be stable by :func:`_stable`, and ``stable``
     checks the survivors by the same predicate; a shift that runs no
     round returns its input itself, stable without a second scan.  The
     survivors are each class vertex's run in input order, less what its
     link lost, so the result is built without re-validation.  The
-    deadline is polled once per round, and during the set-up once before
-    each unit of work: a class vertex's link, a distinct link's ranking,
-    stability scan or bucketing, and a nesting check.  A shift that runs
-    out of ``timeout`` raises :class:`SolverTimeout`, in its set-up too.
+    deadline is polled once per round, and during the set-up once per
+    class vertex as the partition yields it and once before each other
+    unit of work: a distinct link's ranking, stability scan or
+    bucketing, and a nesting check.  A shift that runs out of
+    ``timeout`` raises :class:`SolverTimeout`, in its set-up too.
     """
     deadline = _deadline(timeout)
     g = start.graph
     p = g.p_size
-    index: dict[tuple[Edge, ...], int] = {}
-    link_of = []
-    for u in g.q_vertices():
+    link_of, ranked = [], []
+    for u, h in enumerate(g._link_classes()):
         _time_left(deadline, "stability shift")
-        link_of.append(index.setdefault(g.link(u).edges, len(index)))
-    ranked = []
-    for trios in index:
-        _time_left(deadline, "stability shift")
-        ranked.append(_rank_link(trios, start._p_rank, p))
+        link_of.append(h)
+        if h == len(ranked):
+            _time_left(deadline, "stability shift")
+            ranked.append(_rank_link(g._run(u), start._p_rank, p))
     at_rank = [link_of[u] for u in start.q_order]
     alive = [set(keys) for keys, _ in ranked]
     if not _stable(alive, at_rank, p, deadline):

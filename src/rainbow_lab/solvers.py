@@ -316,7 +316,9 @@ def partite_perfect_matching(
     4-graph rather than decomposing by class vertex, so its verdict is
     an independent cross-check on the rainbow solver.  The one thing it
     tells the search about the graph is its twin classes
-    (:func:`_twin_classes`): swapping two twins is an automorphism, so
+    (:func:`_twin_classes`), the class vertices that share a link by
+    :meth:`PartiteHypergraph._link_classes`, the partition the stability
+    shift reads too: swapping two twins is an automorphism, so
     the search may treat a covered set as dead when an image of it is.
     That prunes only dead states, so the witness and the verdict are
     those of the plain search; only the node count falls.
@@ -334,22 +336,11 @@ def partite_perfect_matching(
 
 def _twin_classes(graph: PartiteHypergraph) -> list[int]:
     """The classes of two or more class vertices with equal links, each
-    as a bitmask of vertex ids.  Every edge holds one class vertex, so
-    swapping two twins maps the edges onto themselves.
-
-    A link is its run (:meth:`Hypergraph._run`) without the class
-    vertex, in the run's order, so two links are equal when their runs
-    match edge by edge past the first vertex.  Run lengths are compared
-    first, and links stop at the first edge that differs.
-    """
-    runs = [graph._run(u) for u in graph.q_vertices()]
-    classes: list[list[int]] = []
-    for u, run in enumerate(runs):
-        for same in classes:
-            first = runs[same[0]]
-            if len(first) == len(run) and all(e[1:] == f[1:] for e, f in zip(run, first)):
-                same.append(u)
-                break
-        else:
-            classes.append([u])
-    return [sum(1 << u for u in same) for same in classes if len(same) > 1]
+    as a bitmask of vertex ids, in order of first appearance.  Every
+    edge holds one class vertex, so swapping two twins maps the edges
+    onto themselves.  Which links are equal is
+    :meth:`PartiteHypergraph._link_classes`'s to say."""
+    masks = [0] * graph.q_size
+    for u, h in enumerate(graph._link_classes()):
+        masks[h] |= 1 << u
+    return [m for m in masks if m.bit_count() > 1]

@@ -7,8 +7,9 @@ kernel, the dense LP tableau and the reference shift at the end, which
 fix the search tree of the kernel and the exact output of the LP and
 the shift rather than just their verdicts, the shift order with its
 stability check, which specify what the shift preserves, and the cover
-order that a closure must carry.  ``random_3graph`` and
-``parity_family`` build shared test instances.
+order that a closure must carry.  ``random_3graph``,
+``repeated_families`` and ``parity_family`` build shared test
+instances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
-from rainbow_lab.constructions import HypergraphFamily, PartiteHypergraph
+from rainbow_lab.constructions import (
+    HypergraphFamily,
+    PartiteHypergraph,
+    extremal_graph,
+    family_to_partite,
+)
 from rainbow_lab.fractional import ZERO, FractionalCover, FractionalMatching
 from rainbow_lab.hypergraph import Hypergraph
 from rainbow_lab.shift import (
@@ -36,6 +42,27 @@ def random_3graph(rng, n: int, prob: float) -> Hypergraph:
     return Hypergraph(
         3, n, [e for e in combinations(range(n), 3) if rng.random() < prob]
     )
+
+
+def repeated_families(rng, count):
+    """Partite reductions of seeded families that hold each member of
+    a pool, and repeats of them to t members.  The pool holds random
+    3-graphs, the tight member and dropped-edge copies of it."""
+    for _ in range(count):
+        n = rng.choice([6, 9, 12])
+        t = n // 3
+        tight = extremal_graph(n, t, 2)
+        pool = [
+            rng.choice([
+                random_3graph(rng, n, rng.uniform(0.05, 0.6)),
+                tight,
+                Hypergraph(3, n, [e for e in tight.edges if rng.random() >= 0.05]),
+            ])
+            for _ in range(rng.randint(1, t))
+        ]
+        members = pool + [rng.choice(pool) for _ in range(t - len(pool))]
+        rng.shuffle(members)
+        yield family_to_partite(HypergraphFamily(n, tuple(members)))
 
 
 def parity_family(n: int = 12) -> HypergraphFamily:

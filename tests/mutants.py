@@ -214,11 +214,11 @@ MUTANTS = [
         ("tests/test_kernel.py",),
     ),
     Mutant(
-        "twin-links-compared",
-        SOLVERS,
-        " and all(e[1:] == f[1:] for e, f in zip(run, first)):",
-        ":",
-        ("tests/test_solvers.py",),
+        "link-classes-compared",
+        CONSTRUCTIONS,
+        "tuple(chain.from_iterable(run)) if lengths[len(run)] > 1 else ()",
+        "()",
+        ("tests/test_hypergraph.py", "tests/test_solvers.py"),
     ),
     Mutant(
         "rainbow-search-dead-lookup",
@@ -399,9 +399,16 @@ MUTANTS = [
     Mutant(
         "shift-rank-deadline",
         SHIFT,
-        '        _time_left(deadline, "stability shift")\n        ranked.append(',
-        "        ranked.append(",
+        '            _time_left(deadline, "stability shift")\n            ranked.append(',
+        "            ranked.append(",
         ("tests/test_deadlines.py",),
+    ),
+    Mutant(
+        "shift-link-first-vertex",
+        SHIFT,
+        "ranked.append(_rank_link(g._run(u), start._p_rank, p))",
+        "ranked.append(_rank_link(g._run(h), start._p_rank, p))",
+        ("tests/test_shift.py",),
     ),
     Mutant(
         "shift-scan-deadline",

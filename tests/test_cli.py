@@ -25,6 +25,7 @@ from rainbow_lab.constructions import (
     PartiteHypergraph,
     complete_partite,
     extremal_graph,
+    extremal_partite,
 )
 from rainbow_lab.hypergraph import complete_hypergraph, empty_hypergraph
 from rainbow_lab.jsonio import canonical_json
@@ -123,6 +124,19 @@ def test_gen_rejects_vertex_count_outside_bound(monkeypatch, capsys, argv):
 def test_gen_partite_extremal_refuses_n_below_three(monkeypatch, capsys, n):
     code, out, err = run_raw(monkeypatch, capsys, "", "gen", "partite-extremal", "--n", n)
     assert (code, out, err) == (EXIT_INPUT, "", f"error: n must be >= 3, got {n}\n")
+
+
+@pytest.mark.parametrize("n", [-3, -1, 2, 4, 10])
+def test_gen_partite_extremal_names_the_n_given(monkeypatch, capsys, n):
+    # n is checked by extremal_partite's own rule before the instance is
+    # bounded, so the error names the n given, not the vertex count
+    # n + n // 3 (-4 for n = -3), and nothing is built
+    with pytest.raises(ValueError) as refused:
+        extremal_partite(n)
+    monkeypatch.setattr(cli, "extremal_partite", forbidden)
+    code, out, err = run_raw(monkeypatch, capsys, "", "gen", "partite-extremal", "--n", str(n))
+    assert (code, out, err) == (EXIT_INPUT, "", f"error: {refused.value}\n")
+    assert str(refused.value).endswith(f"got {n}")
 
 
 def test_gen_partite_extremal_three_is_edgeless(monkeypatch, capsys):

@@ -15,11 +15,20 @@ from rainbow_lab.hypergraph import (
     complete_hypergraph,
     empty_hypergraph,
 )
-from rainbow_lab.constructions import PartiteHypergraph, complete_partite, extremal_graph
+from rainbow_lab.constructions import (
+    PartiteHypergraph,
+    complete_partite,
+    extremal_adjacent_degree_sum,
+    extremal_graph,
+    extremal_partite,
+)
 from rainbow_lab.experiments import random_partite
+from rainbow_lab.fractional import min_fractional_cover
+from rainbow_lab.shift import cover_closure, stable_shift
+from rainbow_lab.solvers import partite_perfect_matching
 from rainbow_lab.jsonio import canonical_json, load_instance
 
-from _oracles import all_partite_four_sets, brute_degree, random_3graph
+from _oracles import all_partite_four_sets, brute_degree, random_3graph, repeated_families
 
 
 @st.composite
@@ -220,6 +229,95 @@ class TestLink:
             deg = pg.degrees(1)
             for u in pg.q_vertices():
                 assert pg.link(u).n_edges == deg[(u,)]
+
+
+class TestLinkClasses:
+    """``PartiteHypergraph._link_classes`` against pairwise equality of
+    the class vertices' links."""
+
+    @staticmethod
+    def assert_partition(graph):
+        got = list(graph._link_classes())
+        links = [graph.link(u).edges for u in graph.q_vertices()]
+        assert len(got) == graph.q_size
+        for u, v in combinations(graph.q_vertices(), 2):
+            assert (got[u] == got[v]) == (links[u] == links[v])
+        # numbered by first appearance
+        firsts = [h for i, h in enumerate(got) if h not in got[:i]]
+        assert firsts == list(range(len(firsts)))
+        return got, links
+
+    @staticmethod
+    def equal_lengths(rng, count):
+        """Graphs whose class vertices mostly have runs of one length,
+        drawn from few trios so that some links repeat and others only
+        share the length; half of them leave class vertices edgeless."""
+        for i in range(count):
+            q, p = rng.randint(3, 7), rng.randint(4, 6)
+            trios = rng.sample(list(combinations(range(q, q + p), 3)), 4)
+            size = rng.randint(1, 2)
+            edges = []
+            for u in range(q):
+                if i % 2 == 0 and rng.random() < 0.5:
+                    continue
+                edges += [(u,) + t for t in rng.sample(trios, size)]
+            yield PartiteHypergraph(q, p, edges)
+
+    @staticmethod
+    def tight_closures():
+        for n in (9, 12, 15, 18, 21):
+            graph = extremal_partite(n)
+            yield cover_closure(graph, min_fractional_cover(graph)[1]).graph
+
+    def test_equals_pairwise_link_equality(self):
+        rng = random.Random(36)
+        graphs = [
+            *repeated_families(rng, 30),
+            *self.equal_lengths(rng, 30),
+            *self.tight_closures(),
+        ]
+        repeated = same_length_apart = edgeless = 0
+        for graph in graphs:
+            got, links = self.assert_partition(graph)
+            repeated += len(set(got)) < len(got)
+            same_length_apart += any(
+                len(a) == len(b) and a != b for a, b in combinations(links, 2)
+            )
+            edgeless += sum(not link for link in links) > 1
+        assert len(graphs) >= 60
+        assert min(repeated, same_length_apart, edgeless) >= 5
+
+    def test_tight_closures_have_one_link(self):
+        for graph in self.tight_closures():
+            assert list(graph._link_classes()) == [0] * graph.q_size
+
+    def test_unique_lengths_and_edgeless_vertices(self):
+        # 0 and 3 are edgeless; 1 and 4 share a link; 2 has a length of
+        # its own; 5 has 1's length and a link of its own
+        graph = PartiteHypergraph(6, 5, [
+            (1, 6, 7, 8), (4, 6, 7, 8),
+            (2, 6, 7, 9), (2, 6, 7, 10),
+            (5, 6, 7, 9),
+        ])
+        assert list(graph._link_classes()) == [0, 1, 2, 0, 1, 3]
+        assert list(PartiteHypergraph(0, 3, [])._link_classes()) == []
+
+    def test_shift_and_partite_search_read_it_once_per_call(self, monkeypatch):
+        calls = []
+        real = PartiteHypergraph._link_classes
+
+        def counting(graph):
+            calls.append(graph)
+            return real(graph)
+
+        monkeypatch.setattr(PartiteHypergraph, "_link_classes", counting)
+        graph = extremal_partite(9)
+        closure = cover_closure(graph, min_fractional_cover(graph)[1])
+        _, trace = stable_shift(closure, extremal_adjacent_degree_sum(9))
+        assert trace.steps and calls == [closure.graph]
+        calls.clear()
+        assert partite_perfect_matching(graph) is None
+        assert calls == [graph]
 
 
 class TestAdjacency:

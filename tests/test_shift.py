@@ -393,9 +393,9 @@ class TestStableShift:
         calls = []
         rank_link = shift._rank_link
 
-        def counting_rank_link(trios, rank, p):
-            calls.append(len(trios))
-            return rank_link(trios, rank, p)
+        def counting_rank_link(run, rank, p):
+            calls.append(len(run))
+            return rank_link(run, rank, p)
 
         monkeypatch.setattr(shift, "_rank_link", counting_rank_link)
         _, trace = stable_shift(closure, threshold=35)

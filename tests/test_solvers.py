@@ -42,6 +42,7 @@ from _oracles import (
     brute_rainbow_exists,
     parity_family,
     random_3graph,
+    repeated_families,
 )
 
 
@@ -224,30 +225,9 @@ class TestPartitePerfectMatching:
 class TestTwinClasses:
     """``_twin_classes`` and the search keyed modulo twins."""
 
-    @staticmethod
-    def repeated_families(rng, count):
-        """Partite reductions of seeded families that hold each member of
-        a pool, and repeats of them to t members.  The pool holds random
-        3-graphs, the tight member and dropped-edge copies of it."""
-        for _ in range(count):
-            n = rng.choice([6, 9, 12])
-            t = n // 3
-            tight = extremal_graph(n, t, 2)
-            pool = [
-                rng.choice([
-                    random_3graph(rng, n, rng.uniform(0.05, 0.6)),
-                    tight,
-                    Hypergraph(3, n, [e for e in tight.edges if rng.random() >= 0.05]),
-                ])
-                for _ in range(rng.randint(1, t))
-            ]
-            members = pool + [rng.choice(pool) for _ in range(t - len(pool))]
-            rng.shuffle(members)
-            yield family_to_partite(HypergraphFamily(n, tuple(members)))
-
     def test_grouped_search_agrees_with_the_plain_one(self):
         seen = set()
-        for graph in self.repeated_families(random.Random(34), 80):
+        for graph in repeated_families(random.Random(34), 80):
             twins = solvers._twin_classes(graph)
             masks = [sum(1 << v for v in e) for e in graph.edges]
             plain = kernel.exact_cover(masks, graph.n_vertices)
@@ -269,7 +249,7 @@ class TestTwinClasses:
 
     def test_every_swap_is_an_automorphism(self):
         edges_seen = 0
-        for graph in self.repeated_families(random.Random(35), 40):
+        for graph in repeated_families(random.Random(35), 40):
             edges = set(graph.edges)
             for group in solvers._twin_classes(graph):
                 members = [u for u in graph.q_vertices() if group >> u & 1]
