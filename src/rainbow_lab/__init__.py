@@ -20,6 +20,7 @@ from .constructions import (
 from .fractional import (
     FractionalCover,
     FractionalMatching,
+    FractionalOptimum,
     fractional_perfect_matching,
     max_fractional_matching,
     min_fractional_cover,
@@ -48,6 +49,7 @@ __all__ = [
     "DegreeSumMinima",
     "FractionalCover",
     "FractionalMatching",
+    "FractionalOptimum",
     "Hypergraph",
     "HypergraphFamily",
     "Matching",

@@ -314,12 +314,9 @@ def _duality_trial(cfg: ExperimentConfig, i: int) -> Verdict:
     n = rng.randint(4, 10)
     prob = _prob_ladder(i % 7, 7, 0.1, 0.8)
     graph = random_hypergraph(rng, n, prob)
-    certified = verify_duality(graph, timeout=cfg.timeout_seconds)
+    value = verify_duality(graph, timeout=cfg.timeout_seconds).value
     left = _time_left(deadline, "duality trial")
     integral = len(max_matching(graph, timeout=left))
-    if certified is None:
-        return False, f"n={n} m={graph.n_edges} certificates rejected nu={integral}", None
-    value = certified[0]
     detail = f"n={n} m={graph.n_edges} nu*={value} tau*={value} nu={integral}"
     witness = sha256_of({"value": str(value), "integral": integral})
     return integral <= value, detail, witness

@@ -80,12 +80,15 @@ graphs.
 Both certificates come from the final state: the basic edge rows give
 the matching (only their non-zero weights, so at most n edges), and the
 negated reduced costs of the vertex slacks give the cover (the LP
-dual).  Their optimality is not taken on trust:
-callers check that the matching and the cover are feasible (the cover
-by :meth:`FractionalCover.scaled`, the package's one cover check) and
-that their values agree, which by weak duality proves both optimal.
-:func:`verify_duality` makes all three checks and hands over the
-certificates it verified.
+dual).  The solve hands them over with the optimal value, whole, as one
+:class:`FractionalOptimum`.  Their optimality is not taken on trust:
+:meth:`FractionalOptimum.check`, the package's one LP certificate check,
+checks that the matching and the cover are feasible (the cover by
+:meth:`FractionalCover.scaled`, the package's one cover check) and that
+both values equal the optimum's, which by weak duality proves both
+optimal.  It raises :class:`AssertionError` on a failed check, like
+every other postcondition of the package.  :func:`verify_duality` is the
+solve plus that check.
 
 Optimal faces are generally not singletons, and which optimal vertex
 the pivot rule reaches is an accident of that rule: callers should
@@ -148,9 +151,6 @@ class FractionalCover:
     def value(self) -> Fraction:
         return sum(self.weights.values(), ZERO)
 
-    def is_feasible(self, graph: Hypergraph) -> bool:
-        return self.scaled(graph) is not None
-
     def scaled(self, graph: Hypergraph) -> Optional[tuple[int, list[int]]]:
         """``(L, y)``: L the weights' common denominator, y[v] L times the
         weight of v (0 if absent); None unless every key is a vertex,
@@ -170,6 +170,27 @@ class FractionalCover:
         ):
             return None
         return den, y
+
+
+@dataclass(frozen=True)
+class FractionalOptimum:
+    """The matching LP's answer from one solve: the optimal value, an
+    optimal matching and an optimal cover (the dual)."""
+
+    value: Fraction
+    matching: FractionalMatching
+    cover: FractionalCover
+
+    def check(self, graph: Hypergraph) -> None:
+        """Raise :class:`AssertionError` unless the matching is feasible,
+        the cover passes :meth:`FractionalCover.scaled` and both values
+        equal ``value``: by weak duality both are then optimal."""
+        if not (
+            self.matching.is_feasible(graph)
+            and self.cover.scaled(graph) is not None
+            and self.matching.value() == self.cover.value() == self.value
+        ):
+            raise AssertionError("LP certificates are infeasible or their values differ")
 
 
 # struct codes of the lane widths up to 64 bits
@@ -234,10 +255,8 @@ def _edge_prices(
     return _unpack_lanes(total, len(edges), width), half
 
 
-def _solve(
-    graph: Hypergraph, timeout: Optional[float]
-) -> tuple[Fraction, FractionalMatching, FractionalCover]:
-    """Optimal value, matching and cover of the matching LP.
+def _solve(graph: Hypergraph, timeout: Optional[float]) -> FractionalOptimum:
+    """Optimal value, matching and cover of the matching LP, unchecked.
 
     The dense tableau has the m edge columns, the n vertex slacks and
     the rhs; this stores only the slack block ``den * B^-1`` and the rhs
@@ -355,10 +374,8 @@ def _solve(
         edges[b]: Fraction(rhs[i], den) for i, b in enumerate(basis) if b < m and rhs[i]
     }
     cover = {v: Fraction(-cbar[v], den) for v in range(n)}
-    return (
-        Fraction(-cbar[-1], den),
-        FractionalMatching(weights=weights),
-        FractionalCover(weights=cover),
+    return FractionalOptimum(
+        Fraction(-cbar[-1], den), FractionalMatching(weights), FractionalCover(cover)
     )
 
 
@@ -370,8 +387,8 @@ def max_fractional_matching(
 
     Raises :class:`SolverTimeout` when the solve outlasts ``timeout``.
     """
-    value, matching, _ = _solve(graph, timeout)
-    return value, matching
+    optimum = _solve(graph, timeout)
+    return optimum.value, optimum.matching
 
 
 def min_fractional_cover(
@@ -382,28 +399,23 @@ def min_fractional_cover(
 
     Raises :class:`SolverTimeout` when the solve outlasts ``timeout``.
     """
-    value, _, cover = _solve(graph, timeout)
-    return value, cover
+    optimum = _solve(graph, timeout)
+    return optimum.value, optimum.cover
 
 
 def verify_duality(
     graph: Hypergraph, timeout: Optional[float] = DEFAULT_TIMEOUT
-) -> Optional[tuple[Fraction, FractionalMatching, FractionalCover]]:
-    """The one solve's ``(value, matching, cover)``, once both
-    certificates are feasible and their values equal ``value``, which
-    proves both optimal; None when any of the three checks fails.
+) -> FractionalOptimum:
+    """The one solve's optimum, once :meth:`FractionalOptimum.check` has
+    proved its matching and cover optimal.
 
-    The tuple is truthy even when the value is 0, so the result reads
-    as the verdict.
+    Raises :class:`AssertionError` when a certificate fails the check,
+    a fault of the package, and :class:`SolverTimeout` when the solve
+    outlasts ``timeout``.
     """
-    value, matching, cover = _solve(graph, timeout)
-    if (
-        matching.is_feasible(graph)
-        and cover.is_feasible(graph)
-        and matching.value() == cover.value() == value
-    ):
-        return value, matching, cover
-    return None
+    optimum = _solve(graph, timeout)
+    optimum.check(graph)
+    return optimum
 
 
 def fractional_perfect_matching(
@@ -416,9 +428,9 @@ def fractional_perfect_matching(
     loads of an optimal matching are forced to 1 everywhere; that is
     asserted before returning.
     """
-    value, matching = max_fractional_matching(graph, timeout)
-    if value != Fraction(graph.n_vertices, graph.k):
+    optimum = _solve(graph, timeout)
+    if optimum.value != Fraction(graph.n_vertices, graph.k):
         return False, None
-    if not matching.saturates(graph):
+    if not optimum.matching.saturates(graph):
         raise AssertionError("optimal matching at n/k failed to saturate")
-    return True, matching
+    return True, optimum.matching

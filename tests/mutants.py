@@ -277,6 +277,13 @@ MUTANTS = [
         ("tests/test_absorbing.py",),
     ),
     Mutant(
+        "is-absorbing-joint",
+        ABSORBING,
+        "    if not found:\n        return False, None\n    return True, (pm_body, pm_joint)",
+        "    return True, (pm_body, pm_joint)",
+        ("tests/test_absorbing.py",),
+    ),
+    Mutant(
         "absorb-body-overlap",
         ABSORBING,
         "if bv & body_vertices:",
@@ -461,6 +468,13 @@ MUTANTS = [
         ("tests/test_shift.py",),
     ),
     Mutant(
+        "shift-trace-row",
+        SHIFT,
+        "[s.q_rank, s.p_rank_low, s.p_rank_high, s.removed]",
+        "[s.q_rank, s.p_rank_high, s.p_rank_low, s.removed]",
+        ("tests/test_cli_golden.py",),
+    ),
+    Mutant(
         "shift-link-nesting",
         SHIFT,
         "if not links[low] <= links[high]:",
@@ -510,23 +524,24 @@ MUTANTS = [
         ("tests/test_fractional.py",),
     ),
     Mutant(
-        "verify-duality-matching",
+        "optimum-check-matching",
         FRACTIONAL,
-        "        matching.is_feasible(graph)\n        and cover.is_feasible(graph)\n",
-        "        cover.is_feasible(graph)\n",
+        "            self.matching.is_feasible(graph)\n"
+        "            and self.cover.scaled(graph) is not None\n",
+        "            self.cover.scaled(graph) is not None\n",
         ("tests/test_fractional.py",),
     ),
     Mutant(
-        "verify-duality-cover",
+        "optimum-check-cover",
         FRACTIONAL,
-        "        and cover.is_feasible(graph)\n",
+        "            and self.cover.scaled(graph) is not None\n",
         "",
         ("tests/test_fractional.py",),
     ),
     Mutant(
-        "verify-duality-values",
+        "optimum-check-values",
         FRACTIONAL,
-        "        and matching.value() == cover.value() == value\n",
+        "            and self.matching.value() == self.cover.value() == self.value\n",
         "",
         ("tests/test_fractional.py",),
     ),

@@ -145,10 +145,26 @@ class TestIsAbsorbing:
         ok, pms = is_absorbing(body, first_target(graph), graph)
         assert not ok and pms is None
 
+    def test_edgeless_target_vertex_blocks_the_joint_matching(self):
+        # the body has a perfect matching, but class vertex 0, in the
+        # target, lies on no edge, so body plus target has none
+        full = complete_partite(7, 21)
+        graph = PartiteHypergraph(7, 21, [e for e in full.edges if e[0] != 0])
+        body = standard_body(graph)
+        assert has_perfect_matching(graph, vertices=body)[0]
+        assert is_absorbing(body, first_target(graph), graph) == (False, None)
+
     def test_size_validation(self):
         graph = complete_partite(7, 21)
         with pytest.raises(ValueError):
             is_absorbing([0, 8, 9, 10], first_target(graph), graph)
+
+    def test_target_size_validation(self):
+        # a balanced target of two class and six other vertices
+        graph = complete_partite(9, 27)
+        target = [0, 7] + list(graph.p_vertices())[21:]
+        with pytest.raises(ValueError, match="target must have 4 vertices, got 8"):
+            is_absorbing(standard_body(graph), target, graph)
 
     def test_overlap_validation(self):
         graph = complete_partite(7, 21)

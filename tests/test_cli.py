@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import json
@@ -10,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from rainbow_lab import cli, experiments, jsonio
+from rainbow_lab import cli, experiments, fractional, jsonio
 from rainbow_lab.absorbing import build_gadget
 from rainbow_lab.cli import (
     EXIT_CRASH,
@@ -317,6 +318,21 @@ def test_shift_run_timeout_is_unknown(monkeypatch, capsys):
     assert json.loads(out) == {"stable": "unknown"}
 
 
+def test_exp_json_carries_runtimes_outside_its_digest(monkeypatch, capsys):
+    # the digest's first 16 characters are those of the "exp pass" golden table
+    code, out, err = run_raw(
+        monkeypatch, capsys, "", "--json", "exp", "sharpness", "--n-values", "6"
+    )
+    assert (code, err) == (EXIT_FOUND, "")
+    report = json.loads(out)
+    digest = report.pop("digest")
+    assert digest == "804181cd15f653fccfe25a3bcc202332ec3a6ba347c46593dd501dd386ff9a92"
+    assert report["rows"] and all("runtime_ms" in row for row in report["rows"])
+    for row in report["rows"]:
+        del row["runtime_ms"]
+    assert jsonio.sha256_of(report) == digest
+
+
 def test_exp_sharpness_accepts_one_trial(monkeypatch, capsys):
     code, out, _ = run_raw(
         monkeypatch, capsys, "", "exp", "sharpness", "--trials", "1", "--n-values", "6"
@@ -363,6 +379,22 @@ def test_vertex_file_rejects_bools(monkeypatch, capsys, tmp_path):
     assert code == EXIT_INPUT
     assert out == ""
     assert "vertex id" in err
+
+
+def test_unreadable_vertex_file_exits_3(monkeypatch, capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    stdin = canonical_json(complete_partite(7, 21).to_dict())
+    code, out, err = run_raw(
+        monkeypatch, capsys, stdin, "absorb", "check", "--t", missing, "--a", missing
+    )
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.startswith(f"error: cannot read vertex set {missing}: ")
+
+
+def test_scenario_of_the_wrong_shape_exits_3(monkeypatch, capsys):
+    code, out, err = run_raw(monkeypatch, capsys, "[1, 2]", "absorb", "run")
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err == 'error: scenario must be {"partite": ..., "targets": [[...], ...]}\n'
 
 
 @pytest.mark.parametrize(
@@ -447,6 +479,21 @@ def test_tight_rainbow_n18_is_none(monkeypatch, capsys):
     assert time.monotonic() - start < 10.0
     assert code == EXIT_NONE and err == ""
     assert json.loads(out) == {"found": False, "witness": None}
+
+
+@pytest.mark.parametrize("argv", [["frac", "check-duality"], ["exp", "duality"]], ids=" ".join)
+def test_rejected_lp_certificate_exits_4(monkeypatch, capsys, argv):
+    # a certificate that fails the check is a fault of the package, never a none
+    solve = fractional._solve
+
+    def off_by_one(graph, timeout):
+        optimum = solve(graph, timeout)
+        return dataclasses.replace(optimum, value=optimum.value + 1)
+
+    monkeypatch.setattr(fractional, "_solve", off_by_one)
+    code, out, err = run_raw(monkeypatch, capsys, INSTANCE, *argv)
+    assert (code, out) == (EXIT_CRASH, "")
+    assert "AssertionError: LP certificates" in err
 
 
 def _crash(args):

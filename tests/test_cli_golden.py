@@ -122,6 +122,8 @@ CASES = [
     Case("frac pm none", ["frac", "pm"], TRIANGLE6),
     Case("frac pm unknown", ["--timeout", "1e-9", "frac", "pm"], K6),
     Case("shift run", ["shift", "run", "--threshold", "12"], PARTITE),
+    # at threshold 20 the shift deletes all 40 edges: a trace with steps
+    Case("shift run with steps", ["shift", "run", "--threshold", "20"], PARTITE),
     Case("shift pipeline found", ["shift", "pipeline"], PARTITE),
     Case("shift pipeline none", ["shift", "pipeline"], NO_PARTITE),
     Case("shift pipeline found without construction", ["shift", "pipeline"], SHIFT_LOST),
@@ -322,6 +324,10 @@ GOLDEN = {
     'shift run': (
         0,
         '{"edges_left": 40, "edges_removed": 0, "stable": true, "trace": []}\n',
+    ),
+    'shift run with steps': (
+        0,
+        '{"edges_left": 0, "edges_removed": 40, "stable": true, "trace": [[0, 0, 1, 4], [0, 0, 2, 3], [1, 0, 1, 4], [0, 0, 3, 2], [0, 1, 2, 3], [1, 0, 2, 3], [0, 0, 4, 1], [0, 1, 3, 2], [1, 0, 3, 2], [1, 1, 2, 3], [0, 1, 4, 1], [0, 2, 3, 2], [1, 0, 4, 1], [1, 1, 3, 2], [0, 2, 4, 1], [1, 1, 4, 1], [1, 2, 3, 2], [0, 3, 4, 1], [1, 2, 4, 1], [1, 3, 4, 1]]}\n',
     ),
     'shift pipeline found': (
         0,

@@ -1,8 +1,8 @@
 """One cover check: ``FractionalCover.scaled`` decides for every caller.
 
-``is_feasible``, ``cover_closure`` and ``cover_refutation`` all read
-the same integer check, so on any cover they agree with each other and
-with the Fraction definition in ``_oracles.fraction_is_cover``.
+``FractionalOptimum.check``, ``cover_closure`` and ``cover_refutation``
+all read the same integer check, so on any cover they agree with each
+other and with the Fraction definition in ``_oracles.fraction_is_cover``.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def seeded_cover(seed):
 def test_feasibility_and_closure_agree_with_the_fraction_oracle(seed):
     graph, cover = seeded_cover(seed)
     expect = fraction_is_cover(cover.weights, graph)
-    assert cover.is_feasible(graph) == expect
+    assert (cover.scaled(graph) is not None) == expect
     try:
         closed = cover_closure(graph, cover)
     except ValueError:
@@ -84,17 +84,16 @@ def test_every_fault_occurs_and_is_rejected():
     verdicts = {}
     for seed in range(200):
         graph, cover = seeded_cover(seed)
-        verdicts.setdefault(seed % 4, set()).add(cover.is_feasible(graph))
+        verdicts.setdefault(seed % 4, set()).add(cover.scaled(graph) is not None)
     assert verdicts[CLEAN] == {True}
     assert verdicts[OFF_GRAPH] == verdicts[OUT_OF_UNIT] == {False}
     assert False in verdicts[UNDER_COVERED]
 
 
 def test_sparse_cover_closes_to_its_one_edge():
-    # an absent weight counts as 0, here as in is_feasible
+    # an absent weight counts as 0, here as in the closure
     pg = complete_partite(1, 3)
     cover = FractionalCover(weights={0: Fraction(1)})
-    assert cover.is_feasible(pg)
     assert cover.scaled(pg) == (1, [1, 0, 0, 0])
     closed = cover_closure(pg, cover)
     assert closed.graph.edges == ((0, 1, 2, 3),)

@@ -29,6 +29,7 @@ from rainbow_lab.constructions import (
 from rainbow_lab.fractional import (
     FractionalCover,
     FractionalMatching,
+    FractionalOptimum,
     fractional_perfect_matching,
     max_fractional_matching,
     min_fractional_cover,
@@ -76,34 +77,35 @@ class TestMatchingSide:
 class TestCoverSide:
     def test_triangle_half_integral(self):
         value, fc = min_fractional_cover(TRIANGLE)
-        assert value == Fraction(3, 2) and fc.is_feasible(TRIANGLE)
+        assert value == Fraction(3, 2) and fc.scaled(TRIANGLE) is not None
 
     def test_complete_six(self):
         value, fc = min_fractional_cover(complete_hypergraph(3, 6))
-        assert value == 2 and fc.is_feasible(complete_hypergraph(3, 6))
+        assert value == 2 and fc.scaled(complete_hypergraph(3, 6)) is not None
 
     def test_empty(self):
         value, fc = min_fractional_cover(empty_hypergraph(3, 5))
-        assert value == 0 and fc.is_feasible(empty_hypergraph(3, 5))
+        assert value == 0 and fc.scaled(empty_hypergraph(3, 5)) is not None
 
     def test_wide_extremal_blockers_suffice(self):
         h = extremal_graph(9, 3, 1)
         value, fc = min_fractional_cover(h)
-        assert value == 2 and fc.is_feasible(h)
+        assert value == 2 and fc.scaled(h) is not None
 
 
 class TestDuality:
     def test_tight_extremal(self):
-        assert verify_duality(extremal_graph(9, 3, 2))
+        # (t * ell - 1) / ell with t = 3, ell = 2
+        assert verify_duality(extremal_graph(9, 3, 2)).value == Fraction(5, 2)
 
     def test_empty(self):
-        assert verify_duality(empty_hypergraph(3, 4))
+        assert verify_duality(empty_hypergraph(3, 4)).value == 0
 
     def test_random_instances_exact(self):
         rng = random.Random(13)
         for _ in range(30):
             h = random_3graph(rng, rng.randint(4, 10), rng.uniform(0.05, 0.8))
-            assert verify_duality(h)
+            assert verify_duality(h).value == max_fractional_matching(h)[0]
 
     def test_values_match_float_oracle(self):
         rng = random.Random(14)
@@ -115,7 +117,7 @@ class TestDuality:
             tau, fc = min_fractional_cover(h)
             approx_tau = float_lp_cover_value(h.edges, h.n_vertices)
             assert abs(float(tau) - approx_tau) < 1e-7
-            assert fc.is_feasible(h)
+            assert fc.scaled(h) is not None
             assert abs(float(fc.value()) - approx_tau) < 1e-7
 
     @pytest.mark.parametrize("fault", ["matching", "cover", "value"])
@@ -123,7 +125,8 @@ class TestDuality:
         # one certificate made infeasible at the same value (an unsorted
         # edge key, a cover weight off the vertex set), or a wrong optimum
         h = extremal_graph(9, 3, 2)
-        value, matching, cover = fractional._solve(h, None)
+        optimum = fractional._solve(h, None)
+        value, matching, cover = optimum.value, optimum.matching, optimum.cover
         assert matching.weights and cover.weights
         if fault == "matching":
             matching = FractionalMatching({e[::-1]: w for e, w in matching.weights.items()})
@@ -131,19 +134,23 @@ class TestDuality:
             cover = FractionalCover({v + h.n_vertices: w for v, w in cover.weights.items()})
         else:
             value += 1
-        monkeypatch.setattr(fractional, "_solve", lambda graph, timeout: (value, matching, cover))
-        assert verify_duality(h) is None
+        faulty = FractionalOptimum(value, matching, cover)
+        with pytest.raises(AssertionError, match="LP certificates"):
+            faulty.check(h)
+        monkeypatch.setattr(fractional, "_solve", lambda graph, timeout: faulty)
+        with pytest.raises(AssertionError, match="LP certificates"):
+            verify_duality(h)
 
     @pytest.mark.parametrize(
         "h", [extremal_graph(9, 3, 2), empty_hypergraph(3, 4)], ids=["tight", "empty"]
     )
     def test_hands_over_the_certificates(self, h):
-        # truthy even at value 0, and the one solve's certificates
-        certified = verify_duality(h)
-        assert certified
-        value, matching, cover = certified
+        # the one solve's optimum, whole
+        optimum = verify_duality(h)
+        assert optimum == fractional._solve(h, None)
+        value, matching, cover = optimum.value, optimum.matching, optimum.cover
         assert value == matching.value() == cover.value() == max_fractional_matching(h)[0]
-        assert matching.is_feasible(h) and cover.is_feasible(h)
+        assert matching.is_feasible(h) and cover.scaled(h) is not None
 
     def test_integral_below_fractional(self):
         rng = random.Random(15)
@@ -161,7 +168,7 @@ class TestTightPartite:
         h = extremal_partite(18)
         value, fc = min_fractional_cover(h, timeout=5.0)
         assert value == Fraction(11, 2)
-        assert fc.is_feasible(h) and fc.value() == value
+        assert fc.scaled(h) is not None and fc.value() == value
 
     # Pivot counts are deterministic, so they gate where wall time
     # cannot; n = 18 must stay within 100.
@@ -199,12 +206,13 @@ class TestCertificates:
 
     def test_matching_stores_only_nonzero_basic_weights(self):
         h = complete_partite(4, 12)
-        value, fm, _ = fractional._solve(h, None)
+        optimum = fractional._solve(h, None)
+        fm = optimum.matching
         assert len(fm.weights) <= h.n_vertices
         assert all(fm.weights.values())
-        assert fm.value() == value
+        assert fm.value() == optimum.value
         assert fm.is_feasible(h)
-        assert verify_duality(h)
+        optimum.check(h)
 
     def test_scaled_accepts_any_cover_of_an_edgeless_graph(self):
         cover = FractionalCover(weights={0: Fraction(1, 3), 4: Fraction(0)})
@@ -230,7 +238,7 @@ class TestCertificates:
         )
         assert not bad_matching.is_feasible(h)
         bad_cover = FractionalCover(weights={v: Fraction(0) for v in range(6)})
-        assert not bad_cover.is_feasible(h)
+        assert bad_cover.scaled(h) is None
 
 
 class TestFractionalPerfectMatching:
@@ -368,11 +376,11 @@ def lp_graphs(draw):
 @settings(max_examples=300, deadline=None)
 @given(lp_graphs())
 def test_solve_matches_dense_tableau(graph):
-    value, matching, cover = fractional._solve(graph, None)
+    optimum = fractional._solve(graph, None)
     want_value, want_matching, want_cover = dense_solve(graph, None)
-    assert value == want_value
-    assert matching.weights == want_matching.weights
-    assert cover.weights == want_cover.weights
+    assert optimum.value == want_value
+    assert optimum.matching.weights == want_matching.weights
+    assert optimum.cover.weights == want_cover.weights
 
 
 def _dropped_tight_partite(seed: int) -> PartiteHypergraph:
@@ -401,11 +409,11 @@ def _dropped_tight_partite(seed: int) -> PartiteHypergraph:
 )
 def test_solve_matches_dense_tableau_on_benchmark_shapes(build):
     graph = build()
-    value, matching, cover = fractional._solve(graph, None)
+    optimum = fractional._solve(graph, None)
     want_value, want_matching, want_cover = dense_solve(graph, None)
-    assert value == want_value
-    assert matching.weights == want_matching.weights
-    assert cover.weights == want_cover.weights
+    assert optimum.value == want_value
+    assert optimum.matching.weights == want_matching.weights
+    assert optimum.cover.weights == want_cover.weights
 
 
 def _sparse_partite(seed: int, q: int, p: int) -> PartiteHypergraph:
@@ -424,11 +432,11 @@ def _sparse_partite(seed: int, q: int, p: int) -> PartiteHypergraph:
 def test_solve_matches_dense_tableau_on_wide_lanes(q):
     graph = _sparse_partite(q, q, 3 * q)
     # a deadline turns a decode fault that cycles into a failure
-    value, matching, cover = fractional._solve(graph, 10.0)
+    optimum = fractional._solve(graph, 10.0)
     want_value, want_matching, want_cover = dense_solve(graph, None)
-    assert value == want_value
-    assert matching.weights == want_matching.weights
-    assert cover.weights == want_cover.weights
+    assert optimum.value == want_value
+    assert optimum.matching.weights == want_matching.weights
+    assert optimum.cover.weights == want_cover.weights
 
 
 # -- the lane codec --------------------------------------------------------------
